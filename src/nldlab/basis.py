@@ -4,13 +4,13 @@ The state space is spanned by {cos nx : 0 <= n <= N} and {sin mx : 1 <= m <= N+1
 a block-aligned truncation of dimension 2N+2: the pairs {cos nx, sin (n+1)x},
 n = 0..N, tile the space exactly, so the coupling operator K and the diagonal
 part Q act inside the truncation without spill. Coefficient vectors, collocation
-transforms, differentiation, fractional Sobolev norms, and dealiased pointwise
-products live here.
+transforms, fractional Sobolev norms, and dealiased pointwise products live
+here; differentiation is one of the mode maps in `operators`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "synth",
     "analyze",
     "analysis_residual",
-    "differentiate",
     "theta_norm",
     "pointwise_product",
     "random_state",
@@ -91,9 +90,14 @@ class BasisLayout:
 
     def analysis_matrix(self) -> np.ndarray:
         """P with P @ S = I exactly for band-limited input, shape (dim, M)."""
-        P = (2.0 / self.M) * self.synthesis_matrix().T
+        return self.transform_pair()[1]
+
+    def transform_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, P), with P scaled from the same S instead of a second synthesis."""
+        S = self.synthesis_matrix()
+        P = (2.0 / self.M) * S.T
         P[0] *= 0.5
-        return P
+        return S, P
 
 
 @dataclass(frozen=True)
@@ -213,24 +217,6 @@ def analysis_residual(g: GridSamples) -> float:
     """
     recon = synth(analyze(g)).values
     return float(np.sqrt((2.0 * np.pi / g.layout.M) * np.sum((g.values - recon) ** 2)))
-
-
-def differentiate(v: TrigVector) -> TrigVector:
-    """d/dx on coefficients: cos nx -> -n sin nx, sin mx -> m cos mx.
-
-    The image of the top sine mode, (N+1) cos (N+1)x, falls outside the layout;
-    it is dropped and its L2 magnitude added to truncation_loss.
-    """
-    lay = v.layout
-    N = lay.N
-    a_new = np.zeros(N + 1)
-    b_new = np.zeros(N + 1)
-    # sin m -> m cos m for m = 1..N; the m = N+1 image is out of band
-    a_new[1:] = lay.sin_orders[:-1] * v.b[:-1]
-    # cos n -> -n sin n for n = 1..N
-    b_new[:-1] = -lay.cos_orders[1:] * v.a[1:]
-    dropped = abs((N + 1) * v.b[-1]) * np.sqrt(np.pi)
-    return TrigVector(lay, a_new, b_new, v.truncation_loss + dropped)
 
 
 def theta_norm(v: TrigVector, alpha: float) -> float:

@@ -10,20 +10,20 @@ is not a gate success), 1 for errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .basis import TrigVector, random_state, theta_norm
+from .basis import TrigVector, random_state
 from .semiflow import dissipativity_probe, integrate
-from .spectra import (classify_and_count, assemble_T, eigenvalues, eps0_threshold_scan,
-                      gap_check, match_blocks_u0, stationary_state)
-from .verdict import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, RunConfig,
-                      emit_reports, run_verify)
-from .verdict import _write_gap_csv, _write_spectrum_csv
+from .spectra import (eps0_threshold_scan, gap_check, match_blocks_u0, stationary_spectrum,
+                      stationary_state)
+from .verdict import (CONFIG_KEYS, INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, RunConfig,
+                      emit_reports, run_verify, write_csv, write_gap_csv,
+                      write_spectrum_csv)
 
 __all__ = ["main", "build_parser", "parse_seed_spec"]
 
@@ -83,10 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_seed_spec(spec: str, config: RunConfig) -> TrigVector:
     """Initial-state grammar shared by simulate and the docs."""
     layout = config.model_params().layout
-    if spec == "u0":
-        return TrigVector.zero(layout)
-    if spec == "u1":
-        return TrigVector.constant(layout, 1.0)
+    if spec in ("u0", "u1"):
+        return stationary_state(spec, layout)
     if spec.startswith("u1+const:"):
         return TrigVector.constant(layout, 1.0 + float(spec.split(":", 1)[1]))
     if spec.startswith("random:"):
@@ -99,10 +97,7 @@ def parse_seed_spec(spec: str, config: RunConfig) -> TrigVector:
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {k: getattr(args, k, None) for k in
-                 ("N", "kappa", "eps0", "rho", "theta", "dt", "T_final",
-                  "tol_im", "tol_re", "outdir")}
-    return config.with_overrides(**overrides)
+    return config.with_overrides(**{k: getattr(args, k, None) for k in CONFIG_KEYS})
 
 
 def _cmd_verify(args) -> int:
@@ -130,22 +125,18 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     config = _load_config(args)
     params = config.model_params()
-    u = stationary_state(args.at, params.layout)
-    rep = classify_and_count(eigenvalues(assemble_T(u, params)),
-                             config.tol_im, config.tol_re,
-                             point_label=args.at, N=params.layout.N)
+    rep = stationary_spectrum(args.at, params, config.tol_im, config.tol_re)
     block_index = None
     if args.at == "u0":
         _, block_index = match_blocks_u0(rep.eigenvalues, params.eps, params.layout.N)
-    for z in rep.eigenvalues:
-        is_real = abs(z.imag) < rep.tol_im * (1.0 + abs(z)) and abs(z.real) <= rep.band
-        print(f"{z.real:+.12e} {z.imag:+.12e} {'real' if is_real else 'nonreal'}")
+    for z, real in zip(rep.eigenvalues, rep.real_in_band_mask()):
+        print(f"{z.real:+.12e} {z.imag:+.12e} {'real' if real else 'nonreal'}")
     print(f"{len(rep.eigenvalues)} eigenvalues at N={params.layout.N}; "
           f"in-band real count {len(rep.real_eigs_in_band)}, "
           f"l_in_band={rep.l_count_in_band}")
     os.makedirs(config.outdir, exist_ok=True)
     path = os.path.join(config.outdir, f"spectrum_{args.at}.csv")
-    _write_spectrum_csv(path, rep, block_index)
+    write_spectrum_csv(path, rep, block_index)
     print(f"wrote {path}")
     return 0
 
@@ -157,11 +148,9 @@ def _cmd_simulate(args) -> int:
     traj = integrate(u0, params, T=args.T, cfl_bound=config.cfl_bound)
     os.makedirs(config.outdir, exist_ok=True)
     path = os.path.join(config.outdir, "trajectory.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "theta_norm"])
-        for t, nv in zip(traj.times, traj.theta_norm_history):
-            writer.writerow([repr(float(t)), repr(float(nv))])
+    write_csv(path, ["t", "theta_norm"],
+              ([repr(float(t)), repr(float(nv))]
+               for t, nv in zip(traj.times, traj.theta_norm_history)))
     print(f"integrated {args.seed_spec} to t={traj.times[-1]:g}; "
           f"final theta-norm {traj.theta_norm_history[-1]:.6g}")
     print(f"wrote {path}")
@@ -180,7 +169,7 @@ def _cmd_gap_check(args) -> int:
           + (f", exceeds 100 from n={int(report.jump_n[crossing])}" if crossed else ""))
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "gap.csv")
-    _write_gap_csv(path, report)
+    write_gap_csv(path, report)
     print(f"wrote {path}")
     return 0
 
@@ -199,13 +188,9 @@ def _cmd_scan_eps0(args) -> int:
         print(f"largest eps0 with a single real eigenvalue: {scan.largest_single:g}")
     os.makedirs(config.outdir, exist_ok=True)
     path = os.path.join(config.outdir, "eps0_scan.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps0", "real_count_in_band", "l_count_in_band", "anchor"])
-        for row in scan.rows:
-            writer.writerow([row["eps0"], row["real_count_in_band"],
-                             row["l_count_in_band"],
-                             "" if row["anchor"] is None else repr(row["anchor"])])
+    write_csv(path, ["eps0", "real_count_in_band", "l_count_in_band", "anchor"],
+              ([row["eps0"], row["real_count_in_band"], row["l_count_in_band"],
+                "" if row["anchor"] is None else repr(row["anchor"])] for row in scan.rows))
     print(f"wrote {path}")
     return 0
 
@@ -216,7 +201,7 @@ def _cmd_probe(args) -> int:
     seeds = [(f"random:{s}", random_state(params.layout, s, config.theta, args.r_in))
              for s in config.seeds]
     report = dissipativity_probe(seeds, params, T=args.T, R_in=args.r_in,
-                                 C=args.C, delta=args.delta)
+                                 C=args.C, delta=args.delta, cfl_bound=config.cfl_bound)
     for label, tail, entered in zip(report.seed_labels, report.tail_norms,
                                     report.entered):
         status = "failed" if label in report.failed else f"tail={tail:.6g} entered={entered}"
@@ -226,13 +211,7 @@ def _cmd_probe(args) -> int:
     os.makedirs(config.outdir, exist_ok=True)
     path = os.path.join(config.outdir, "dissipativity.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "seed_labels": report.seed_labels, "R_in": report.R_in, "T": report.T,
-            "tail_norms": report.tail_norms, "entered": report.entered,
-            "failed": report.failed, "a_emp": report.a_emp,
-            "a_formula": report.a_formula, "M_scan": report.M_scan,
-            "C": report.C, "delta": report.delta,
-        }, fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
         fh.write("\n")
     print(f"wrote {path}")
     all_finite = all(np.isfinite(t) for t in report.tail_norms)

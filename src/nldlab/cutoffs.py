@@ -16,14 +16,19 @@ the linear pull that keeps s + f bounded at large amplitude. w is the ramp
 that multiplies the derivative argument in the nonlinearity; it needs
 w(0) = 0 and w'(0) = 1, both satisfied by omega.
 
-All functions accept scalars or numpy arrays.
+`Blend` evaluates the bump quotient once per argument and builds every shape
+and first derivative from it; the public functions below and the nonlinearity
+in `model` all read it. All functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
+    "Blend",
     "psi",
     "psi_prime",
     "chi",
@@ -42,99 +47,112 @@ __all__ = [
 ]
 
 
-def psi(t):
-    """exp(-1/t) for t > 0, else 0; the flat-at-zero mollifier seed."""
+def _psi(t):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
     out[pos] = np.exp(-1.0 / t[pos])
-    return out if out.ndim else float(out)
+    return out
 
 
-def psi_prime(t):
+def _psi_prime(t, psi_t):
+    """psi'(t) = psi(t) / t^2 for t > 0, else 0, given psi_t = psi(t)."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
-    return out if out.ndim else float(out)
+    out[pos] = psi_t[pos] / t[pos] ** 2
+    return out
+
+
+def _value(out):
+    return out if np.ndim(out) else float(out)
+
+
+def psi(t):
+    """exp(-1/t) for t > 0, else 0; the flat-at-zero mollifier seed."""
+    return _value(_psi(t))
+
+
+def psi_prime(t):
+    return _value(_psi_prime(t, _psi(t)))
+
+
+# Polynomial core p and its derivative p' of each shape chi(s) * p(s).
+_CORES = {
+    "omega": (lambda s: s, lambda s: 1.0),
+    "gamma": (lambda s: 2.0 * s**3 - 3.0 * s**2, lambda s: 6.0 * s**2 - 6.0 * s),
+    "eta": (lambda s: 2.0 * s**2 - s**3, lambda s: 4.0 * s - 3.0 * s**2),
+}
+_CORES["w"] = _CORES["omega"]
+
+
+class Blend:
+    """chi and chi' at one argument s, and the shapes built on them.
+
+    Every shape is chi(s) times its core from _CORES, except the far-field pull
+    mu(s) = -(1 - chi(s)) * s; slopes follow by the product rule. The bump
+    quotients are evaluated once, however many shapes are read; chi' only
+    when a slope is.
+    """
+
+    def __init__(self, s):
+        self.s = np.asarray(s, dtype=float)
+        az = np.abs(self.s)
+        self._up = _psi(2.0 - az)
+        self._down = _psi(az - 1.0)
+        den = np.asarray(self._up + self._down)
+        # den == 0 happens only for az >= 2 where chi and chi' are 0 already
+        self.chi = np.divide(self._up, den, out=np.zeros_like(den), where=den > 0)
+
+    @cached_property
+    def chi_prime(self):
+        up, down, az = self._up, self._down, np.abs(self.s)
+        dup = -_psi_prime(2.0 - az, up)
+        ddown = _psi_prime(az - 1.0, down)
+        den = np.asarray((up + down) ** 2)
+        core = np.divide(dup * down - up * ddown, den, out=np.zeros_like(den), where=den > 0)
+        return np.sign(self.s) * core
+
+    def shape(self, name: str):
+        if name == "mu":
+            return -(1.0 - self.chi) * self.s
+        return self.chi * _CORES[name][0](self.s)
+
+    def slope(self, name: str):
+        """Derivative of shape(name) in s."""
+        if name == "mu":
+            return self.slope("omega") - 1.0
+        core, core_prime = _CORES[name]
+        return self.chi_prime * core(self.s) + self.chi * core_prime(self.s)
 
 
 def chi(z):
     """Smooth plateau blend: 1 on |z| <= 1, 0 on |z| >= 2."""
-    az = np.abs(np.asarray(z, dtype=float))
-    up = psi(2.0 - az)
-    down = psi(az - 1.0)
-    den = np.asarray(up + down)
-    out = np.divide(up, den, out=np.zeros_like(den), where=den > 0)
-    # den == 0 happens only for az >= 2 where the value is 0 already
-    return out if out.ndim else float(out)
+    return _value(Blend(z).chi)
 
 
 def chi_prime(z):
-    z = np.asarray(z, dtype=float)
-    az = np.abs(z)
-    up = psi(2.0 - az)
-    down = psi(az - 1.0)
-    dup = -psi_prime(2.0 - az)
-    ddown = psi_prime(az - 1.0)
-    den = np.asarray((up + down) ** 2)
-    core = np.divide(dup * down - up * ddown, den, out=np.zeros_like(den), where=den > 0)
-    out = np.sign(z) * core
-    return out if out.ndim else float(out)
+    return _value(Blend(z).chi_prime)
 
 
-def omega(s):
-    """Bounded smooth ramp: s on |s| <= 1, 0 for |s| >= 2."""
-    s = np.asarray(s, dtype=float)
-    out = chi(s) * s
-    return out if np.ndim(out) else float(out)
+def _public(shape: str, prime: bool = False, doc: str | None = None):
+    """The module function s -> shape(s), or its slope, read off one Blend."""
+    def cutoff(s):
+        blend = Blend(s)
+        return _value(blend.slope(shape) if prime else blend.shape(shape))
+    cutoff.__name__ = cutoff.__qualname__ = f"{shape}_prime" if prime else shape
+    cutoff.__doc__ = doc
+    return cutoff
 
 
-def omega_prime(s):
-    s = np.asarray(s, dtype=float)
-    out = chi_prime(s) * s + chi(s)
-    return out if np.ndim(out) else float(out)
-
-
-def gamma(s):
-    """chi-localized cubic with gamma(1) = -1, gamma'(1) = 0."""
-    s = np.asarray(s, dtype=float)
-    out = chi(s) * (2.0 * s**3 - 3.0 * s**2)
-    return out if np.ndim(out) else float(out)
-
-
-def gamma_prime(s):
-    s = np.asarray(s, dtype=float)
-    out = chi_prime(s) * (2.0 * s**3 - 3.0 * s**2) + chi(s) * (6.0 * s**2 - 6.0 * s)
-    return out if np.ndim(out) else float(out)
-
-
-def eta(s):
-    """chi-localized cubic with eta(1) = 1, eta'(1) = 1."""
-    s = np.asarray(s, dtype=float)
-    out = chi(s) * (2.0 * s**2 - s**3)
-    return out if np.ndim(out) else float(out)
-
-
-def eta_prime(s):
-    s = np.asarray(s, dtype=float)
-    out = chi_prime(s) * (2.0 * s**2 - s**3) + chi(s) * (4.0 * s - 3.0 * s**2)
-    return out if np.ndim(out) else float(out)
-
-
-def mu(s):
-    """Far-field linear pull: 0 on |s| <= 1, exactly -s for |s| >= 2."""
-    s = np.asarray(s, dtype=float)
-    out = -(1.0 - chi(s)) * s
-    return out if np.ndim(out) else float(out)
-
-
-def mu_prime(s):
-    s = np.asarray(s, dtype=float)
-    out = chi_prime(s) * s + chi(s) - 1.0
-    return out if np.ndim(out) else float(out)
-
-
+omega = _public("omega", doc="Bounded smooth ramp: s on |s| <= 1, 0 for |s| >= 2.")
+omega_prime = _public("omega", prime=True)
+gamma = _public("gamma", doc="chi-localized cubic with gamma(1) = -1, gamma'(1) = 0.")
+gamma_prime = _public("gamma", prime=True)
+eta = _public("eta", doc="chi-localized cubic with eta(1) = 1, eta'(1) = 1.")
+eta_prime = _public("eta", prime=True)
+mu = _public("mu", doc="Far-field linear pull: 0 on |s| <= 1, exactly -s for |s| >= 2.")
+mu_prime = _public("mu", prime=True)
 w = omega
 w_prime = omega_prime
 

@@ -12,7 +12,8 @@ using (B u_x)_x = J u_x. The nonlinearity is the cutoff-localized family
 engineered so that u = 0 and u = 1 are exact stationary states:
 f(x,0,0) = 0, and f(x,1,0) = -eps0 sin x cancels K1 = eps0 sin x. Its partial
 derivatives are evaluated analytically (product rule on the chi-blended
-shapes); finite differences exist only as a test oracle.
+shapes); finite differences exist only as a test oracle. The bounded part
+f + Ku of F is written once, in `explicit_part`, which the IMEX stepper uses.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cutoffs as ct
-from .basis import BasisLayout, GridSamples, TrigVector, analyze, differentiate, synth
-from .operators import EpsilonSequence, apply_J, apply_K
+from .basis import BasisLayout, TrigVector
+from .operators import (EpsilonSequence, _mode_map, _require_supercritical, apply_J,
+                        differentiate)
 
-__all__ = ["ModelParams", "f", "f_s", "f_p", "evaluate_F"]
+__all__ = ["ModelParams", "f", "f_s", "f_p", "explicit_part", "evaluate_F"]
 
 THETA_RANGE = (0.75, 1.0)
 
@@ -49,8 +51,7 @@ class ModelParams:
     allow_theta_override: bool = False
 
     def __post_init__(self):
-        if abs(self.kappa) <= 1.0:
-            raise ValueError(f"|kappa| must exceed 1, got {self.kappa}")
+        _require_supercritical(self.kappa)
         if self.dt <= 0 or self.T_final <= 0:
             raise ValueError("dt and T_final must be positive")
         lo, hi = THETA_RANGE
@@ -68,33 +69,49 @@ class ModelParams:
         return float(np.sqrt(self.kappa**2 - 1.0))
 
 
+def _shape_sum(x, read_s, w_p, params: ModelParams):
+    """kappa*omega*w_p + eps0*gamma + eps0*eta*(1 - sin x) + mu, each shape read
+    at s by read_s; f is linear in these shapes, so f_s is the same sum of slopes."""
+    eps0 = params.eps.eps0
+    return (params.kappa * read_s("omega") * w_p
+            + eps0 * read_s("gamma")
+            + eps0 * read_s("eta") * (1.0 - np.sin(x))
+            + read_s("mu"))
+
+
 def f(x, s, p, params: ModelParams):
     """The nonlinearity, vectorized over broadcastable x, s, p."""
-    eps0 = params.eps.eps0
-    return (params.kappa * ct.omega(s) * ct.w(p)
-            + eps0 * ct.gamma(s)
-            + eps0 * ct.eta(s) * (1.0 - np.sin(x))
-            + ct.mu(s))
+    return _shape_sum(x, ct.Blend(s).shape, ct.Blend(p).shape("w"), params)
 
 
 def f_s(x, s, p, params: ModelParams):
     """Analytic partial derivative of f in s."""
-    eps0 = params.eps.eps0
-    return (params.kappa * ct.omega_prime(s) * ct.w(p)
-            + eps0 * ct.gamma_prime(s)
-            + eps0 * ct.eta_prime(s) * (1.0 - np.sin(x))
-            + ct.mu_prime(s))
+    return _shape_sum(x, ct.Blend(s).slope, ct.Blend(p).shape("w"), params)
 
 
 def f_p(x, s, p, params: ModelParams):
     """Analytic partial derivative of f in p."""
-    return params.kappa * ct.omega(s) * ct.w_prime(p)
+    return params.kappa * ct.Blend(s).shape("omega") * ct.Blend(p).slope("w")
+
+
+def explicit_part(params: ModelParams, S: np.ndarray, P: np.ndarray,
+                  with_f: bool = True, with_K: bool = True):
+    """The map c -> P f(x, S c, S Dc) + Kc on flat coefficients, given the layout's
+    synthesis and analysis matrices S and P; with_f / with_K drop either term."""
+    lay = params.layout
+    x = lay.grid
+    D = _mode_map(lay, "D")
+    K = _mode_map(lay, "K", eps=params.eps)
+
+    def explicit(c: np.ndarray) -> np.ndarray:
+        out = P @ f(x, S @ c, S @ D(c), params) if with_f else np.zeros_like(c)
+        return out + K(c) if with_K else out
+
+    return explicit
 
 
 def evaluate_F(u: TrigVector, params: ModelParams) -> TrigVector:
     """F(u) = u + J u_x + f(x, u, u_x) + K u, evaluated pseudospectrally."""
     lay = params.layout
-    ux = differentiate(u)
-    fsamp = f(lay.grid, synth(u).values, synth(ux).values, params)
-    fterm = analyze(GridSamples(lay, fsamp))
-    return u + apply_J(ux) + fterm + apply_K(u, params.eps)
+    explicit = explicit_part(params, *lay.transform_pair())
+    return u + apply_J(differentiate(u)) + TrigVector.from_coeffs(lay, explicit(u.coeffs()))

@@ -1,17 +1,23 @@
 """Linear operators of the construction, in spectral form and as dense matrices.
 
-Every operator is defined by its exact action on basis modes:
+Every operator is defined once, by its exact action on basis modes:
 
     A            cos nx -> (1+n^2) cos nx          sin mx -> (1+m^2) sin mx
     B            1 -> -2 ln 2,  cos nx -> -(1/n) cos nx,  sin mx -> (1/m) sin mx
     J            1 -> 0,  cos nx <-> sin nx  (swap, n >= 1)
     G (Hilbert)  1 -> 0,  cos nx -> -sin nx,  sin mx -> cos mx
+    reflect      cos nx -> cos nx,  sin mx -> -sin mx
+    D = d/dx     cos nx -> -n sin nx,  sin mx -> m cos mx
     K            cos nx -> eps_n sin (n+1)x,  sin (n+1)x -> -eps_n cos nx
     Q            cos nx -> -(n^2+n) cos nx,  sin mx -> -(m^2-m) sin mx
     Q_kappa      Q + kappa * d/dx
     A - J d/dx   cos nx -> (1+n+n^2) cos nx,  sin mx -> (1-m+m^2) sin mx
 
-Q and A - J d/dx are assembled from these closed-form diagonals rather than by
+`_mode_map` holds this table as sparse (row, col, value) maps. The coefficient
+actions (`apply_*`, `differentiate`), the dense matrices (`assemble`) and the
+IMEX stepper's Q diagonal and D, K maps are all derived from it.
+
+Q and A - J d/dx are given by these closed-form diagonals rather than by
 composing matrices: the matrix composition loses the top sine mode (the
 differentiation image cos (N+1)x is outside the layout) and would corrupt the
 diagonal there. Where an operator's true image leaves the layout (J, G, d/dx on
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisLayout, TrigVector, analyze, differentiate, synth
+from .basis import BasisLayout, TrigVector
 
 __all__ = [
     "EpsilonSequence",
@@ -40,6 +46,7 @@ __all__ = [
     "apply_Q",
     "apply_Qkappa",
     "apply_A_minus_Jdx",
+    "differentiate",
     "mult_operator",
     "assemble",
     "l2_operator_norm",
@@ -98,55 +105,108 @@ class OperatorMatrix:
                                       v.truncation_loss)
 
 
-def _diag_apply(v: TrigVector, cos_scale: np.ndarray, sin_scale: np.ndarray) -> TrigVector:
-    return TrigVector(v.layout, cos_scale * v.a, sin_scale * v.b, v.truncation_loss)
+@dataclass(frozen=True)
+class _ModeMap:
+    """Sparse action on basis modes: image coefficient rows[k] receives
+    values[k] times input coefficient cols[k]. Every (row, col) pair occurs
+    once; a diagonal map lists its values in layout order. The top sine's
+    image, scaled by top, leaves the layout."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    top: float = 0.0
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        """Image of the flat coefficient vector c."""
+        return np.bincount(self.rows, weights=self.values * c[self.cols], minlength=len(c))
 
 
-def _a_diagonals(layout: BasisLayout):
+def _diagonal(cos_values: np.ndarray, sin_values: np.ndarray) -> _ModeMap:
+    values = np.concatenate([cos_values, sin_values])
+    slots = np.arange(len(values))
+    return _ModeMap(slots, slots, values)
+
+
+def _pairs(cos_slots, sin_slots, cos_to_sin, sin_to_cos, top: float = 0.0) -> _ModeMap:
+    """cos_slots[i] -> cos_to_sin[i] * sin_slots[i], sin_slots[i] -> sin_to_cos[i] * cos_slots[i]
+    (mode slots, not frequencies)."""
+    return _ModeMap(np.concatenate([sin_slots, cos_slots]), np.concatenate([cos_slots, sin_slots]),
+                    np.concatenate([cos_to_sin, sin_to_cos]), top)
+
+
+def _mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = None,
+              kappa: float | None = None) -> _ModeMap:
+    """The table of the module docstring: the one definition of each operator."""
+    N = layout.N
     n = layout.cos_orders.astype(float)
     m = layout.sin_orders.astype(float)
-    return 1.0 + n**2, 1.0 + m**2
+    k = np.arange(1, N + 1)   # slots of cos kx; sin kx sits at N + k
+    ones = np.ones(N)
+    if name == "A":
+        return _diagonal(1.0 + n**2, 1.0 + m**2)
+    if name == "B":
+        return _diagonal(np.concatenate([[B_CONSTANT_VALUE], -1.0 / n[1:]]), 1.0 / m)
+    if name == "Q":
+        return _diagonal(-(n**2 + n), -(m**2 - m))
+    if name == "A_minus_Jdx":
+        return _diagonal(1.0 + n + n**2, 1.0 - m + m**2)
+    if name == "reflect":
+        return _diagonal(np.ones_like(n), -np.ones_like(m))
+    # J, G and D lose the top sine's image cos (N+1)x and annihilate the mean
+    if name == "J":
+        return _pairs(k, N + k, ones, ones, top=1.0)
+    if name == "G":
+        return _pairs(k, N + k, -ones, ones, top=1.0)
+    if name == "D":
+        return _pairs(k, N + k, -n[1:], n[1:], top=N + 1.0)
+    if name == "K":
+        if eps is None:
+            raise ValueError("operator 'K' needs an EpsilonSequence")
+        eps_n = eps.values(N + 1)
+        return _pairs(np.arange(N + 1), np.arange(N + 1, 2 * N + 2), eps_n, -eps_n)
+    if name == "Qkappa":
+        if kappa is None:
+            raise ValueError("operator 'Qkappa' needs kappa")
+        _require_supercritical(kappa)
+        q, d = _mode_map(layout, "Q"), _mode_map(layout, "D")
+        return _ModeMap(np.concatenate([q.rows, d.rows]), np.concatenate([q.cols, d.cols]),
+                        np.concatenate([q.values, kappa * d.values]), kappa * d.top)
+    raise ValueError(f"unknown operator name {name!r}")
 
 
-def _b_diagonals(layout: BasisLayout):
-    n = layout.cos_orders.astype(float)
-    m = layout.sin_orders.astype(float)
-    cos_scale = np.empty_like(n)
-    cos_scale[0] = B_CONSTANT_VALUE
-    cos_scale[1:] = -1.0 / n[1:]
-    return cos_scale, 1.0 / m
+def _require_supercritical(kappa: float):
+    """The drift must be supercritical, |kappa| > 1, for Q_kappa to be oscillatory."""
+    if abs(kappa) <= 1.0:
+        raise ValueError(f"|kappa| must exceed 1, got {kappa}")
 
 
-def _q_diagonals(layout: BasisLayout):
-    n = layout.cos_orders.astype(float)
-    m = layout.sin_orders.astype(float)
-    return -(n**2 + n), -(m**2 - m)
-
-
-def _a_minus_jdx_diagonals(layout: BasisLayout):
-    n = layout.cos_orders.astype(float)
-    m = layout.sin_orders.astype(float)
-    return 1.0 + n + n**2, 1.0 - m + m**2
+def _apply(v: TrigVector, name: str, **params) -> TrigVector:
+    """The named operator on v; the dropped top-sine image adds to truncation_loss."""
+    op = _mode_map(v.layout, name, **params)
+    c = v.coeffs()
+    dropped = abs(op.top * c[-1]) * np.sqrt(np.pi) if op.top else 0.0
+    return TrigVector.from_coeffs(v.layout, op(c), v.truncation_loss + dropped)
 
 
 def apply_A(v: TrigVector) -> TrigVector:
     """A = I - d2/dx2, mode-wise multiplication by 1+n^2."""
-    return _diag_apply(v, *_a_diagonals(v.layout))
+    return _apply(v, "A")
 
 
 def apply_B(v: TrigVector) -> TrigVector:
     """Log-kernel integral operator, diagonal in this basis."""
-    return _diag_apply(v, *_b_diagonals(v.layout))
+    return _apply(v, "B")
 
 
 def apply_Q(v: TrigVector) -> TrigVector:
     """Q = d2/dx2 + J d/dx by its closed-form diagonal."""
-    return _diag_apply(v, *_q_diagonals(v.layout))
+    return _apply(v, "Q")
 
 
 def apply_A_minus_Jdx(v: TrigVector) -> TrigVector:
     """A - J d/dx by its closed-form diagonal; minimum eigenvalue 1."""
-    return _diag_apply(v, *_a_minus_jdx_diagonals(v.layout))
+    return _apply(v, "A_minus_Jdx")
 
 
 def apply_J(v: TrigVector) -> TrigVector:
@@ -155,13 +215,7 @@ def apply_J(v: TrigVector) -> TrigVector:
     The top sine mode would map to cos (N+1)x, outside the layout: dropped
     and logged.
     """
-    lay = v.layout
-    a_new = np.zeros(lay.N + 1)
-    b_new = np.zeros(lay.N + 1)
-    a_new[1:] = v.b[:-1]
-    b_new[:-1] = v.a[1:]
-    dropped = abs(v.b[-1]) * np.sqrt(np.pi)
-    return TrigVector(lay, a_new, b_new, v.truncation_loss + dropped)
+    return _apply(v, "J")
 
 
 def apply_G(v: TrigVector) -> TrigVector:
@@ -170,13 +224,7 @@ def apply_G(v: TrigVector) -> TrigVector:
     J is its reflection: (Jh)(x) = (Gh)(-x). Top sine overflow handled as in
     apply_J.
     """
-    lay = v.layout
-    a_new = np.zeros(lay.N + 1)
-    b_new = np.zeros(lay.N + 1)
-    a_new[1:] = v.b[:-1]
-    b_new[:-1] = -v.a[1:]
-    dropped = abs(v.b[-1]) * np.sqrt(np.pi)
-    return TrigVector(lay, a_new, b_new, v.truncation_loss + dropped)
+    return _apply(v, "G")
 
 
 def apply_K(v: TrigVector, eps: EpsilonSequence) -> TrigVector:
@@ -185,92 +233,47 @@ def apply_K(v: TrigVector, eps: EpsilonSequence) -> TrigVector:
     An exact endomorphism of the layout: every block {cos nx, sin (n+1)x},
     0 <= n <= N, closes under K.
     """
-    lay = v.layout
-    eps_n = eps.values(lay.N + 1)
-    # b slot m = n+1 holds the image of cos n; a slot n holds -eps_n * b_{n+1}
-    return TrigVector(lay, -eps_n * v.b, eps_n * v.a, v.truncation_loss)
+    return _apply(v, "K", eps=eps)
 
 
 def apply_Qkappa(v: TrigVector, kappa: float) -> TrigVector:
     """Q + kappa d/dx; on each pair {cos nx, sin nx} the 2x2 block
     [[-n^2-n, kappa n], [-kappa n, -n^2+n]] with eigenvalues -n^2 +- i n d,
     d = sqrt(kappa^2 - 1)."""
-    _require_supercritical(kappa)
-    return apply_Q(v) + kappa * differentiate(v)
+    return _apply(v, "Qkappa", kappa=kappa)
 
 
-def _require_supercritical(kappa: float):
-    if abs(kappa) <= 1.0:
-        raise ValueError(f"|kappa| must exceed 1, got {kappa}")
+def differentiate(v: TrigVector) -> TrigVector:
+    """d/dx on coefficients: cos nx -> -n sin nx, sin mx -> m cos mx.
+
+    The image of the top sine mode, (N+1) cos (N+1)x, falls outside the layout;
+    it is dropped and its L2 magnitude added to truncation_loss.
+    """
+    return _apply(v, "D")
 
 
-def _diff_matrix(layout: BasisLayout) -> np.ndarray:
-    N = layout.N
-    d = np.zeros((layout.dim, layout.dim))
-    for n in range(1, N + 1):
-        d[N + n, n] = -float(n)   # cos n -> -n sin n
-        d[n, N + n] = float(n)    # sin n -> n cos n
-    # sin (N+1) -> (N+1) cos (N+1)x is outside the layout: column stays zero
-    return d
-
-
-def _swap_matrix(layout: BasisLayout, cos_to_sin: float) -> np.ndarray:
-    N = layout.N
-    m = np.zeros((layout.dim, layout.dim))
-    for n in range(1, N + 1):
-        m[N + n, n] = cos_to_sin   # cos n -> +-sin n
-        m[n, N + n] = 1.0          # sin n -> cos n
-    return m
+def _multiplier_matrix(S: np.ndarray, P: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P diag(g) S, the matrix of h -> analyze(g * synth(h)) for grid samples g,
+    given the layout's synthesis matrix S and analysis matrix P."""
+    return P @ (g[:, None] * S)
 
 
 def mult_operator(g: TrigVector) -> OperatorMatrix:
     """Matrix of h -> g*h via the dealiased pointwise product."""
-    lay = g.layout
-    gv = synth(g).values
-    S = lay.synthesis_matrix()
-    P = lay.analysis_matrix()
-    return OperatorMatrix(lay, P @ (gv[:, None] * S))
+    S, P = g.layout.transform_pair()
+    return OperatorMatrix(g.layout, _multiplier_matrix(S, P, S @ g.coeffs()))
 
 
 def assemble(layout: BasisLayout, opname: str, *, eps: EpsilonSequence | None = None,
              kappa: float | None = None, g: TrigVector | None = None) -> OperatorMatrix:
     """Dense matrix whose columns are the operator applied to each basis vector."""
-    N = layout.N
-    if opname == "A":
-        entries = np.diag(np.concatenate(_a_diagonals(layout)))
-    elif opname == "B":
-        entries = np.diag(np.concatenate(_b_diagonals(layout)))
-    elif opname == "Q":
-        entries = np.diag(np.concatenate(_q_diagonals(layout)))
-    elif opname == "A_minus_Jdx":
-        entries = np.diag(np.concatenate(_a_minus_jdx_diagonals(layout)))
-    elif opname == "J":
-        entries = _swap_matrix(layout, cos_to_sin=1.0)
-    elif opname == "G":
-        entries = _swap_matrix(layout, cos_to_sin=-1.0)
-    elif opname == "reflect":
-        entries = np.diag(np.concatenate([np.ones(N + 1), -np.ones(N + 1)]))
-    elif opname == "D":
-        entries = _diff_matrix(layout)
-    elif opname == "K":
-        if eps is None:
-            raise ValueError("assemble('K') needs an EpsilonSequence")
-        entries = np.zeros((layout.dim, layout.dim))
-        eps_n = eps.values(N + 1)
-        for n in range(N + 1):
-            entries[N + n + 1, n] = eps_n[n]    # cos n -> eps_n sin (n+1)
-            entries[n, N + n + 1] = -eps_n[n]   # sin (n+1) -> -eps_n cos n
-    elif opname == "Qkappa":
-        if kappa is None:
-            raise ValueError("assemble('Qkappa') needs kappa")
-        _require_supercritical(kappa)
-        entries = np.diag(np.concatenate(_q_diagonals(layout))) + kappa * _diff_matrix(layout)
-    elif opname == "mult":
+    if opname == "mult":
         if g is None:
             raise ValueError("assemble('mult') needs a multiplier g")
         return mult_operator(g)
-    else:
-        raise ValueError(f"unknown operator name {opname!r}")
+    op = _mode_map(layout, opname, eps=eps, kappa=kappa)
+    entries = np.zeros((layout.dim, layout.dim))
+    entries[op.rows, op.cols] = op.values
     return OperatorMatrix(layout, entries)
 
 

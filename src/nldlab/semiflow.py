@@ -20,9 +20,9 @@ import numpy as np
 from scipy.special import gamma as gamma_function
 
 from . import cutoffs as ct
-from .basis import BasisLayout, TrigVector, theta_norm
-from .model import ModelParams, evaluate_F, f
-from .operators import apply_A
+from .basis import TrigVector, theta_norm
+from .model import ModelParams, evaluate_F, explicit_part, f
+from .operators import _mode_map, apply_A
 
 __all__ = [
     "Trajectory",
@@ -78,51 +78,13 @@ class DissipativityReport:
     delta: float
 
 
-class _Stepper:
-    """Precomputed flat-coefficient IMEX stepper for one parameter set."""
-
-    def __init__(self, params: ModelParams, with_f: bool = True, with_K: bool = True):
-        lay = params.layout
-        self.params = params
-        self.with_f = with_f
-        self.with_K = with_K
-        self.lay = lay
-        self.x = lay.grid
-        self.S = lay.synthesis_matrix()
-        self.P = lay.analysis_matrix()
-        n = lay.cos_orders.astype(float)
-        m = lay.sin_orders.astype(float)
-        self.qdiag = np.concatenate([-(n**2 + n), -(m**2 - m)])
-        self.inv_implicit = 1.0 / (1.0 - params.dt * self.qdiag)
-        self.eps_n = params.eps.values(lay.N + 1)
-        self.orders = np.arange(1.0, lay.N + 1)
-
-    def derivative_coeffs(self, c: np.ndarray) -> np.ndarray:
-        N = self.lay.N
-        out = np.zeros_like(c)
-        out[1:N + 1] = self.orders * c[N + 1:2 * N + 1]
-        out[N + 1:2 * N + 1] = -self.orders * c[1:N + 1]
-        return out
-
-    def coupling_coeffs(self, c: np.ndarray) -> np.ndarray:
-        N = self.lay.N
-        out = np.empty_like(c)
-        out[:N + 1] = -self.eps_n * c[N + 1:]
-        out[N + 1:] = self.eps_n * c[:N + 1]
-        return out
-
-    def explicit_coeffs(self, c: np.ndarray) -> np.ndarray:
-        expl = np.zeros_like(c)
-        if self.with_f:
-            ux = self.derivative_coeffs(c)
-            fsamp = f(self.x, self.S @ c, self.S @ ux, self.params)
-            expl += self.P @ fsamp
-        if self.with_K:
-            expl += self.coupling_coeffs(c)
-        return expl
-
-    def step(self, c: np.ndarray) -> np.ndarray:
-        return (c + self.params.dt * self.explicit_coeffs(c)) * self.inv_implicit
+def _imex_step(params: ModelParams, with_f: bool = True, with_K: bool = True):
+    """The map c -> (I - dt Q)^(-1) (c + dt * explicit part) on flat coefficients."""
+    lay = params.layout
+    explicit = explicit_part(params, *lay.transform_pair(), with_f, with_K)
+    inv_implicit = 1.0 / (1.0 - params.dt * _mode_map(lay, "Q").values)
+    dt = params.dt
+    return lambda c: (c + dt * explicit(c)) * inv_implicit
 
 
 def step_imex(u: TrigVector, dt: float, params: ModelParams,
@@ -136,8 +98,7 @@ def step_imex(u: TrigVector, dt: float, params: ModelParams,
         raise ValueError("dt must be positive")
     if dt != params.dt:
         params = replace(params, dt=dt)
-    stepper = _Stepper(params, with_f, with_K)
-    c_new = stepper.step(u.coeffs())
+    c_new = _imex_step(params, with_f, with_K)(u.coeffs())
     if not np.all(np.isfinite(c_new)):
         raise RuntimeError("non-finite state after one step; reduce dt")
     return TrigVector.from_coeffs(params.layout, c_new, u.truncation_loss)
@@ -164,7 +125,7 @@ def integrate(u0: TrigVector, params: ModelParams, T: float | None = None,
             " reduce dt")
     horizon = params.T_final if T is None else T
     n_steps = int(round(horizon / params.dt))
-    stepper = _Stepper(params, with_f, with_K)
+    step = _imex_step(params, with_f, with_K)
     alpha = params.theta
 
     c = u0.coeffs()
@@ -172,7 +133,7 @@ def integrate(u0: TrigVector, params: ModelParams, T: float | None = None,
     states = [TrigVector.from_coeffs(params.layout, c)]
     norms = [theta_norm(states[0], alpha)]
     for k in range(1, n_steps + 1):
-        c = stepper.step(c)
+        c = step(c)
         if k % record_every == 0 or k == n_steps:
             if not np.all(np.isfinite(c)):
                 raise RuntimeError(
@@ -210,15 +171,17 @@ def nonlinearity_l2_bound(params: ModelParams, n_scan: int = 161) -> float:
     x = params.layout.grid
     s = np.linspace(-4.0, 4.0, n_scan)
     p = np.linspace(-4.0, 4.0, n_scan)
-    X, S, Pv = np.meshgrid(x[:: max(1, len(x) // 64)], s, p, indexing="ij")
-    sup = float(np.max(np.abs(S + f(X, S, Pv, params))))
+    # Axes (x, s, p) broadcast, so the cutoffs are evaluated on n_scan points each
+    X = x[:: max(1, len(x) // 64), None, None]
+    S = s[None, :, None]
+    sup = float(np.max(np.abs(S + f(X, S, p[None, None, :], params))))
     return sup * float(np.sqrt(2.0 * np.pi))
 
 
 def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None,
                         R_in: float = 10.0, C: float = 1.0,
-                        delta: float | None = None,
-                        record_every: int = 100) -> DissipativityReport:
+                        delta: float | None = None, record_every: int = 100,
+                        cfl_bound: float = DEFAULT_CFL_BOUND) -> DissipativityReport:
     """Integrate each seed and estimate limsup ||u(t)||_theta by the tail max.
 
     seeds is a list of (label, TrigVector) pairs; integrator aborts mark the
@@ -237,7 +200,8 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
     for label, seed in seeds:
         labels.append(str(label))
         try:
-            traj = integrate(seed, params, T=horizon, record_every=record_every)
+            traj = integrate(seed, params, T=horizon, record_every=record_every,
+                             cfl_bound=cfl_bound)
         except RuntimeError:
             failed.append(str(label))
             tails.append(float("nan"))

@@ -7,9 +7,9 @@ The linearization at a frozen state u is
 
 assembled as a dense matrix with the multiplication operators sampled on the
 collocation grid and projected back (the same code path for every u; the
-stationary states are not special
--cased). At u = 0 the multiplier samples vanish identically and the matrix is
-exactly Q + K, block 2x2 with closed-form eigenvalues -(n^2+n) +- i eps_n.
+stationary states are not special-cased). At u = 0 the multiplier samples
+vanish identically and the matrix is exactly Q + K, block 2x2 with closed-form
+eigenvalues -(n^2+n) +- i eps_n.
 
 Classification is threshold-based: an eigenvalue is "real" when
 |Im| < tol_im * (1 + |lambda|). Because eps_n decays exponentially, deep
@@ -29,9 +29,10 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .basis import BasisLayout, TrigVector, differentiate, synth
+from .basis import BasisLayout, TrigVector
 from .model import ModelParams, f_p, f_s
-from .operators import EpsilonSequence, OperatorMatrix, assemble
+from .operators import (EpsilonSequence, OperatorMatrix, _multiplier_matrix,
+                        _require_supercritical, assemble, differentiate)
 
 __all__ = [
     "SpectrumReport",
@@ -41,6 +42,7 @@ __all__ = [
     "TOL_IM_DEFAULT",
     "TOL_RE_DEFAULT",
     "resolved_band",
+    "is_real",
     "assemble_T",
     "eigenvalues",
     "block_spectrum_u0",
@@ -51,6 +53,7 @@ __all__ = [
     "eps0_threshold_scan",
     "gap_check",
     "stationary_state",
+    "stationary_spectrum",
 ]
 
 TOL_IM_DEFAULT = 1e-8
@@ -60,6 +63,13 @@ TOL_RE_DEFAULT = 1e-10
 def resolved_band(N: int) -> float:
     """Half-width N^2/4 of the trusted real-part range at truncation N."""
     return N * N / 4.0
+
+
+def is_real(eigs: np.ndarray, tol_im: float) -> np.ndarray:
+    """The classification rule: lambda counts as real when
+    |Im lambda| < tol_im * (1 + |lambda|)."""
+    eigs = np.asarray(eigs)
+    return np.abs(eigs.imag) < tol_im * (1.0 + np.abs(eigs))
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,11 @@ class SpectrumReport:
     min_abs_re: float
     min_abs_lambda: float
     max_conjugate_mismatch: float
+
+    def real_in_band_mask(self) -> np.ndarray:
+        """Per eigenvalue: real under tol_im and inside the resolved band."""
+        eigs = self.eigenvalues
+        return is_real(eigs, self.tol_im) & (np.abs(eigs.real) <= self.band)
 
 
 @dataclass(frozen=True)
@@ -121,18 +136,25 @@ def stationary_state(label: str, layout: BasisLayout) -> TrigVector:
     raise ValueError(f"unknown stationary state {label!r}")
 
 
+def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_DEFAULT,
+                        tol_re: float = TOL_RE_DEFAULT) -> SpectrumReport:
+    """Classified dense spectrum of T at the stationary state named by label."""
+    u = stationary_state(label, params.layout)
+    return classify_and_count(eigenvalues(assemble_T(u, params)), tol_im, tol_re,
+                              point_label=label, N=params.layout.N)
+
+
 def assemble_T(u: TrigVector, params: ModelParams) -> OperatorMatrix:
     """Dense matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout."""
     lay = params.layout
-    S = lay.synthesis_matrix()
-    P = lay.analysis_matrix()
-    us = synth(u).values
-    uxs = synth(differentiate(u)).values
+    S, P = lay.transform_pair()
+    us = S @ u.coeffs()
+    uxs = S @ differentiate(u).coeffs()
     fs_samp = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
     fp_samp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
     entries = assemble(lay, "Q").entries + assemble(lay, "K", eps=params.eps).entries
-    entries = entries + P @ (fs_samp[:, None] * S)
-    entries = entries + (P @ (fp_samp[:, None] * S)) @ assemble(lay, "D").entries
+    entries = entries + _multiplier_matrix(S, P, fs_samp)
+    entries = entries + _multiplier_matrix(S, P, fp_samp) @ assemble(lay, "D").entries
     return OperatorMatrix(lay, entries)
 
 
@@ -177,8 +199,7 @@ def qkappa_spectrum(n: int, kappa: float) -> tuple[complex, complex]:
     """Closed-form eigenvalues -n^2 +- i*n*d of Q_kappa on {cos nx, sin nx}."""
     if n < 1:
         raise ValueError("Y_n blocks exist for n >= 1")
-    if abs(kappa) <= 1.0:
-        raise ValueError(f"|kappa| must exceed 1, got {kappa}")
+    _require_supercritical(kappa)
     d = np.sqrt(kappa * kappa - 1.0)
     return complex(-n * n, n * d), complex(-n * n, -n * d)
 
@@ -197,7 +218,7 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
     if band is None:
         band = resolved_band(N)
 
-    real_mask = np.abs(eigs.imag) < tol_im * (1.0 + np.abs(eigs))
+    real_mask = is_real(eigs, tol_im)
     band_mask = np.abs(eigs.real) <= band
     real_eigs = eigs.real[real_mask]
     real_in_band = eigs.real[real_mask & band_mask]
@@ -250,11 +271,9 @@ def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
         raise ValueError("N_list must be increasing with at least 2 entries")
     rows = []
     for N in N_list:
-        layout = BasisLayout(N)
-        params_N = replace(params, layout=layout)
-        u = stationary_state(point_label, layout)
-        eigs = eigenvalues(assemble_T(u, params_N))
-        report = classify_and_count(eigs, tol_im, tol_re, point_label=point_label, N=N)
+        report = stationary_spectrum(point_label, replace(params, layout=BasisLayout(N)),
+                                     tol_im, tol_re)
+        eigs = report.eigenvalues
         lowest = eigs[np.argsort(np.abs(eigs.real))][:k_lowest]
         rows.append({"N": N, "report": report, "lowest": lowest})
 
@@ -267,9 +286,7 @@ def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
         idx = np.argmin(np.abs(in_zone[:, None] - rep_b.eigenvalues[None, :]), axis=1)
         matched = rep_b.eigenvalues[idx]
         drift = np.abs(in_zone - matched) / (1.0 + np.abs(in_zone))
-        is_real_a = np.abs(in_zone.imag) < tol_im * (1.0 + np.abs(in_zone))
-        is_real_b = np.abs(matched.imag) < tol_im * (1.0 + np.abs(matched))
-        flips = int(np.sum(is_real_a != is_real_b))
+        flips = int(np.sum(is_real(in_zone, tol_im) != is_real(matched, tol_im)))
         max_drift = float(drift.max()) if len(drift) else 0.0
         ok = max_drift <= drift_tol and flips == 0
         flagged = flagged or not ok
@@ -304,10 +321,7 @@ def eps0_threshold_scan(params: ModelParams, eps0_list: list[float],
         if not 0.0 < eps0 < 1.0:
             raise ValueError(f"eps0 values must lie in (0, 1), got {eps0}")
         params_e = replace(params, eps=EpsilonSequence(eps0, params.eps.rho))
-        u1 = stationary_state("u1", params_e.layout)
-        report = classify_and_count(eigenvalues(assemble_T(u1, params_e)),
-                                    tol_im, tol_re, point_label="u1",
-                                    N=params_e.layout.N)
+        report = stationary_spectrum("u1", params_e, tol_im, tol_re)
         reals = report.real_eigs_in_band
         anchor = float(reals[np.argmin(np.abs(reals - eps0))]) if len(reals) else None
         rows.append({"eps0": eps0, "real_count_in_band": len(reals),

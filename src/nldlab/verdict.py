@@ -30,7 +30,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -38,9 +38,8 @@ from .basis import BasisLayout
 from .model import ModelParams
 from .operators import EpsilonSequence
 from .semiflow import stationary_residual
-from .spectra import (ConvergenceStudy, GapReport, SpectrumReport, assemble_T,
-                      classify_and_count, convergence_study, eigenvalues, gap_check,
-                      match_blocks_u0, stationary_state)
+from .spectra import (ConvergenceStudy, GapReport, SpectrumReport, convergence_study,
+                      gap_check, match_blocks_u0, stationary_state)
 
 __all__ = [
     "RunConfig",
@@ -48,6 +47,9 @@ __all__ = [
     "run_verify",
     "emit_reports",
     "reports_equal",
+    "write_csv",
+    "write_spectrum_csv",
+    "write_gap_csv",
     "OBSTRUCTED",
     "NOT_OBSTRUCTED",
     "INCONCLUSIVE",
@@ -59,9 +61,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 BLOCK_MATCH_TOL = 1e-10
 ANCHOR_TOL = 1e-8
-CONFIG_KEYS = ("kappa", "eps0", "rho", "theta", "N", "dt", "T_final", "tol_im",
-               "tol_re", "seeds", "outdir", "stationarity_tol", "convergence_tol",
-               "cfl_bound", "allow_theta_override")
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,9 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {k: (list(getattr(self, k)) if k == "seeds" else getattr(self, k))
                 for k in CONFIG_KEYS}
+
+
+CONFIG_KEYS = tuple(fl.name for fl in fields(RunConfig))
 
 
 @dataclass(frozen=True)
@@ -222,12 +224,13 @@ def run_verify(config: RunConfig) -> VerdictReport:
     }
     stages.append(("stationarity", stationarity["ok_u0"] and stationarity["ok_u1"]))
 
-    eigs0 = eigenvalues(assemble_T(u0, params))
-    eigs1 = eigenvalues(assemble_T(u1, params))
-    rep0 = classify_and_count(eigs0, config.tol_im, config.tol_re,
-                              point_label="u0", N=layout.N)
-    rep1 = classify_and_count(eigs1, config.tol_im, config.tol_re,
-                              point_label="u1", N=layout.N)
+    # The N-level rows of the convergence studies are the verdict spectra.
+    conv_u0, conv_u1 = (convergence_study(label, params, [layout.N, 2 * layout.N],
+                                          config.tol_im, config.tol_re,
+                                          drift_tol=config.convergence_tol)
+                        for label in ("u0", "u1"))
+    rep0 = conv_u0.rows[0]["report"]
+    rep1 = conv_u1.rows[0]["report"]
 
     block_dist, block_index = match_blocks_u0(rep0.eigenvalues, eps, layout.N)
     eps_nonzero = not eps.degenerate
@@ -263,12 +266,6 @@ def run_verify(config: RunConfig) -> VerdictReport:
     stages.append(("e_membership_u0", member_u0["ok"]))
     stages.append(("e_membership_u1", member_u1["ok"]))
 
-    conv_u0 = convergence_study("u0", params, [layout.N, 2 * layout.N],
-                                config.tol_im, config.tol_re,
-                                drift_tol=config.convergence_tol)
-    conv_u1 = convergence_study("u1", params, [layout.N, 2 * layout.N],
-                                config.tol_im, config.tol_re,
-                                drift_tol=config.convergence_tol)
     anchors = []
     for row in conv_u1.rows:
         reals = row["report"].real_eigs_in_band
@@ -308,26 +305,29 @@ def run_verify(config: RunConfig) -> VerdictReport:
     )
 
 
-def _write_spectrum_csv(path: str, rep: SpectrumReport,
-                        block_index: np.ndarray | None = None):
+def write_csv(path: str, header: list, rows) -> None:
+    """One report table: the header row, then the rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["re", "im", "is_real", "block_index"])
-        for i, z in enumerate(rep.eigenvalues):
-            is_real = (abs(z.imag) < rep.tol_im * (1.0 + abs(z))
-                       and abs(z.real) <= rep.band)
-            block = "" if block_index is None else int(block_index[i])
-            writer.writerow([repr(float(z.real)), repr(float(z.imag)),
-                             str(bool(is_real)).lower(), block])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_gap_csv(path: str, gap: GapReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda_n", "ratio"])
-        for i in range(len(gap.jump_n)):
-            writer.writerow([int(gap.jump_n[i]), repr(float(gap.jump_lambda[i])),
-                             repr(float(gap.jump_ratio[i]))])
+def write_spectrum_csv(path: str, rep: SpectrumReport,
+                       block_index: np.ndarray | None = None):
+    """spectrum_*.csv: columns re, im, is_real (in band), block_index."""
+    real = rep.real_in_band_mask()
+    write_csv(path, ["re", "im", "is_real", "block_index"],
+              ([repr(float(z.real)), repr(float(z.imag)), str(bool(real[i])).lower(),
+                "" if block_index is None else int(block_index[i])]
+               for i, z in enumerate(rep.eigenvalues)))
+
+
+def write_gap_csv(path: str, gap: GapReport):
+    """gap.csv: columns n, lambda_n, ratio."""
+    write_csv(path, ["n", "lambda_n", "ratio"],
+              ([int(n), repr(float(lam)), repr(float(ratio))]
+               for n, lam, ratio in zip(gap.jump_n, gap.jump_lambda, gap.jump_ratio)))
 
 
 def _symlog(x: np.ndarray) -> np.ndarray:
@@ -397,11 +397,10 @@ def emit_reports(report: VerdictReport, outdir: str) -> dict:
         with open(paths["verdict"], "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
-        _write_spectrum_csv(paths["spectrum_u0"], report.spectrum_u0,
-                            report.block_index_u0)
-        _write_spectrum_csv(paths["spectrum_u1"], report.spectrum_u1)
+        write_spectrum_csv(paths["spectrum_u0"], report.spectrum_u0, report.block_index_u0)
+        write_spectrum_csv(paths["spectrum_u1"], report.spectrum_u1)
         _write_spectrum_svg(paths["svg"], report.spectrum_u0, report.spectrum_u1)
-        _write_gap_csv(paths["gap"], report.gap_summary)
+        write_gap_csv(paths["gap"], report.gap_summary)
     except OSError as exc:
         raise OSError(f"failed writing reports under {outdir!r}: {exc}") from exc
     return paths

@@ -283,6 +283,17 @@ class TestProbeCommand:
         assert rc == 1
         assert "at least 3 seeds" in capsys.readouterr().err
 
+    def test_cfl_bound_from_config_is_honoured(self, make_config, tmp_path, capsys):
+        from nldlab.semiflow import cfl_number
+        # dt = 0.06 at N = 16 lies above the default guard of 2 and below 3
+        cfg = make_config(dt=0.06, cfl_bound=3.0)
+        assert 2.0 < cfl_number(RunConfig(N=16, dt=0.06).model_params()) < 3.0
+        rc = main(["--config", cfg, "probe-dissipativity", "--T", "0.6", "--r-in", "5.0"])
+        assert rc == 0
+        assert "CFL" not in capsys.readouterr().err
+        with open(tmp_path / "out" / "dissipativity.json", encoding="utf-8") as fh:
+            assert json.load(fh)["failed"] == []
+
 
 class TestVerifyCommand:
     def test_obstructed_exits_zero(self, make_config, tmp_path, capsys):

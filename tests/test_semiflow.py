@@ -133,6 +133,26 @@ class TestIntegrate:
         assert traj.tail_max_norm(1.0) <= np.max(traj.theta_norm_history)
         assert traj.tail_max_norm(0.0) == np.max(traj.theta_norm_history)
 
+    def test_matches_dense_matrix_oracle(self, layout16):
+        # 200 steps of the stepper against a loop built only from the dense
+        # assembled operators and the synthesis/analysis matrices
+        from nldlab import assemble, f
+        params = ModelParams(layout16)
+        u0 = random_state(layout16, 5, params.theta, 3.0)
+        steps = 200
+        traj = integrate(u0, params, T=steps * params.dt, record_every=steps)
+        S, P = layout16.synthesis_matrix(), layout16.analysis_matrix()
+        Q = assemble(layout16, "Q").entries
+        D = assemble(layout16, "D").entries
+        K = assemble(layout16, "K", eps=params.eps).entries
+        implicit = np.eye(layout16.dim) - params.dt * Q
+        c = u0.coeffs()
+        for _ in range(steps):
+            explicit = P @ f(layout16.grid, S @ c, S @ (D @ c), params) + K @ c
+            c = np.linalg.solve(implicit, c + params.dt * explicit)
+        assert traj.times[-1] == pytest.approx(steps * params.dt, rel=1e-12)
+        assert np.max(np.abs(traj.final_state().coeffs() - c)) <= 1e-13
+
 
 class TestStationaryResidual:
     def test_zero_state(self, params32):

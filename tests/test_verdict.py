@@ -107,6 +107,23 @@ class TestPipeline:
         b = {k: v for k, v in again.to_dict().items() if k != "timestamp"}
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_each_spectrum_is_computed_once(self, monkeypatch):
+        # u0 and u1 at N and 2N: the N-level spectra are reused from the
+        # convergence study instead of being solved a second time
+        import nldlab.spectra
+        import nldlab.verdict
+        sizes = []
+        original = nldlab.spectra.eigenvalues
+
+        def counting(m):
+            sizes.append(m.layout.N)
+            return original(m)
+
+        monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
+        monkeypatch.setattr(nldlab.verdict, "eigenvalues", counting, raising=False)
+        run_verify(RunConfig(N=16))
+        assert sorted(sizes) == [16, 16, 32, 32]
+
 
 class TestSoundness:
     """Each broken threshold must yield INCONCLUSIVE, never a flipped verdict."""
