@@ -6,11 +6,17 @@ n = 0..N, tile the space exactly, so the coupling operator K and the diagonal
 part Q act inside the truncation without spill. Coefficient vectors, collocation
 transforms, fractional Sobolev norms, and dealiased pointwise products live
 here; differentiation is one of the mode maps in `operators`.
+
+The transforms are real FFTs on the grid (`fft_synthesis`, `fft_analysis`),
+on one coefficient vector or on a (dim, seeds) block with one state per column.
+The dense matrices S and P are built only on request, for the operators
+that need P diag(g) S and as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,8 +87,44 @@ class BasisLayout:
         w[0] = 2.0 * np.pi
         return w
 
+    @cached_property
+    def _fft_phase(self) -> np.ndarray:
+        """(-1)^k for the frequencies k = 0..N+1 of the layout: the phase e^(-ik pi)
+        of the grid offset x_j = -pi + 2 pi j / M."""
+        return np.where(np.arange(self.N + 2) % 2 == 0, 1.0, -1.0)
+
+    def fft_synthesis(self, c: np.ndarray) -> np.ndarray:
+        """Grid samples of a coefficient vector, or of each column of a (dim, seeds)
+        block; equal to synthesis_matrix() @ c in O(M log M) per column.
+
+        a cos kx + b sin kx = Re((a - ib)(-1)^k e^(2 pi ijk/M)) on the grid, so the
+        half spectrum is X_0 = a_0, X_k = (-1)^k (a_k - i b_k) / 2 and an unscaled
+        inverse real FFT of length M sums it.
+        """
+        c = np.asarray(c, dtype=float)
+        n1 = self.N + 1
+        half = _along_axis0(0.5 * self._fft_phase, c.ndim)
+        X = np.zeros((self.M // 2 + 1,) + c.shape[1:], dtype=complex)
+        X.real[:n1] = half[:n1] * c[:n1]
+        X.real[0] = c[0]
+        X.imag[1:n1 + 1] = -half[1:] * c[n1:]
+        return np.fft.irfft(X, n=self.M, axis=0, norm="forward")
+
+    def fft_analysis(self, g: np.ndarray) -> np.ndarray:
+        """Coefficients of grid samples g (length M, or each column of an (M, seeds)
+        block); equal to analysis_matrix() @ g, by the forward real FFT that
+        inverts fft_synthesis on the layout's modes."""
+        g = np.asarray(g, dtype=float)
+        n1 = self.N + 1
+        scale = _along_axis0((2.0 / self.M) * self._fft_phase, g.ndim)
+        Y = np.fft.rfft(g, axis=0)[: n1 + 1]
+        a = scale[:n1] * Y.real[:n1]
+        a[0] = Y.real[0] / self.M
+        return np.concatenate([a, -scale[1:] * Y.imag[1:]])
+
     def synthesis_matrix(self) -> np.ndarray:
-        """S with S[j, i] = (i-th basis function)(x_j), shape (M, dim)."""
+        """S with S[j, i] = (i-th basis function)(x_j), shape (M, dim); the dense
+        form of fft_synthesis, for operators built as P diag(g) S."""
         x = self.grid
         cos_part = np.cos(np.outer(x, self.cos_orders))
         sin_part = np.sin(np.outer(x, self.sin_orders))
@@ -189,6 +231,11 @@ class GridSamples:
         object.__setattr__(self, "values", v)
 
 
+def _along_axis0(v: np.ndarray, ndim: int) -> np.ndarray:
+    """v shaped to broadcast along axis 0 of an ndim-dimensional array."""
+    return v.reshape(v.shape + (1,) * (ndim - 1))
+
+
 def _check_shared_layout(u, v):
     if u.layout != v.layout:
         raise ValueError("operands do not share a layout")
@@ -196,7 +243,7 @@ def _check_shared_layout(u, v):
 
 def synth(v: TrigVector) -> GridSamples:
     """Evaluate the trigonometric polynomial on the collocation grid."""
-    return GridSamples(v.layout, v.layout.synthesis_matrix() @ v.coeffs())
+    return GridSamples(v.layout, v.layout.fft_synthesis(v.coeffs()))
 
 
 def analyze(g: GridSamples) -> TrigVector:
@@ -206,7 +253,7 @@ def analyze(g: GridSamples) -> TrigVector:
     <= N+1, in fact <= M/2 - N - 2 beyond that stays orthogonal on this grid);
     quadrature projection otherwise.
     """
-    return TrigVector.from_coeffs(g.layout, g.layout.analysis_matrix() @ g.values)
+    return TrigVector.from_coeffs(g.layout, g.layout.fft_analysis(g.values))
 
 
 def analysis_residual(g: GridSamples) -> float:

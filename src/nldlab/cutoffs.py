@@ -77,11 +77,12 @@ def psi_prime(t):
     return _value(_psi_prime(t, _psi(t)))
 
 
-# Polynomial core p and its derivative p' of each shape chi(s) * p(s).
+# Polynomial core p and its derivative p' of each shape chi(s) * p(s), read off a
+# Blend b: the cube b.cube costs a pow per element, so gamma and eta share it.
 _CORES = {
-    "omega": (lambda s: s, lambda s: 1.0),
-    "gamma": (lambda s: 2.0 * s**3 - 3.0 * s**2, lambda s: 6.0 * s**2 - 6.0 * s),
-    "eta": (lambda s: 2.0 * s**2 - s**3, lambda s: 4.0 * s - 3.0 * s**2),
+    "omega": (lambda b: b.s, lambda b: 1.0),
+    "gamma": (lambda b: 2.0 * b.cube - 3.0 * b.s**2, lambda b: 6.0 * b.s**2 - 6.0 * b.s),
+    "eta": (lambda b: 2.0 * b.s**2 - b.cube, lambda b: 4.0 * b.s - 3.0 * b.s**2),
 }
 _CORES["w"] = _CORES["omega"]
 
@@ -91,8 +92,8 @@ class Blend:
 
     Every shape is chi(s) times its core from _CORES, except the far-field pull
     mu(s) = -(1 - chi(s)) * s; slopes follow by the product rule. The bump
-    quotients are evaluated once, however many shapes are read; chi' only
-    when a slope is.
+    quotients (and the cube s^3) are evaluated once, however many shapes are
+    read; chi' only when a slope is.
     """
 
     def __init__(self, s):
@@ -113,17 +114,21 @@ class Blend:
         core = np.divide(dup * down - up * ddown, den, out=np.zeros_like(den), where=den > 0)
         return np.sign(self.s) * core
 
+    @cached_property
+    def cube(self):
+        return self.s**3
+
     def shape(self, name: str):
         if name == "mu":
             return -(1.0 - self.chi) * self.s
-        return self.chi * _CORES[name][0](self.s)
+        return self.chi * _CORES[name][0](self)
 
     def slope(self, name: str):
         """Derivative of shape(name) in s."""
         if name == "mu":
             return self.slope("omega") - 1.0
         core, core_prime = _CORES[name]
-        return self.chi_prime * core(self.s) + self.chi * core_prime(self.s)
+        return self.chi_prime * core(self) + self.chi * core_prime(self)
 
 
 def chi(z):

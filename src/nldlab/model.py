@@ -94,18 +94,23 @@ def f_p(x, s, p, params: ModelParams):
     return params.kappa * ct.Blend(s).shape("omega") * ct.Blend(p).slope("w")
 
 
-def explicit_part(params: ModelParams, S: np.ndarray, P: np.ndarray,
-                  with_f: bool = True, with_K: bool = True):
-    """The map c -> P f(x, S c, S Dc) + Kc on flat coefficients, given the layout's
-    synthesis and analysis matrices S and P; with_f / with_K drop either term."""
+def explicit_part(params: ModelParams, with_f: bool = True, with_K: bool = True):
+    """The map C -> P f(x, S C, S DC) + KC on a (dim, seeds) block of coefficient
+    columns, with S and P applied as the layout's FFT pair (C and DC are
+    synthesized in one call); with_f / with_K drop either term."""
     lay = params.layout
-    x = lay.grid
+    x = lay.grid[:, None]
     D = _mode_map(lay, "D")
     K = _mode_map(lay, "K", eps=params.eps)
 
-    def explicit(c: np.ndarray) -> np.ndarray:
-        out = P @ f(x, S @ c, S @ D(c), params) if with_f else np.zeros_like(c)
-        return out + K(c) if with_K else out
+    def explicit(C: np.ndarray) -> np.ndarray:
+        if with_f:
+            width = C.shape[1]
+            samples = lay.fft_synthesis(np.hstack([C, D(C)]))
+            out = lay.fft_analysis(f(x, samples[:, :width], samples[:, width:], params))
+        else:
+            out = np.zeros_like(C)
+        return out + K(C) if with_K else out
 
     return explicit
 
@@ -113,5 +118,5 @@ def explicit_part(params: ModelParams, S: np.ndarray, P: np.ndarray,
 def evaluate_F(u: TrigVector, params: ModelParams) -> TrigVector:
     """F(u) = u + J u_x + f(x, u, u_x) + K u, evaluated pseudospectrally."""
     lay = params.layout
-    explicit = explicit_part(params, *lay.transform_pair())
-    return u + apply_J(differentiate(u)) + TrigVector.from_coeffs(lay, explicit(u.coeffs()))
+    explicit = explicit_part(params)(u.coeffs()[:, None])[:, 0]
+    return u + apply_J(differentiate(u)) + TrigVector.from_coeffs(lay, explicit)

@@ -109,8 +109,9 @@ class OperatorMatrix:
 class _ModeMap:
     """Sparse action on basis modes: image coefficient rows[k] receives
     values[k] times input coefficient cols[k]. Every (row, col) pair occurs
-    once; a diagonal map lists its values in layout order. The top sine's
-    image, scaled by top, leaves the layout."""
+    once, though a row may recur (as in Qkappa); a diagonal map lists its
+    values in layout order. The top sine's image, scaled by top, leaves the
+    layout."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -118,8 +119,13 @@ class _ModeMap:
     top: float = 0.0
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        """Image of the flat coefficient vector c."""
-        return np.bincount(self.rows, weights=self.values * c[self.cols], minlength=len(c))
+        """Image of the flat coefficient vector c, or of each column of a
+        (dim, seeds) block; the terms of a recurring row sum."""
+        block = c.reshape(len(c), -1)
+        width = block.shape[1]
+        slots = (self.rows[:, None] * width + np.arange(width)).ravel()
+        terms = (self.values[:, None] * block[self.cols]).ravel()
+        return np.bincount(slots, weights=terms, minlength=block.size).reshape(c.shape)
 
 
 def _diagonal(cos_values: np.ndarray, sin_values: np.ndarray) -> _ModeMap:

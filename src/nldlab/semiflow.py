@@ -7,9 +7,12 @@ every term vanishes identically, and at u = 1 the f-term and K1 cancel in
 coefficients because the grid analysis of degree-one trigonometric data is
 exact.
 
-Also here: stationary residuals in the theta-norm, the closed-form absorbing
-radius C*M*Gamma(1-theta)*delta^(theta-1) with its quadrature cross-check
-contract, and the multi-seed empirical dissipativity probe.
+One march steps a (dim, seeds) block of states, one per column, through the
+layout's FFT transforms: `step_imex` and `integrate` are its one-column case,
+and the multi-seed empirical dissipativity probe marches all seeds at once.
+Also here: stationary residuals in the theta-norm and the closed-form
+absorbing radius C*M*Gamma(1-theta)*delta^(theta-1) with its quadrature
+cross-check contract.
 """
 
 from __future__ import annotations
@@ -79,12 +82,35 @@ class DissipativityReport:
 
 
 def _imex_step(params: ModelParams, with_f: bool = True, with_K: bool = True):
-    """The map c -> (I - dt Q)^(-1) (c + dt * explicit part) on flat coefficients."""
-    lay = params.layout
-    explicit = explicit_part(params, *lay.transform_pair(), with_f, with_K)
-    inv_implicit = 1.0 / (1.0 - params.dt * _mode_map(lay, "Q").values)
+    """The map C -> (I - dt Q)^(-1) (C + dt * explicit part) on a (dim, seeds) block,
+    one state per column."""
+    explicit = explicit_part(params, with_f, with_K)
+    inv_implicit = 1.0 / (1.0 - params.dt * _mode_map(params.layout, "Q").values)[:, None]
     dt = params.dt
-    return lambda c: (c + dt * explicit(c)) * inv_implicit
+    return lambda C: (C + dt * explicit(C)) * inv_implicit
+
+
+def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int,
+           with_f: bool = True, with_K: bool = True):
+    """Step the (dim, seeds) block C n_steps times, one state per column.
+
+    Yields (k, cols, C) at step 0, every record_every-th step and the last one.
+    A column that is no longer finite at such a step is dropped there; cols
+    holds the original index of every column still marching. Columns never mix,
+    so dropping one leaves the others unchanged. Stops once no column is left.
+    """
+    step = _imex_step(params, with_f, with_K)
+    cols = np.arange(C.shape[1])
+    yield 0, cols, C
+    for k in range(1, n_steps + 1):
+        C = step(C)
+        if k % record_every == 0 or k == n_steps:
+            finite = np.all(np.isfinite(C), axis=0)
+            if not finite.all():
+                C, cols = C[:, finite], cols[finite]
+            yield k, cols, C
+            if not cols.size:
+                return
 
 
 def step_imex(u: TrigVector, dt: float, params: ModelParams,
@@ -98,7 +124,7 @@ def step_imex(u: TrigVector, dt: float, params: ModelParams,
         raise ValueError("dt must be positive")
     if dt != params.dt:
         params = replace(params, dt=dt)
-    c_new = _imex_step(params, with_f, with_K)(u.coeffs())
+    c_new = _imex_step(params, with_f, with_K)(u.coeffs()[:, None])[:, 0]
     if not np.all(np.isfinite(c_new)):
         raise RuntimeError("non-finite state after one step; reduce dt")
     return TrigVector.from_coeffs(params.layout, c_new, u.truncation_loss)
@@ -107,6 +133,16 @@ def step_imex(u: TrigVector, dt: float, params: ModelParams,
 def cfl_number(params: ModelParams) -> float:
     """dt * (N+1) * (|kappa| * sup|w| + 1), the explicit-term stiffness proxy."""
     return params.dt * (params.layout.N + 1) * (abs(params.kappa) * ct.sup_abs_w() + 1.0)
+
+
+def _cfl_guard(params: ModelParams, cfl_bound: float) -> float:
+    """The CFL number, or ValueError if it exceeds cfl_bound."""
+    number = cfl_number(params)
+    if number > cfl_bound:
+        raise ValueError(
+            f"CFL guard: dt*(N+1)*(|kappa|*sup|w|+1) = {number:.3g} exceeds {cfl_bound};"
+            " reduce dt")
+    return number
 
 
 def integrate(u0: TrigVector, params: ModelParams, T: float | None = None,
@@ -118,31 +154,22 @@ def integrate(u0: TrigVector, params: ModelParams, T: float | None = None,
     """
     if u0.layout != params.layout:
         raise ValueError("initial state does not share the params layout")
-    number = cfl_number(params)
-    if number > cfl_bound:
-        raise ValueError(
-            f"CFL guard: dt*(N+1)*(|kappa|*sup|w|+1) = {number:.3g} exceeds {cfl_bound};"
-            " reduce dt")
+    number = _cfl_guard(params, cfl_bound)
     horizon = params.T_final if T is None else T
     n_steps = int(round(horizon / params.dt))
-    step = _imex_step(params, with_f, with_K)
     alpha = params.theta
 
-    c = u0.coeffs()
-    times = [0.0]
-    states = [TrigVector.from_coeffs(params.layout, c)]
-    norms = [theta_norm(states[0], alpha)]
-    for k in range(1, n_steps + 1):
-        c = step(c)
-        if k % record_every == 0 or k == n_steps:
-            if not np.all(np.isfinite(c)):
-                raise RuntimeError(
-                    f"non-finite state at t = {k * params.dt:.6g}; reduce dt "
-                    f"(CFL number {number:.3g})")
-            v = TrigVector.from_coeffs(params.layout, c)
-            times.append(k * params.dt)
-            states.append(v)
-            norms.append(theta_norm(v, alpha))
+    times, states, norms = [], [], []
+    for k, cols, C in _march(u0.coeffs()[:, None], params, n_steps, record_every,
+                             with_f, with_K):
+        if not cols.size:
+            raise RuntimeError(
+                f"non-finite state at t = {k * params.dt:.6g}; reduce dt "
+                f"(CFL number {number:.3g})")
+        v = TrigVector.from_coeffs(params.layout, C[:, 0])
+        times.append(k * params.dt)
+        states.append(v)
+        norms.append(theta_norm(v, alpha))
     return Trajectory(params, np.array(times), states, np.array(norms))
 
 
@@ -182,38 +209,41 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
                         R_in: float = 10.0, C: float = 1.0,
                         delta: float | None = None, record_every: int = 100,
                         cfl_bound: float = DEFAULT_CFL_BOUND) -> DissipativityReport:
-    """Integrate each seed and estimate limsup ||u(t)||_theta by the tail max.
+    """Integrate all seeds as one block and estimate limsup ||u(t)||_theta by the
+    tail max over the records in [T/2, T].
 
-    seeds is a list of (label, TrigVector) pairs; integrator aborts mark the
-    seed failed instead of killing the probe. delta defaults to 1 - eps0: the
-    minimum eigenvalue of A - J d/dx is exactly 1 and K perturbs it by at most
-    ||K|| = eps0.
+    seeds is a list of (label, TrigVector) pairs; a seed whose state stops being
+    finite is marked failed and dropped, and the others march on unchanged.
+    delta defaults to 1 - eps0: the minimum eigenvalue of A - J d/dx is exactly
+    1 and K perturbs it by at most ||K|| = eps0.
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
+    if any(seed.layout != params.layout for _, seed in seeds):
+        raise ValueError("initial state does not share the params layout")
+    _cfl_guard(params, cfl_bound)
     horizon = params.T_final if T is None else T
     if delta is None:
         delta = 1.0 - params.eps.eps0
-    labels, tails, entered, failed = [], [], [], []
+    labels = [str(label) for label, _ in seeds]
     M_scan = nonlinearity_l2_bound(params)
     a_formula = absorbing_radius(C, M_scan, delta, params.theta)
-    for label, seed in seeds:
-        labels.append(str(label))
-        try:
-            traj = integrate(seed, params, T=horizon, record_every=record_every,
-                             cfl_bound=cfl_bound)
-        except RuntimeError:
-            failed.append(str(label))
-            tails.append(float("nan"))
-            entered.append(False)
-            continue
-        tail = traj.tail_max_norm(horizon / 2.0)
-        tails.append(tail)
-        entered.append(bool(tail <= a_formula))
-    finite_tails = [t for t in tails if np.isfinite(t)]
-    a_emp = float(np.max(finite_tails)) if finite_tails else float("nan")
-    return DissipativityReport(labels, R_in, horizon, tails, entered, failed,
-                               a_emp, a_formula, M_scan, C, delta)
+
+    n_steps = int(round(horizon / params.dt))
+    block = np.column_stack([seed.coeffs() for _, seed in seeds])
+    tails = np.full(len(seeds), np.nan)
+    for k, alive, states in _march(block, params, n_steps, record_every):
+        if k * params.dt >= horizon / 2.0:
+            norms = [theta_norm(TrigVector.from_coeffs(params.layout, column), params.theta)
+                     for column in states.T]
+            tails[alive] = np.fmax(tails[alive], norms)
+    failed = np.setdiff1d(np.arange(len(seeds)), alive)
+    tails[failed] = np.nan
+    entered = [bool(tail <= a_formula) for tail in tails]
+    finite_tails = tails[np.isfinite(tails)]
+    a_emp = float(np.max(finite_tails)) if finite_tails.size else float("nan")
+    return DissipativityReport(labels, R_in, horizon, [float(t) for t in tails], entered,
+                               [labels[i] for i in failed], a_emp, a_formula, M_scan, C, delta)
 
 
 def instability_growth_rate(params: ModelParams, amplitude: float = 1e-6,

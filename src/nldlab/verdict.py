@@ -93,6 +93,9 @@ class RunConfig:
         unknown = set(data) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        nulls = sorted(k for k, v in data.items() if v is None)
+        if nulls:
+            raise ValueError(f"config keys must not be null: {nulls}")
         return cls(**data)
 
     def with_overrides(self, **overrides) -> "RunConfig":

@@ -130,6 +130,43 @@ class TestTransforms:
             GridSamples(layout16, np.zeros(layout16.M + 1))
 
 
+FFT_LAYOUTS = [BasisLayout(4), BasisLayout(16), BasisLayout(127), BasisLayout(1024),
+               BasisLayout(16, M=74), BasisLayout(16, M=100)]
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestFFTPair:
+    """fft_synthesis / fft_analysis against the dense synthesis and analysis matrices."""
+
+    @pytest.mark.parametrize("lay", FFT_LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")
+    @pytest.mark.parametrize("width", [None, 5])
+    def test_matches_dense_matrices(self, lay, width, rng):
+        shape = (lambda n: (n,)) if width is None else (lambda n: (n, width))
+        c = rng.standard_normal(shape(lay.dim))
+        g = rng.standard_normal(shape(lay.M))
+        S, P = lay.synthesis_matrix(), lay.analysis_matrix()
+        samples, coeffs = lay.fft_synthesis(c), lay.fft_analysis(g)
+        assert samples.shape == shape(lay.M) and coeffs.shape == shape(lay.dim)
+        assert relative_error(samples, S @ c) <= 1e-12
+        assert relative_error(coeffs, P @ g) <= 1e-12
+
+    @pytest.mark.parametrize("lay", FFT_LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")
+    def test_zero_block_maps_to_exact_zeros(self, lay):
+        assert np.all(lay.fft_synthesis(np.zeros((lay.dim, 5))) == 0.0)
+        assert np.all(lay.fft_analysis(np.zeros((lay.M, 5))) == 0.0)
+
+    def test_columns_transform_independently(self, layout16, rng):
+        block = rng.standard_normal((layout16.dim, 5))
+        samples = layout16.fft_synthesis(block)
+        for j in range(5):
+            np.testing.assert_array_equal(samples[:, j], layout16.fft_synthesis(block[:, j]))
+            np.testing.assert_array_equal(layout16.fft_analysis(samples)[:, j],
+                                          layout16.fft_analysis(samples[:, j]))
+
+
 class TestDifferentiate:
     def test_single_modes(self, layout16):
         d_cos3 = differentiate(TrigVector.cosine(layout16, 3))

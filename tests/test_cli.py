@@ -120,6 +120,14 @@ class TestConfigHandling:
         assert main(["--config", str(path), "verify"]) == 1
         assert "epsilon_zero" in capsys.readouterr().err
 
+    def test_null_value_rejected(self, tmp_path, capsys):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"kappa": None}), encoding="utf-8")
+        assert main(["--config", str(path), "verify"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "kappa" in err
+        assert "Traceback" not in err
+
     def test_flag_overrides_file_value(self, make_config, capsys):
         # config says N=16 but the flag wins
         rc = main(["--config", make_config(), "spectrum", "--at", "u0", "--N", "8"])

@@ -250,6 +250,19 @@ class TestAssembly:
             return apply_Qkappa(v, 1.25)
         raise AssertionError(name)
 
+    @pytest.mark.parametrize("name", OPS)
+    def test_mode_map_acts_on_blocks_column_by_column(self, name, layout16, rng):
+        # the batched stepper applies the maps to (dim, seeds) blocks; Qkappa's
+        # rows recur, so its block image needs the per-row sums too
+        from nldlab.operators import _mode_map
+        op = _mode_map(layout16, name, eps=EPS, kappa=1.25)
+        block = rng.standard_normal((layout16.dim, 5))
+        image = op(block)
+        np.testing.assert_allclose(image, assemble(layout16, name, eps=EPS, kappa=1.25).entries
+                                   @ block, rtol=0, atol=1e-12)
+        for j in range(5):
+            np.testing.assert_array_equal(image[:, j], op(block[:, j]))
+
     @pytest.mark.parametrize("name", [op for op in OPS if op not in ("D", "reflect")])
     def test_matrix_columns_equal_mode_action(self, name, layout16):
         m = assemble(layout16, name, eps=EPS, kappa=1.25)

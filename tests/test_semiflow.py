@@ -218,6 +218,42 @@ class TestDissipativity:
         assert all(rep.entered)
         assert rep.a_emp <= rep.a_formula
 
+    def test_batched_probe_matches_single_seed_integration(self, params32):
+        lay = params32.layout
+        seeds = [(f"r{s}", random_state(lay, s, params32.theta, 10.0)) for s in range(4)]
+        T = 0.3
+        rep = dissipativity_probe(seeds, params32, T=T)
+        assert rep.failed == []
+        for (_, seed), tail in zip(seeds, rep.tail_norms):
+            alone = integrate(seed, params32, T=T).tail_max_norm(T / 2.0)
+            assert tail == pytest.approx(alone, rel=1e-12)
+
+    def test_nan_seed_fails_alone(self, params32):
+        lay = params32.layout
+        seeds = [(f"r{s}", random_state(lay, s, params32.theta, 10.0)) for s in range(4)]
+        c = seeds[2][1].coeffs()
+        c[5] = np.nan
+        poisoned = seeds[:2] + [("nan", TrigVector.from_coeffs(lay, c))] + seeds[2:]
+        clean = dissipativity_probe(seeds, params32, T=0.3)
+        with np.errstate(invalid="ignore"):
+            rep = dissipativity_probe(poisoned, params32, T=0.3)
+        assert rep.failed == ["nan"]
+        assert np.isnan(rep.tail_norms[2]) and rep.entered[2] is False
+        assert rep.tail_norms[:2] + rep.tail_norms[3:] == clean.tail_norms
+        assert rep.a_emp == clean.a_emp
+
+    def test_probe_cfl_guard_fires_before_any_step(self, layout32, monkeypatch):
+        import nldlab.semiflow as semiflow
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was built despite the CFL guard")
+
+        monkeypatch.setattr(semiflow, "_imex_step", no_step)
+        params = ModelParams(layout32, dt=0.1)
+        seeds = [(f"r{s}", random_state(layout32, s, params.theta, 10.0)) for s in range(3)]
+        with pytest.raises(ValueError, match="CFL"):
+            dissipativity_probe(seeds, params, T=1.0)
+
     def test_probe_needs_three_seeds(self, layout16):
         params = ModelParams(layout16)
         with pytest.raises(ValueError):
