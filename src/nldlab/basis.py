@@ -9,8 +9,7 @@ here; differentiation is one of the mode maps in `operators`.
 
 The transforms are real FFTs on the grid (`fft_synthesis`, `fft_analysis`),
 on one coefficient vector or on a (dim, seeds) block with one state per column.
-The dense matrices S and P are built only on request, for the operators
-that need P diag(g) S and as a test oracle.
+The dense matrices S and P are built only on request, as a test oracle.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ class BasisLayout:
 
     def synthesis_matrix(self) -> np.ndarray:
         """S with S[j, i] = (i-th basis function)(x_j), shape (M, dim); the dense
-        form of fft_synthesis, for operators built as P diag(g) S."""
+        form of fft_synthesis, kept as a test oracle."""
         x = self.grid
         cos_part = np.cos(np.outer(x, self.cos_orders))
         sin_part = np.sin(np.outer(x, self.sin_orders))

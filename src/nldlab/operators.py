@@ -258,16 +258,46 @@ def differentiate(v: TrigVector) -> TrigVector:
     return _apply(v, "D")
 
 
-def _multiplier_matrix(S: np.ndarray, P: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """P diag(g) S, the matrix of h -> analyze(g * synth(h)) for grid samples g,
-    given the layout's synthesis matrix S and analysis matrix P."""
-    return P @ (g[:, None] * S)
+def _multiplier_from_samples(layout: BasisLayout, g: np.ndarray) -> np.ndarray:
+    """P diag(g) S for grid samples g, built from one real FFT of g.
+
+    The moments C_k = (1/M) sum_j g_j cos kx_j and S_k = (1/M) sum_j g_j sin kx_j
+    are C_k = (-1)^k Re R_k / M and S_k = -(-1)^k Im R_k / M with R = rfft(g)
+    (the grid offset x_j = -pi + 2 pi j/M is the phase (-1)^k). The
+    product-to-sum identities give Toeplitz-plus-Hankel blocks:
+
+        cos n  <- cos n'   w_n (C_{n-n'} + C_{n+n'})    (w_0 = 1/2, else 1)
+        sin m  <- sin m'   C_{m-m'} - C_{m+m'}
+        cos n  <- sin m'   w_n (S_{m'+n} + S_{m'-n})
+        sin m  <- cos n'   S_{m+n'} + S_{m-n'}
+
+    This holds for any samples, band-limited or not: every |k| <= 2N+2 < M/2,
+    so no index wraps. Zero samples give an exactly zero matrix.
+    """
+    top = 2 * layout.N + 2
+    k = np.arange(-top, top + 1)
+    moments = np.fft.rfft(g)[np.abs(k)] * (np.where(k % 2 == 0, 1.0, -1.0) / layout.M)
+    cos_moments = moments.real                   # C_k, even in k
+    sin_moments = -np.sign(k) * moments.imag     # S_k, odd in k
+
+    def C(j):
+        return cos_moments[top + j]
+
+    def S(j):
+        return sin_moments[top + j]
+
+    n, m = layout.cos_orders, layout.sin_orders
+    nr, mr = n[:, None], m[:, None]   # row frequencies
+    w = np.where(nr == 0, 0.5, 1.0)
+    cos_rows = np.hstack([w * (C(nr - n) + C(nr + n)), w * (S(m + nr) + S(m - nr))])
+    sin_rows = np.hstack([S(mr + n) + S(mr - n), C(mr - m) - C(mr + m)])
+    return np.vstack([cos_rows, sin_rows])
 
 
 def mult_operator(g: TrigVector) -> OperatorMatrix:
     """Matrix of h -> g*h via the dealiased pointwise product."""
-    S, P = g.layout.transform_pair()
-    return OperatorMatrix(g.layout, _multiplier_matrix(S, P, S @ g.coeffs()))
+    lay = g.layout
+    return OperatorMatrix(lay, _multiplier_from_samples(lay, lay.fft_synthesis(g.coeffs())))
 
 
 def assemble(layout: BasisLayout, opname: str, *, eps: EpsilonSequence | None = None,

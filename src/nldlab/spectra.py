@@ -5,11 +5,18 @@ The linearization at a frozen state u is
     T(u) h = h_xx + J h_x + f_s(x,u,u_x) h + f_p(x,u,u_x) h_x + K h
            = Q h + M_{f_s} h + M_{f_p} h_x + K h,
 
-assembled as a dense matrix with the multiplication operators sampled on the
-collocation grid and projected back (the same code path for every u; the
-stationary states are not special-cased). At u = 0 the multiplier samples
-vanish identically and the matrix is exactly Q + K, block 2x2 with closed-form
-eigenvalues -(n^2+n) +- i eps_n.
+assembled as a dense matrix. Each multiplication operator is built from the
+grid moments of its samples (one real FFT, Toeplitz-plus-Hankel blocks) and
+M_{f_p} D is a column gather along the D mode map; the same code path serves
+every u, and the stationary states are not special-cased. At u = 0 the
+multiplier samples vanish identically and the matrix is exactly Q + K, block
+2x2 with closed-form eigenvalues -(n^2+n) +- i eps_n.
+
+Spectra are solved block by block: the nonzero pattern (exact zeros only, no
+tolerance) splits into strongly connected components, whose diagonal blocks
+carry the whole spectrum, and equal-size blocks are solved as one batch. So
+the spectrum of Q + K costs N + 1 batched 2x2 solves, while an irreducible
+matrix, such as T(u1), takes one dense eigensolve.
 
 Classification is threshold-based: an eigenvalue is "real" when
 |Im| < tol_im * (1 + |lambda|). Because eps_n decays exponentially, deep
@@ -31,8 +38,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .basis import BasisLayout, TrigVector
 from .model import ModelParams, f_p, f_s
-from .operators import (EpsilonSequence, OperatorMatrix, _multiplier_matrix,
-                        _require_supercritical, assemble, differentiate)
+from .operators import (EpsilonSequence, OperatorMatrix, _mode_map, _multiplier_from_samples,
+                        _require_supercritical, assemble)
 
 __all__ = [
     "SpectrumReport",
@@ -145,30 +152,75 @@ def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_
 
 
 def assemble_T(u: TrigVector, params: ModelParams) -> OperatorMatrix:
-    """Dense matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout."""
+    """Dense matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout.
+
+    u and u_x are sampled by one FFT synthesis of a two-column block, each
+    multiplier is built from the moments of its samples, and M_{f_p} D is a
+    column gather along the D mode map. No dense S, P or D is formed.
+    """
     lay = params.layout
-    S, P = lay.transform_pair()
-    us = S @ u.coeffs()
-    uxs = S @ differentiate(u).coeffs()
+    d = _mode_map(lay, "D")
+    c = u.coeffs()
+    us, uxs = lay.fft_synthesis(np.stack([c, d(c)], axis=1)).T
     fs_samp = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
     fp_samp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
     entries = assemble(lay, "Q").entries + assemble(lay, "K", eps=params.eps).entries
-    entries = entries + _multiplier_matrix(S, P, fs_samp)
-    entries = entries + _multiplier_matrix(S, P, fp_samp) @ assemble(lay, "D").entries
+    entries += _multiplier_from_samples(lay, fs_samp)
+    entries[:, d.cols] += _multiplier_from_samples(lay, fp_samp)[:, d.rows] * d.values
     return OperatorMatrix(lay, entries)
 
 
+def _strong_components(entries: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the strongly connected components of the nonzero pattern
+    (edge i -> j where entries[i, j] != 0; exact zeros only, no tolerance).
+
+    A node whose row and column have no zero reaches and is reached by every
+    node; finding one settles the dense case without building the graph.
+    """
+    pattern = entries != 0.0
+    np.fill_diagonal(pattern, True)
+    if np.any(pattern.all(axis=0) & pattern.all(axis=1)):
+        return [np.arange(len(entries))]
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    count, labels = connected_components(csr_array(pattern), directed=True,
+                                         connection="strong")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
 def eigenvalues(m: OperatorMatrix) -> np.ndarray:
-    """All eigenvalues of the dense matrix, sorted by Re then Im, descending."""
+    """All eigenvalues of the dense matrix, sorted by Re then Im, descending.
+
+    An exactly reducible matrix is permutation-similar to a block triangular
+    one whose diagonal blocks are its strongly connected components, so its
+    spectrum is the union of theirs: equal-size blocks are solved as one
+    batch. An irreducible matrix takes one dense eigensolve.
+    """
     if not np.all(np.isfinite(m.entries)):
         raise ValueError("matrix has non-finite entries")
+    components = _strong_components(m.entries)
     try:
-        eigs = scipy.linalg.eigvals(m.entries)
+        if len(components) == 1:
+            eigs = scipy.linalg.eigvals(m.entries)
+        else:
+            by_size: dict[int, list] = {}
+            for c in components:
+                by_size.setdefault(len(c), []).append(c)
+            eigs = np.concatenate([_batched_eigvals(m.entries, group)
+                                   for group in by_size.values()])
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         cond = np.linalg.cond(m.entries)
         raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     order = np.lexsort((-eigs.imag, -eigs.real))
     return eigs[order]
+
+
+def _batched_eigvals(entries: np.ndarray, components: list[np.ndarray]) -> np.ndarray:
+    """Eigenvalues of the diagonal blocks entries[c, c], all of one size."""
+    idx = np.stack(components)
+    blocks = entries[idx[:, :, None], idx[:, None, :]]
+    return np.linalg.eigvals(blocks).astype(complex).ravel()
 
 
 def block_spectrum_u0(n: int, eps: EpsilonSequence) -> tuple[complex, complex]:
@@ -269,6 +321,7 @@ def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
     """Classify T(u) across truncations and flag instability under refinement."""
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be increasing with at least 2 entries")
+    params.eps.values(N_list[-1] + 1)   # an eps_n underflow fails before any spectrum
     rows = []
     for N in N_list:
         report = stationary_spectrum(point_label, replace(params, layout=BasisLayout(N)),

@@ -12,11 +12,11 @@ obstruction.
 
 Membership evidence differs by point, deliberately:
 
-  u0: the linearization is exactly block 2x2 and its dense spectrum is matched
-      against the closed form -(n^2+n) +- i*eps_n (optimal assignment). With
-      every eps_n nonzero that certifies "no real eigenvalues" exactly, which
-      no fixed imaginary-part threshold can do (eps_n decays below any
-      threshold).
+  u0: the linearization is exactly block 2x2; its spectrum, solved block by
+      block, is matched against the closed form -(n^2+n) +- i*eps_n (optimal
+      assignment). With every eps_n nonzero that certifies "no real
+      eigenvalues" exactly, which no fixed imaginary-part threshold can do
+      (eps_n decays below any threshold).
   u1: threshold classification inside the resolved band |Re| <= N^2/4, with an
       anchor requirement: the exact constant-eigenvector eigenvalue eps0 must
       appear among the positive real-classified eigenvalues. The anchor makes

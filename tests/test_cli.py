@@ -128,6 +128,12 @@ class TestConfigHandling:
         assert err.startswith("error:") and "kappa" in err
         assert "Traceback" not in err
 
+    def test_eps_underflow_is_an_error(self, make_config, capsys):
+        assert main(["--config", make_config(), "verify", "--N", "100", "--rho", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps_n underflowed to zero")
+        assert "Traceback" not in err
+
     def test_flag_overrides_file_value(self, make_config, capsys):
         # config says N=16 but the flag wins
         rc = main(["--config", make_config(), "spectrum", "--at", "u0", "--N", "8"])

@@ -18,6 +18,7 @@ from nldlab import (
     B_CONSTANT_VALUE,
     BasisLayout,
     EpsilonSequence,
+    ModelParams,
     OperatorMatrix,
     TrigVector,
     apply_A,
@@ -29,9 +30,14 @@ from nldlab import (
     apply_Q,
     apply_Qkappa,
     assemble,
+    assemble_T,
+    f_p,
+    f_s,
     l2_operator_norm,
     mult_operator,
+    random_state,
 )
+from nldlab.operators import _multiplier_from_samples
 
 EPS = EpsilonSequence()
 
@@ -357,3 +363,45 @@ class TestMultiplication:
         k = assemble(layout16, "K", eps=EPS)
         assert np.linalg.norm(k.entries, 2) == pytest.approx(EPS.eps0, abs=1e-15)
         assert l2_operator_norm(k) == pytest.approx(EPS.eps0 * np.sqrt(2.0), rel=1e-12)
+
+
+class TestMultiplierFromMoments:
+    """The moment builder against the dense oracle P diag(g) S."""
+
+    LAYOUTS = [BasisLayout(4), BasisLayout(16), BasisLayout(127),
+               BasisLayout(16, M=74), BasisLayout(16, M=100)]
+
+    @pytest.mark.parametrize("lay", LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")
+    def test_matches_dense_oracle_on_full_band_samples(self, lay, rng):
+        S, P = lay.transform_pair()
+        for _ in range(3):
+            g = rng.standard_normal(lay.M)   # every grid frequency present
+            oracle = P @ (g[:, None] * S)
+            built = _multiplier_from_samples(lay, g)
+            assert built.shape == (lay.dim, lay.dim)
+            assert np.abs(built - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("lay", LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")
+    def test_zero_samples_give_exact_zeros(self, lay):
+        built = _multiplier_from_samples(lay, np.zeros(lay.M))
+        assert built.shape == (lay.dim, lay.dim)
+        assert np.count_nonzero(built) == 0
+
+    def test_assemble_T_matches_dense_formula(self):
+        # Q + K + P diag(f_s) S + P diag(f_p) S D with dense S, P and D
+        lay = BasisLayout(32)
+        params = ModelParams(lay)
+        u = random_state(lay, seed=7, alpha=params.theta, norm=2.0)
+        S, P = lay.transform_pair()
+        D = assemble(lay, "D").entries
+        us, uxs = S @ u.coeffs(), S @ (D @ u.coeffs())
+        fs = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
+        fp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
+        assert np.abs(fs).max() > 1e-3 and np.abs(fp).max() > 1e-3
+        multipliers = P @ (fs[:, None] * S) + P @ (fp[:, None] * S) @ D
+        dense = assemble(lay, "Q").entries + assemble(lay, "K", eps=EPS).entries + multipliers
+        built = assemble_T(u, params).entries
+        # relative entrywise (the Q diagonal reaches N^2), absolute at the
+        # scale of the multiplier part elsewhere
+        np.testing.assert_allclose(built, dense, rtol=1e-13,
+                                   atol=1e-13 * np.abs(multipliers).max())

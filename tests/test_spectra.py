@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvals
+from scipy.optimize import linear_sum_assignment
 
 from nldlab import (
     BasisLayout,
@@ -21,7 +23,8 @@ from nldlab import (
     resolved_band,
     stationary_state,
 )
-from nldlab.spectra import TOL_IM_DEFAULT, TOL_RE_DEFAULT, match_blocks_u0
+from nldlab.spectra import TOL_IM_DEFAULT, TOL_RE_DEFAULT, _strong_components, match_blocks_u0
+from nldlab.verdict import BLOCK_MATCH_TOL
 
 EPS = EpsilonSequence()
 
@@ -56,6 +59,72 @@ class TestBasics:
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
             eigenvalues(OperatorMatrix(layout16, m))
+
+
+def _permuted_block_triangular(rng, dim):
+    """A random upper block-triangular matrix with mixed 1x1, 2x2 and 3x3
+    diagonal blocks, symmetrically permuted; returns it and the block count.
+
+    Block i is centred at -3i, so the blocks' spectra stay apart and the dense
+    solve of the whole (non-normal) matrix is an accurate oracle.
+    """
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(int(min(rng.integers(1, 4), dim - sum(sizes))))
+    starts = np.cumsum([0] + sizes)
+    m = np.zeros((dim, dim))
+    for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        m[a:b, a:b] = -3.0 * i * np.eye(b - a) + 0.5 * rng.standard_normal((b - a, b - a))
+        m[a:b, b:] = rng.standard_normal((b - a, dim - b)) * (rng.random((b - a, dim - b)) < 0.3)
+    perm = rng.permutation(dim)
+    return m[perm][:, perm], len(sizes)
+
+
+class TestBlockEigenvalues:
+    """eigenvalues() splits an exactly reducible matrix into its strongly
+    connected components; the result must not depend on that split."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_permuted_block_triangular_matches_dense(self, seed, layout16):
+        rng = np.random.default_rng(seed)
+        m, blocks = _permuted_block_triangular(rng, layout16.dim)
+        assert len(_strong_components(m)) == blocks
+        eigs = eigenvalues(OperatorMatrix(layout16, m))
+        dense = eigvals(m)
+        rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - dense[None, :]))
+        assert np.abs(eigs[rows] - dense[cols]).max() <= 1e-12
+        assert np.all(np.diff(eigs.real) <= 0.0)
+
+    @pytest.mark.parametrize("triangle", [np.triu, np.tril])
+    def test_triangular_splits_into_exact_diagonal(self, triangle, layout16, rng):
+        # node 0 reaches every node (triu) or is reached by every node (tril),
+        # yet no two nodes reach each other: dim singleton components
+        m = triangle(1.0 + rng.random((layout16.dim, layout16.dim)))
+        assert len(_strong_components(m)) == layout16.dim
+        eigs = eigenvalues(OperatorMatrix(layout16, m))
+        assert eigs.dtype == complex   # as from the dense solve, though all are real
+        np.testing.assert_array_equal(eigs, np.sort(np.diag(m))[::-1])
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse cycle"])
+    def test_irreducible_is_one_dense_solve(self, kind, layout16, rng):
+        dim = layout16.dim
+        if kind == "dense":
+            m = rng.standard_normal((dim, dim))
+        else:   # no node touches all others: the graph search decides
+            m = np.diag(rng.standard_normal(dim))
+            m[np.arange(dim), np.roll(np.arange(dim), 1)] = rng.standard_normal(dim)
+        assert len(_strong_components(m)) == 1
+        dense = eigvals(m)
+        expected = dense[np.lexsort((-dense.imag, -dense.real))]
+        got = eigenvalues(OperatorMatrix(layout16, m))
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_u0_at_N512_matches_closed_form_blocks(self):
+        lay = BasisLayout(512)
+        eigs = eigenvalues(assemble_T(stationary_state("u0", lay), ModelParams(lay)))
+        dist, _ = match_blocks_u0(eigs, EPS, lay.N)
+        assert dist <= BLOCK_MATCH_TOL
 
 
 class TestLinearizationAtZero:

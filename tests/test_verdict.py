@@ -125,6 +125,37 @@ class TestPipeline:
         assert sorted(sizes) == [16, 16, 32, 32]
 
 
+    def test_no_dense_synthesis_matrix_is_built(self, monkeypatch):
+        # assemble_T builds its multipliers from FFT moments; the dense S is
+        # only a test oracle
+        from nldlab.basis import BasisLayout
+        calls = []
+        original = BasisLayout.synthesis_matrix
+
+        def counting(self):
+            calls.append(self.N)
+            return original(self)
+
+        monkeypatch.setattr(BasisLayout, "synthesis_matrix", counting)
+        assert run_verify(RunConfig(N=16)).verdict == OBSTRUCTED
+        assert calls == []
+
+    def test_eps_underflow_fails_before_any_spectrum(self, monkeypatch):
+        # eps_n = 0.05 * 0.01^n underflows inside the 2N = 200 truncation
+        import nldlab.spectra
+        solved = []
+        original = nldlab.spectra.eigenvalues
+
+        def counting(m):
+            solved.append(m.layout.N)
+            return original(m)
+
+        monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
+        with pytest.raises(ValueError, match="eps_n underflowed to zero"):
+            run_verify(RunConfig(N=100, rho=0.01))
+        assert solved == []
+
+
 class TestSoundness:
     """Each broken threshold must yield INCONCLUSIVE, never a flipped verdict."""
 
