@@ -2,14 +2,11 @@
 circle: exact operator bank, cutoff nonlinearity, IMEX semiflow, eigenvalue
 classification, and a machine-checked parity-obstruction verdict."""
 
-from .basis import (BasisLayout, GridSamples, TrigVector, analysis_residual, analyze,
-                    pointwise_product, random_state, synth, theta_norm)
+from .basis import BasisLayout, analysis_residual, random_state, theta_norm
 from .cutoffs import chi, eta, gamma, mu, omega, psi, w
 from .model import ModelParams, evaluate_F, f, f_p, f_s
-from .operators import (B_CONSTANT_VALUE, EpsilonSequence, OperatorMatrix, apply_A,
-                        apply_A_minus_Jdx, apply_B, apply_G, apply_J, apply_K,
-                        apply_Q, apply_Qkappa, assemble, differentiate, l2_operator_norm,
-                        mult_operator)
+from .operators import (B_CONSTANT_VALUE, EpsilonSequence, assemble, l2_operator_norm,
+                        mode_map, multiplier_from_samples)
 from .semiflow import (DissipativityReport, Trajectory, absorbing_radius,
                        dissipativity_probe, instability_growth_rate, integrate,
                        stationary_residual, step_imex)

@@ -3,13 +3,15 @@
 The state space is spanned by {cos nx : 0 <= n <= N} and {sin mx : 1 <= m <= N+1},
 a block-aligned truncation of dimension 2N+2: the pairs {cos nx, sin (n+1)x},
 n = 0..N, tile the space exactly, so the coupling operator K and the diagonal
-part Q act inside the truncation without spill. Coefficient vectors, collocation
-transforms, fractional Sobolev norms, and dealiased pointwise products live
-here; differentiation is one of the mode maps in `operators`.
+part Q act inside the truncation without spill.
 
-The transforms are real FFTs on the grid (`fft_synthesis`, `fft_analysis`),
-on one coefficient vector or on a (dim, seeds) block with one state per column.
-The dense matrices S and P are built only on request, as a test oracle.
+A state is a float array in layout order (see `BasisLayout`): a coefficient
+vector of shape (dim,), or a (dim, seeds) block with one state per column.
+Grid samples are plain (M,) or (M, seeds) arrays. The collocation transforms
+are real FFTs on the grid (`fft_synthesis`, `fft_analysis`); the dense
+matrices S and P are built only on request, as a test oracle. Fractional
+Sobolev norms live here; differentiation is one of the mode maps in
+`operators`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,8 @@ import numpy as np
 
 __all__ = [
     "BasisLayout",
-    "TrigVector",
-    "GridSamples",
-    "synth",
-    "analyze",
     "analysis_residual",
     "theta_norm",
-    "pointwise_product",
     "random_state",
 ]
 
@@ -112,8 +109,15 @@ class BasisLayout:
     def fft_analysis(self, g: np.ndarray) -> np.ndarray:
         """Coefficients of grid samples g (length M, or each column of an (M, seeds)
         block); equal to analysis_matrix() @ g, by the forward real FFT that
-        inverts fft_synthesis on the layout's modes."""
+        inverts fft_synthesis on the layout's modes.
+
+        Exact coefficients for band-limited input (any trig polynomial of degree
+        <= N+1, in fact <= M/2 - N - 2 beyond that stays orthogonal on this
+        grid); quadrature projection otherwise.
+        """
         g = np.asarray(g, dtype=float)
+        if g.shape[0] != self.M:
+            raise ValueError(f"{g.shape[0]} samples do not match the grid size M={self.M}")
         n1 = self.N + 1
         scale = _along_axis0((2.0 / self.M) * self._fft_phase, g.ndim)
         Y = np.fft.rfft(g, axis=0)[: n1 + 1]
@@ -141,157 +145,41 @@ class BasisLayout:
         return S, P
 
 
-@dataclass(frozen=True)
-class TrigVector:
-    """Coefficients of a(0) + sum a(n) cos nx + sum b(m) sin mx.
-
-    a has length N+1 (orders 0..N), b has length N+1 (orders 1..N+1).
-    truncation_loss accumulates the L2 magnitude of any content an operation
-    had to drop because it fell outside the layout (top-mode overflow).
-    """
-
-    layout: BasisLayout
-    a: np.ndarray
-    b: np.ndarray
-    truncation_loss: float = 0.0
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != (self.layout.N + 1,) or b.shape != (self.layout.N + 1,):
-            raise ValueError("coefficient arrays do not match the layout")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_coeffs(cls, layout: BasisLayout, c: np.ndarray, loss: float = 0.0) -> "TrigVector":
-        c = np.asarray(c, dtype=float)
-        if c.shape != (layout.dim,):
-            raise ValueError("flat coefficient vector does not match the layout")
-        n1 = layout.N + 1
-        return cls(layout, c[:n1].copy(), c[n1:].copy(), loss)
-
-    @classmethod
-    def zero(cls, layout: BasisLayout) -> "TrigVector":
-        return cls(layout, np.zeros(layout.N + 1), np.zeros(layout.N + 1))
-
-    @classmethod
-    def constant(cls, layout: BasisLayout, value: float) -> "TrigVector":
-        a = np.zeros(layout.N + 1)
-        a[0] = value
-        return cls(layout, a, np.zeros(layout.N + 1))
-
-    @classmethod
-    def cosine(cls, layout: BasisLayout, n: int, amp: float = 1.0) -> "TrigVector":
-        if not 0 <= n <= layout.N:
-            raise ValueError(f"cosine order {n} outside 0..{layout.N}")
-        a = np.zeros(layout.N + 1)
-        a[n] = amp
-        return cls(layout, a, np.zeros(layout.N + 1))
-
-    @classmethod
-    def sine(cls, layout: BasisLayout, m: int, amp: float = 1.0) -> "TrigVector":
-        if not 1 <= m <= layout.N + 1:
-            raise ValueError(f"sine order {m} outside 1..{layout.N + 1}")
-        b = np.zeros(layout.N + 1)
-        b[m - 1] = amp
-        return cls(layout, np.zeros(layout.N + 1), b)
-
-    def coeffs(self) -> np.ndarray:
-        """Flat coefficient vector in layout order, length 2N+2."""
-        return np.concatenate([self.a, self.b])
-
-    def __add__(self, other: "TrigVector") -> "TrigVector":
-        _check_shared_layout(self, other)
-        return TrigVector(self.layout, self.a + other.a, self.b + other.b,
-                          self.truncation_loss + other.truncation_loss)
-
-    def __sub__(self, other: "TrigVector") -> "TrigVector":
-        _check_shared_layout(self, other)
-        return TrigVector(self.layout, self.a - other.a, self.b - other.b,
-                          self.truncation_loss + other.truncation_loss)
-
-    def __rmul__(self, scalar: float) -> "TrigVector":
-        return TrigVector(self.layout, scalar * self.a, scalar * self.b,
-                          abs(scalar) * self.truncation_loss)
-
-
-@dataclass(frozen=True)
-class GridSamples:
-    """Real samples on the layout's collocation grid."""
-
-    layout: BasisLayout
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.layout.M,):
-            raise ValueError("sample array does not match the grid size")
-        object.__setattr__(self, "values", v)
-
-
 def _along_axis0(v: np.ndarray, ndim: int) -> np.ndarray:
     """v shaped to broadcast along axis 0 of an ndim-dimensional array."""
     return v.reshape(v.shape + (1,) * (ndim - 1))
 
 
-def _check_shared_layout(u, v):
-    if u.layout != v.layout:
-        raise ValueError("operands do not share a layout")
+def analysis_residual(layout: BasisLayout, g: np.ndarray) -> float:
+    """Grid L2 magnitude of the content fft_analysis cannot represent.
 
-
-def synth(v: TrigVector) -> GridSamples:
-    """Evaluate the trigonometric polynomial on the collocation grid."""
-    return GridSamples(v.layout, v.layout.fft_synthesis(v.coeffs()))
-
-
-def analyze(g: GridSamples) -> TrigVector:
-    """Project grid samples onto the layout.
-
-    Exact coefficients for band-limited input (any trig polynomial of degree
-    <= N+1, in fact <= M/2 - N - 2 beyond that stays orthogonal on this grid);
-    quadrature projection otherwise.
+    Computed as the quadrature norm of the samples g (length M) minus their
+    reconstruction; nonzero for out-of-band input (truncation and aliasing loss,
+    reported not hidden).
     """
-    return TrigVector.from_coeffs(g.layout, g.layout.fft_analysis(g.values))
+    recon = layout.fft_synthesis(layout.fft_analysis(g))
+    return float(np.sqrt((2.0 * np.pi / layout.M) * np.sum((g - recon) ** 2)))
 
 
-def analysis_residual(g: GridSamples) -> float:
-    """Grid L2 magnitude of the content analyze() cannot represent.
+def theta_norm(layout: BasisLayout, c: np.ndarray, alpha: float):
+    """Norm of A^alpha c in L2(Gamma), A = I - d2/dx2: a float for a coefficient
+    vector, one norm per column for a (dim, seeds) block.
 
-    Computed as the quadrature norm of samples minus reconstruction; nonzero
-    for out-of-band input (truncation and aliasing loss, reported not hidden).
-    """
-    recon = synth(analyze(g)).values
-    return float(np.sqrt((2.0 * np.pi / g.layout.M) * np.sum((g.values - recon) ** 2)))
-
-
-def theta_norm(v: TrigVector, alpha: float) -> float:
-    """Norm of A^alpha v in L2(Gamma), A = I - d2/dx2.
-
-    ||v||_alpha^2 = 2*pi*a0^2 + pi * sum (1+n^2)^(2*alpha) (a_n^2 + b_n^2),
+    ||c||_alpha^2 = 2*pi*a0^2 + pi * sum (1+n^2)^(2*alpha) (a_n^2 + b_n^2),
     with the convention ||1||^2 = 2*pi, ||cos nx||^2 = ||sin nx||^2 = pi.
     """
-    lam_cos = (1.0 + v.layout.cos_orders.astype(float) ** 2) ** alpha
-    lam_sin = (1.0 + v.layout.sin_orders.astype(float) ** 2) ** alpha
-    total = 2.0 * np.pi * (lam_cos[0] * v.a[0]) ** 2
-    total += np.pi * np.sum((lam_cos[1:] * v.a[1:]) ** 2)
-    total += np.pi * np.sum((lam_sin * v.b) ** 2)
-    return float(np.sqrt(total))
+    lam = (1.0 + layout.mode_orders.astype(float) ** 2) ** alpha
+    # one contiguous row per state, so a column sums exactly as a lone vector
+    sq = np.ascontiguousarray((lam * np.asarray(c, dtype=float).T) ** 2)
+    n1 = layout.N + 1
+    total = 2.0 * np.pi * sq[..., 0]
+    total += np.pi * np.sum(sq[..., 1:n1], axis=-1)
+    total += np.pi * np.sum(sq[..., n1:], axis=-1)
+    return float(np.sqrt(total)) if sq.ndim == 1 else np.sqrt(total)
 
 
-def pointwise_product(u: TrigVector, v: TrigVector) -> TrigVector:
-    """Band-limited product analyze(synth(u) * synth(v)).
-
-    The oversampled grid (M >= 4(N+2)) makes the quadrature exact for the
-    quadratic product, so the result is the true L2 projection of u*v.
-    """
-    _check_shared_layout(u, v)
-    return analyze(GridSamples(u.layout, synth(u).values * synth(v).values))
-
-
-def random_state(layout: BasisLayout, seed: int, alpha: float, norm: float) -> TrigVector:
+def random_state(layout: BasisLayout, seed: int, alpha: float, norm: float) -> np.ndarray:
     """White-in-coefficients random state scaled to a prescribed alpha-norm."""
     rng = np.random.default_rng(seed)
-    v = TrigVector.from_coeffs(layout, rng.standard_normal(layout.dim))
-    current = theta_norm(v, alpha)
-    return (norm / current) * v
+    c = rng.standard_normal(layout.dim)
+    return (norm / theta_norm(layout, c, alpha)) * c

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .basis import TrigVector, random_state
+from .basis import random_state
 from .semiflow import dissipativity_probe, integrate
 from .spectra import (eps0_threshold_scan, gap_check, match_blocks_u0, stationary_spectrum,
                       stationary_state)
@@ -80,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_seed_spec(spec: str, config: RunConfig) -> TrigVector:
+def parse_seed_spec(spec: str, config: RunConfig) -> np.ndarray:
     """Initial-state grammar shared by simulate and the docs."""
     layout = config.model_params().layout
     if spec in ("u0", "u1"):
         return stationary_state(spec, layout)
     if spec.startswith("u1+const:"):
-        return TrigVector.constant(layout, 1.0 + float(spec.split(":", 1)[1]))
+        return (1.0 + float(spec.split(":", 1)[1])) * stationary_state("u1", layout)
     if spec.startswith("random:"):
         parts = spec.split(":")
         seed = int(parts[1])

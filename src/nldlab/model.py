@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cutoffs as ct
-from .basis import BasisLayout, TrigVector
-from .operators import (EpsilonSequence, _mode_map, _require_supercritical, apply_J,
-                        differentiate)
+from .basis import BasisLayout
+from .operators import EpsilonSequence, _require_supercritical, mode_map
 
 __all__ = ["ModelParams", "f", "f_s", "f_p", "explicit_part", "evaluate_F"]
 
@@ -100,8 +99,8 @@ def explicit_part(params: ModelParams, with_f: bool = True, with_K: bool = True)
     synthesized in one call); with_f / with_K drop either term."""
     lay = params.layout
     x = lay.grid[:, None]
-    D = _mode_map(lay, "D")
-    K = _mode_map(lay, "K", eps=params.eps)
+    D = mode_map(lay, "D")
+    K = mode_map(lay, "K", eps=params.eps)
 
     def explicit(C: np.ndarray) -> np.ndarray:
         if with_f:
@@ -115,8 +114,9 @@ def explicit_part(params: ModelParams, with_f: bool = True, with_K: bool = True)
     return explicit
 
 
-def evaluate_F(u: TrigVector, params: ModelParams) -> TrigVector:
-    """F(u) = u + J u_x + f(x, u, u_x) + K u, evaluated pseudospectrally."""
+def evaluate_F(u: np.ndarray, params: ModelParams) -> np.ndarray:
+    """F(u) = u + J u_x + f(x, u, u_x) + K u for the coefficient vector u,
+    evaluated pseudospectrally."""
     lay = params.layout
-    explicit = explicit_part(params)(u.coeffs()[:, None])[:, 0]
-    return u + apply_J(differentiate(u)) + TrigVector.from_coeffs(lay, explicit)
+    ux = mode_map(lay, "D")(u)
+    return u + mode_map(lay, "J")(ux) + explicit_part(params)(u[:, None])[:, 0]

@@ -1,4 +1,4 @@
-"""Linear operators of the construction, in spectral form and as dense matrices.
+"""Linear operators of the construction, as mode maps and as dense matrices.
 
 Every operator is defined once, by its exact action on basis modes:
 
@@ -13,15 +13,17 @@ Every operator is defined once, by its exact action on basis modes:
     Q_kappa      Q + kappa * d/dx
     A - J d/dx   cos nx -> (1+n+n^2) cos nx,  sin mx -> (1-m+m^2) sin mx
 
-`_mode_map` holds this table as sparse (row, col, value) maps. The coefficient
-actions (`apply_*`, `differentiate`), the dense matrices (`assemble`) and the
-IMEX stepper's Q diagonal and D, K maps are all derived from it.
+`mode_map` holds this table as sparse (row, col, value) maps; a map is applied
+by calling it on a coefficient vector or a (dim, seeds) block, and `assemble`
+gives its dense (dim, dim) matrix. The IMEX stepper's Q diagonal and D, K maps
+and the Q, K, D of the linearization are read from the same table.
 
 Q and A - J d/dx are given by these closed-form diagonals rather than by
 composing matrices: the matrix composition loses the top sine mode (the
 differentiation image cos (N+1)x is outside the layout) and would corrupt the
 diagonal there. Where an operator's true image leaves the layout (J, G, d/dx on
-the top sine) the overflow is dropped and logged on the result vector.
+the top sine) the overflow is dropped; its L2 size, |c[-1]| sqrt(pi) for J and
+G and (N+1) |c[-1]| sqrt(pi) for d/dx, can be read off the state c.
 
 K is exact on the layout by construction: the block pairs {cos nx, sin (n+1)x}
 close under it, which is the point of the block-aligned truncation.
@@ -33,21 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisLayout, TrigVector
+from .basis import BasisLayout
 
 __all__ = [
     "EpsilonSequence",
-    "OperatorMatrix",
-    "apply_A",
-    "apply_B",
-    "apply_J",
-    "apply_G",
-    "apply_K",
-    "apply_Q",
-    "apply_Qkappa",
-    "apply_A_minus_Jdx",
-    "differentiate",
-    "mult_operator",
+    "mode_map",
+    "multiplier_from_samples",
     "assemble",
     "l2_operator_norm",
 ]
@@ -88,35 +81,15 @@ class EpsilonSequence:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix of an operator in the layout's enumeration."""
-
-    layout: BasisLayout
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError("matrix shape does not match the layout dimension")
-        object.__setattr__(self, "entries", e)
-
-    def apply(self, v: TrigVector) -> TrigVector:
-        return TrigVector.from_coeffs(self.layout, self.entries @ v.coeffs(),
-                                      v.truncation_loss)
-
-
-@dataclass(frozen=True)
 class _ModeMap:
     """Sparse action on basis modes: image coefficient rows[k] receives
     values[k] times input coefficient cols[k]. Every (row, col) pair occurs
     once, though a row may recur (as in Qkappa); a diagonal map lists its
-    values in layout order. The top sine's image, scaled by top, leaves the
-    layout."""
+    values in layout order."""
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    top: float = 0.0
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         """Image of the flat coefficient vector c, or of each column of a
@@ -134,16 +107,20 @@ def _diagonal(cos_values: np.ndarray, sin_values: np.ndarray) -> _ModeMap:
     return _ModeMap(slots, slots, values)
 
 
-def _pairs(cos_slots, sin_slots, cos_to_sin, sin_to_cos, top: float = 0.0) -> _ModeMap:
+def _pairs(cos_slots, sin_slots, cos_to_sin, sin_to_cos) -> _ModeMap:
     """cos_slots[i] -> cos_to_sin[i] * sin_slots[i], sin_slots[i] -> sin_to_cos[i] * cos_slots[i]
     (mode slots, not frequencies)."""
     return _ModeMap(np.concatenate([sin_slots, cos_slots]), np.concatenate([cos_slots, sin_slots]),
-                    np.concatenate([cos_to_sin, sin_to_cos]), top)
+                    np.concatenate([cos_to_sin, sin_to_cos]))
 
 
-def _mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = None,
-              kappa: float | None = None) -> _ModeMap:
-    """The table of the module docstring: the one definition of each operator."""
+def mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = None,
+             kappa: float | None = None) -> _ModeMap:
+    """The table of the module docstring: the one definition of each operator.
+
+    The returned map is applied by calling it on a coefficient vector or on a
+    (dim, seeds) block; K needs eps and Qkappa needs kappa.
+    """
     N = layout.N
     n = layout.cos_orders.astype(float)
     m = layout.sin_orders.astype(float)
@@ -161,11 +138,11 @@ def _mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = N
         return _diagonal(np.ones_like(n), -np.ones_like(m))
     # J, G and D lose the top sine's image cos (N+1)x and annihilate the mean
     if name == "J":
-        return _pairs(k, N + k, ones, ones, top=1.0)
+        return _pairs(k, N + k, ones, ones)
     if name == "G":
-        return _pairs(k, N + k, -ones, ones, top=1.0)
+        return _pairs(k, N + k, -ones, ones)
     if name == "D":
-        return _pairs(k, N + k, -n[1:], n[1:], top=N + 1.0)
+        return _pairs(k, N + k, -n[1:], n[1:])
     if name == "K":
         if eps is None:
             raise ValueError("operator 'K' needs an EpsilonSequence")
@@ -175,9 +152,9 @@ def _mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = N
         if kappa is None:
             raise ValueError("operator 'Qkappa' needs kappa")
         _require_supercritical(kappa)
-        q, d = _mode_map(layout, "Q"), _mode_map(layout, "D")
+        q, d = mode_map(layout, "Q"), mode_map(layout, "D")
         return _ModeMap(np.concatenate([q.rows, d.rows]), np.concatenate([q.cols, d.cols]),
-                        np.concatenate([q.values, kappa * d.values]), kappa * d.top)
+                        np.concatenate([q.values, kappa * d.values]))
     raise ValueError(f"unknown operator name {name!r}")
 
 
@@ -187,79 +164,9 @@ def _require_supercritical(kappa: float):
         raise ValueError(f"|kappa| must exceed 1, got {kappa}")
 
 
-def _apply(v: TrigVector, name: str, **params) -> TrigVector:
-    """The named operator on v; the dropped top-sine image adds to truncation_loss."""
-    op = _mode_map(v.layout, name, **params)
-    c = v.coeffs()
-    dropped = abs(op.top * c[-1]) * np.sqrt(np.pi) if op.top else 0.0
-    return TrigVector.from_coeffs(v.layout, op(c), v.truncation_loss + dropped)
-
-
-def apply_A(v: TrigVector) -> TrigVector:
-    """A = I - d2/dx2, mode-wise multiplication by 1+n^2."""
-    return _apply(v, "A")
-
-
-def apply_B(v: TrigVector) -> TrigVector:
-    """Log-kernel integral operator, diagonal in this basis."""
-    return _apply(v, "B")
-
-
-def apply_Q(v: TrigVector) -> TrigVector:
-    """Q = d2/dx2 + J d/dx by its closed-form diagonal."""
-    return _apply(v, "Q")
-
-
-def apply_A_minus_Jdx(v: TrigVector) -> TrigVector:
-    """A - J d/dx by its closed-form diagonal; minimum eigenvalue 1."""
-    return _apply(v, "A_minus_Jdx")
-
-
-def apply_J(v: TrigVector) -> TrigVector:
-    """Reflected Hilbert operator: swaps cos nx and sin nx, kills the mean.
-
-    The top sine mode would map to cos (N+1)x, outside the layout: dropped
-    and logged.
-    """
-    return _apply(v, "J")
-
-
-def apply_G(v: TrigVector) -> TrigVector:
-    """Hilbert operator: cos nx -> -sin nx, sin mx -> cos mx, mean -> 0.
-
-    J is its reflection: (Jh)(x) = (Gh)(-x). Top sine overflow handled as in
-    apply_J.
-    """
-    return _apply(v, "G")
-
-
-def apply_K(v: TrigVector, eps: EpsilonSequence) -> TrigVector:
-    """Block coupling cos nx -> eps_n sin (n+1)x, sin (n+1)x -> -eps_n cos nx.
-
-    An exact endomorphism of the layout: every block {cos nx, sin (n+1)x},
-    0 <= n <= N, closes under K.
-    """
-    return _apply(v, "K", eps=eps)
-
-
-def apply_Qkappa(v: TrigVector, kappa: float) -> TrigVector:
-    """Q + kappa d/dx; on each pair {cos nx, sin nx} the 2x2 block
-    [[-n^2-n, kappa n], [-kappa n, -n^2+n]] with eigenvalues -n^2 +- i n d,
-    d = sqrt(kappa^2 - 1)."""
-    return _apply(v, "Qkappa", kappa=kappa)
-
-
-def differentiate(v: TrigVector) -> TrigVector:
-    """d/dx on coefficients: cos nx -> -n sin nx, sin mx -> m cos mx.
-
-    The image of the top sine mode, (N+1) cos (N+1)x, falls outside the layout;
-    it is dropped and its L2 magnitude added to truncation_loss.
-    """
-    return _apply(v, "D")
-
-
-def _multiplier_from_samples(layout: BasisLayout, g: np.ndarray) -> np.ndarray:
-    """P diag(g) S for grid samples g, built from one real FFT of g.
+def multiplier_from_samples(layout: BasisLayout, g: np.ndarray) -> np.ndarray:
+    """P diag(g) S for grid samples g (length M), the matrix of h -> g*h with the
+    product analyzed on the grid, built from one real FFT of g.
 
     The moments C_k = (1/M) sum_j g_j cos kx_j and S_k = (1/M) sum_j g_j sin kx_j
     are C_k = (-1)^k Re R_k / M and S_k = -(-1)^k Im R_k / M with R = rfft(g)
@@ -294,26 +201,17 @@ def _multiplier_from_samples(layout: BasisLayout, g: np.ndarray) -> np.ndarray:
     return np.vstack([cos_rows, sin_rows])
 
 
-def mult_operator(g: TrigVector) -> OperatorMatrix:
-    """Matrix of h -> g*h via the dealiased pointwise product."""
-    lay = g.layout
-    return OperatorMatrix(lay, _multiplier_from_samples(lay, lay.fft_synthesis(g.coeffs())))
-
-
 def assemble(layout: BasisLayout, opname: str, *, eps: EpsilonSequence | None = None,
-             kappa: float | None = None, g: TrigVector | None = None) -> OperatorMatrix:
-    """Dense matrix whose columns are the operator applied to each basis vector."""
-    if opname == "mult":
-        if g is None:
-            raise ValueError("assemble('mult') needs a multiplier g")
-        return mult_operator(g)
-    op = _mode_map(layout, opname, eps=eps, kappa=kappa)
+             kappa: float | None = None) -> np.ndarray:
+    """Dense (dim, dim) matrix whose columns are the operator applied to each
+    basis vector."""
+    op = mode_map(layout, opname, eps=eps, kappa=kappa)
     entries = np.zeros((layout.dim, layout.dim))
     entries[op.rows, op.cols] = op.values
-    return OperatorMatrix(layout, entries)
+    return entries
 
 
-def l2_operator_norm(m: OperatorMatrix) -> float:
+def l2_operator_norm(layout: BasisLayout, m: np.ndarray) -> float:
     """Operator norm induced by the L2(Gamma) inner product.
 
     The coefficient enumeration is orthogonal but not orthonormal in L2 (the
@@ -322,5 +220,5 @@ def l2_operator_norm(m: OperatorMatrix) -> float:
     raw entries is a different metric; it is the right one for K (where it
     equals eps0 exactly) but overshoots for multiplication operators.
     """
-    root_w = np.sqrt(m.layout.l2_weights())
-    return float(np.linalg.norm(root_w[:, None] * m.entries / root_w[None, :], 2))
+    root_w = np.sqrt(layout.l2_weights())
+    return float(np.linalg.norm(root_w[:, None] * m / root_w[None, :], 2))

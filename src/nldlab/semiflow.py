@@ -23,9 +23,10 @@ import numpy as np
 from scipy.special import gamma as gamma_function
 
 from . import cutoffs as ct
-from .basis import TrigVector, theta_norm
+from .basis import theta_norm
 from .model import ModelParams, evaluate_F, explicit_part, f
-from .operators import _mode_map, apply_A
+from .operators import mode_map
+from .spectra import stationary_state
 
 __all__ = [
     "Trajectory",
@@ -51,7 +52,7 @@ class Trajectory:
     states: list
     theta_norm_history: np.ndarray
 
-    def final_state(self) -> TrigVector:
+    def final_state(self) -> np.ndarray:
         return self.states[-1]
 
     def tail_max_norm(self, t_from: float) -> float:
@@ -85,7 +86,7 @@ def _imex_step(params: ModelParams, with_f: bool = True, with_K: bool = True):
     """The map C -> (I - dt Q)^(-1) (C + dt * explicit part) on a (dim, seeds) block,
     one state per column."""
     explicit = explicit_part(params, with_f, with_K)
-    inv_implicit = 1.0 / (1.0 - params.dt * _mode_map(params.layout, "Q").values)[:, None]
+    inv_implicit = 1.0 / (1.0 - params.dt * mode_map(params.layout, "Q").values)[:, None]
     dt = params.dt
     return lambda C: (C + dt * explicit(C)) * inv_implicit
 
@@ -113,8 +114,8 @@ def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int,
                 return
 
 
-def step_imex(u: TrigVector, dt: float, params: ModelParams,
-              with_f: bool = True, with_K: bool = True) -> TrigVector:
+def step_imex(u: np.ndarray, dt: float, params: ModelParams,
+              with_f: bool = True, with_K: bool = True) -> np.ndarray:
     """One first-order IMEX step u+ = (I - dt Q)^(-1) (u + dt (f-term + Ku)).
 
     The with_f / with_K switches disable the explicit terms so the pure
@@ -124,10 +125,10 @@ def step_imex(u: TrigVector, dt: float, params: ModelParams,
         raise ValueError("dt must be positive")
     if dt != params.dt:
         params = replace(params, dt=dt)
-    c_new = _imex_step(params, with_f, with_K)(u.coeffs()[:, None])[:, 0]
+    c_new = _imex_step(params, with_f, with_K)(u[:, None])[:, 0]
     if not np.all(np.isfinite(c_new)):
         raise RuntimeError("non-finite state after one step; reduce dt")
-    return TrigVector.from_coeffs(params.layout, c_new, u.truncation_loss)
+    return c_new
 
 
 def cfl_number(params: ModelParams) -> float:
@@ -145,38 +146,43 @@ def _cfl_guard(params: ModelParams, cfl_bound: float) -> float:
     return number
 
 
-def integrate(u0: TrigVector, params: ModelParams, T: float | None = None,
+def _require_state(u: np.ndarray, params: ModelParams):
+    """A state must be a coefficient vector of the params layout."""
+    if np.shape(u) != (params.layout.dim,):
+        raise ValueError(f"initial state has shape {np.shape(u)}, "
+                         f"not ({params.layout.dim},) of the params layout")
+
+
+def integrate(u0: np.ndarray, params: ModelParams, T: float | None = None,
               record_every: int = 100, cfl_bound: float = DEFAULT_CFL_BOUND,
               with_f: bool = True, with_K: bool = True) -> Trajectory:
     """March to T (default params.T_final), recording every record_every steps.
 
     Aborts with a stability diagnostic if the state stops being finite.
     """
-    if u0.layout != params.layout:
-        raise ValueError("initial state does not share the params layout")
+    _require_state(u0, params)
     number = _cfl_guard(params, cfl_bound)
     horizon = params.T_final if T is None else T
     n_steps = int(round(horizon / params.dt))
     alpha = params.theta
 
     times, states, norms = [], [], []
-    for k, cols, C in _march(u0.coeffs()[:, None], params, n_steps, record_every,
-                             with_f, with_K):
+    for k, cols, C in _march(np.asarray(u0, dtype=float)[:, None], params, n_steps,
+                             record_every, with_f, with_K):
         if not cols.size:
             raise RuntimeError(
                 f"non-finite state at t = {k * params.dt:.6g}; reduce dt "
                 f"(CFL number {number:.3g})")
-        v = TrigVector.from_coeffs(params.layout, C[:, 0])
         times.append(k * params.dt)
-        states.append(v)
-        norms.append(theta_norm(v, alpha))
+        states.append(C[:, 0])
+        norms.append(theta_norm(params.layout, C[:, 0], alpha))
     return Trajectory(params, np.array(times), states, np.array(norms))
 
 
-def stationary_residual(u: TrigVector, params: ModelParams) -> float:
+def stationary_residual(u: np.ndarray, params: ModelParams) -> float:
     """theta-norm of -Au + F(u), the stationarity defect of u."""
-    residual = evaluate_F(u, params) - apply_A(u)
-    return theta_norm(residual, params.theta)
+    residual = evaluate_F(u, params) - mode_map(params.layout, "A")(u)
+    return theta_norm(params.layout, residual, params.theta)
 
 
 def absorbing_radius(C: float, M: float, delta: float, theta: float) -> float:
@@ -212,15 +218,15 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
     """Integrate all seeds as one block and estimate limsup ||u(t)||_theta by the
     tail max over the records in [T/2, T].
 
-    seeds is a list of (label, TrigVector) pairs; a seed whose state stops being
+    seeds is a list of (label, state) pairs; a seed whose state stops being
     finite is marked failed and dropped, and the others march on unchanged.
     delta defaults to 1 - eps0: the minimum eigenvalue of A - J d/dx is exactly
     1 and K perturbs it by at most ||K|| = eps0.
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
-    if any(seed.layout != params.layout for _, seed in seeds):
-        raise ValueError("initial state does not share the params layout")
+    for _, seed in seeds:
+        _require_state(seed, params)
     _cfl_guard(params, cfl_bound)
     horizon = params.T_final if T is None else T
     if delta is None:
@@ -230,12 +236,11 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
     a_formula = absorbing_radius(C, M_scan, delta, params.theta)
 
     n_steps = int(round(horizon / params.dt))
-    block = np.column_stack([seed.coeffs() for _, seed in seeds])
+    block = np.column_stack([seed for _, seed in seeds])
     tails = np.full(len(seeds), np.nan)
     for k, alive, states in _march(block, params, n_steps, record_every):
         if k * params.dt >= horizon / 2.0:
-            norms = [theta_norm(TrigVector.from_coeffs(params.layout, column), params.theta)
-                     for column in states.T]
+            norms = theta_norm(params.layout, states, params.theta)
             tails[alive] = np.fmax(tails[alive], norms)
     failed = np.setdiff1d(np.arange(len(seeds)), alive)
     tails[failed] = np.nan
@@ -254,10 +259,8 @@ def instability_growth_rate(params: ModelParams, amplitude: float = 1e-6,
     linearization at u = 1 with eigenvalue eps0, so the fitted slope should
     match eps0 while the deviation stays small.
     """
-    lay = params.layout
-    u0 = TrigVector.constant(lay, 1.0 + amplitude)
-    one = TrigVector.constant(lay, 1.0)
-    traj = integrate(u0, params, T=T, record_every=record_every)
-    dev = np.array([theta_norm(state - one, params.theta) for state in traj.states])
+    one = stationary_state("u1", params.layout)
+    traj = integrate((1.0 + amplitude) * one, params, T=T, record_every=record_every)
+    dev = theta_norm(params.layout, np.column_stack(traj.states) - one[:, None], params.theta)
     slope = np.polyfit(traj.times, np.log(dev), 1)[0]
     return float(slope)

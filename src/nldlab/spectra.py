@@ -36,10 +36,10 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .basis import BasisLayout, TrigVector
+from .basis import BasisLayout
 from .model import ModelParams, f_p, f_s
-from .operators import (EpsilonSequence, OperatorMatrix, _mode_map, _multiplier_from_samples,
-                        _require_supercritical, assemble)
+from .operators import (EpsilonSequence, _require_supercritical, mode_map,
+                        multiplier_from_samples)
 
 __all__ = [
     "SpectrumReport",
@@ -134,13 +134,14 @@ class GapReport:
     condition_2_1_holds: bool | None
 
 
-def stationary_state(label: str, layout: BasisLayout) -> TrigVector:
-    """The two built-in stationary states by label."""
-    if label == "u0":
-        return TrigVector.zero(layout)
+def stationary_state(label: str, layout: BasisLayout) -> np.ndarray:
+    """Coefficients of the two built-in stationary states by label."""
+    if label not in ("u0", "u1"):
+        raise ValueError(f"unknown stationary state {label!r}")
+    u = np.zeros(layout.dim)
     if label == "u1":
-        return TrigVector.constant(layout, 1.0)
-    raise ValueError(f"unknown stationary state {label!r}")
+        u[0] = 1.0
+    return u
 
 
 def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_DEFAULT,
@@ -151,23 +152,26 @@ def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_
                               point_label=label, N=params.layout.N)
 
 
-def assemble_T(u: TrigVector, params: ModelParams) -> OperatorMatrix:
-    """Dense matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout.
+def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Dense (dim, dim) matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout.
 
-    u and u_x are sampled by one FFT synthesis of a two-column block, each
-    multiplier is built from the moments of its samples, and M_{f_p} D is a
-    column gather along the D mode map. No dense S, P or D is formed.
+    Q and K are written from their mode maps into one zeroed matrix (their
+    supports are disjoint), u and u_x are sampled by one FFT synthesis of a
+    two-column block, each multiplier is built from the moments of its samples,
+    and M_{f_p} D is a column gather along the D mode map. No dense S, P or D is
+    formed.
     """
     lay = params.layout
-    d = _mode_map(lay, "D")
-    c = u.coeffs()
-    us, uxs = lay.fft_synthesis(np.stack([c, d(c)], axis=1)).T
+    d = mode_map(lay, "D")
+    us, uxs = lay.fft_synthesis(np.stack([u, d(u)], axis=1)).T
     fs_samp = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
     fp_samp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
-    entries = assemble(lay, "Q").entries + assemble(lay, "K", eps=params.eps).entries
-    entries += _multiplier_from_samples(lay, fs_samp)
-    entries[:, d.cols] += _multiplier_from_samples(lay, fp_samp)[:, d.rows] * d.values
-    return OperatorMatrix(lay, entries)
+    entries = np.zeros((lay.dim, lay.dim))
+    for op in (mode_map(lay, "Q"), mode_map(lay, "K", eps=params.eps)):
+        entries[op.rows, op.cols] += op.values
+    entries += multiplier_from_samples(lay, fs_samp)
+    entries[:, d.cols] += multiplier_from_samples(lay, fp_samp)[:, d.rows] * d.values
+    return entries
 
 
 def _strong_components(entries: np.ndarray) -> list[np.ndarray]:
@@ -189,28 +193,28 @@ def _strong_components(entries: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def eigenvalues(m: OperatorMatrix) -> np.ndarray:
-    """All eigenvalues of the dense matrix, sorted by Re then Im, descending.
+def eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the dense square matrix m, sorted by Re then Im, descending.
 
     An exactly reducible matrix is permutation-similar to a block triangular
     one whose diagonal blocks are its strongly connected components, so its
     spectrum is the union of theirs: equal-size blocks are solved as one
     batch. An irreducible matrix takes one dense eigensolve.
     """
-    if not np.all(np.isfinite(m.entries)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    components = _strong_components(m.entries)
+    components = _strong_components(m)
     try:
         if len(components) == 1:
-            eigs = scipy.linalg.eigvals(m.entries)
+            eigs = scipy.linalg.eigvals(m)
         else:
             by_size: dict[int, list] = {}
             for c in components:
                 by_size.setdefault(len(c), []).append(c)
-            eigs = np.concatenate([_batched_eigvals(m.entries, group)
+            eigs = np.concatenate([_batched_eigvals(m, group)
                                    for group in by_size.values()])
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        cond = np.linalg.cond(m.entries)
+        cond = np.linalg.cond(m)
         raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     order = np.lexsort((-eigs.imag, -eigs.real))
     return eigs[order]

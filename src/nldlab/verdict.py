@@ -93,9 +93,11 @@ class RunConfig:
         unknown = set(data) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        nulls = sorted(k for k, v in data.items() if v is None)
-        if nulls:
-            raise ValueError(f"config keys must not be null: {nulls}")
+        kinds = {fl.name: fl.type for fl in fields(cls)}
+        bad = [f"{k} must be {_KIND_NAMES[kinds[k]]}, got {v!r}"
+               for k, v in sorted(data.items()) if not _fits(kinds[k], v)]
+        if bad:
+            raise ValueError(f"bad config values: {'; '.join(bad)}")
         return cls(**data)
 
     def with_overrides(self, **overrides) -> "RunConfig":
@@ -120,6 +122,19 @@ class RunConfig:
 
 
 CONFIG_KEYS = tuple(fl.name for fl in fields(RunConfig))
+
+_KIND_NAMES = {"int": "an integer", "float": "a real number", "tuple": "a list of integers",
+               "str": "a string", "bool": "true or false"}
+
+
+def _fits(kind: str, value) -> bool:
+    """Whether a JSON value fits a RunConfig field annotated kind; a bool is
+    never a number, and seeds (the one tuple field) is a list of integers."""
+    if kind == "bool" or isinstance(value, bool):
+        return kind == "bool" and isinstance(value, bool)
+    if kind == "tuple":
+        return isinstance(value, list) and all(_fits("int", s) for s in value)
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 @dataclass(frozen=True)

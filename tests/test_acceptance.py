@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
-from nldlab.basis import TrigVector, random_state, theta_norm
+from nldlab.basis import random_state, theta_norm
 from nldlab.model import f, f_p, f_s
 from nldlab.operators import assemble
 from nldlab.semiflow import (absorbing_radius, dissipativity_probe, integrate,
@@ -31,12 +31,12 @@ def test_criterion_01_operator_identities(defaults):
     layout = defaults.layout
     N = layout.N
     t0 = time.perf_counter()
-    J = assemble(layout, "J").entries
-    B = assemble(layout, "B").entries
-    D = assemble(layout, "D").entries
-    R = assemble(layout, "reflect").entries
-    G = assemble(layout, "G").entries
-    K = assemble(layout, "K", eps=defaults.eps).entries
+    J = assemble(layout, "J")
+    B = assemble(layout, "B")
+    D = assemble(layout, "D")
+    R = assemble(layout, "reflect")
+    G = assemble(layout, "G")
+    K = assemble(layout, "K", eps=defaults.eps)
     # zero-mean modes cos 1..N and sin 1..N (the top sine leaves the band
     # under J and d/dx, so the involution holds away from it)
     modes = list(range(1, N + 1)) + list(range(N + 1, 2 * N + 1))
@@ -60,7 +60,7 @@ def test_criterion_02_block_spectrum_at_zero_state(defaults):
     for n in range(N + 1):
         pair = (n, N + 1 + n)
         mask[np.ix_(pair, pair)] = True
-    assert not T.entries[~mask].any()
+    assert not T[~mask].any()
     eigs = eigenvalues(T)
     dist, _ = match_blocks_u0(eigs, defaults.eps, N)
     assert dist <= 1e-10
@@ -78,7 +78,7 @@ def test_criterion_03_shifted_drift_blocks(defaults):
     N = layout.N
     for kappa in (1.1, 1.25, 2.0):
         d = np.sqrt(kappa**2 - 1.0)
-        m = assemble(layout, "Qkappa", kappa=kappa).entries
+        m = assemble(layout, "Qkappa", kappa=kappa)
         for n in range(1, N + 1):
             sub = m[np.ix_([n, N + n], [n, N + n])]
             got = np.sort_complex(np.linalg.eigvals(sub))
@@ -99,8 +99,8 @@ def test_criterion_04_single_real_eigenvalue_at_unit_state():
     for N in (128, 256):
         params = RunConfig(N=N).model_params()
         T = assemble_T(stationary_state("u1", params.layout), params)
-        one = TrigVector.constant(params.layout, 1.0).coeffs()
-        np.testing.assert_allclose(T.entries @ one, params.eps.eps0 * one,
+        one = stationary_state("u1", params.layout)
+        np.testing.assert_allclose(T @ one, params.eps.eps0 * one,
                                    atol=1e-15)
         rep = classify_and_count(eigenvalues(T), point_label="u1", N=N)
         assert len(rep.real_eigs_in_band) == 1
@@ -129,7 +129,7 @@ def test_criterion_06_stationarity_and_integrator_drift(defaults):
     assert stationary_residual(u1, defaults) <= 1e-10
     for u in (u0, u1):
         final = integrate(u, defaults, T=1e4 * defaults.dt).final_state()
-        drift = theta_norm(final - u, defaults.theta)
+        drift = theta_norm(layout, final - u, defaults.theta)
         assert drift <= 1e-9
 
 

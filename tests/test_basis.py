@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from nldlab import (
-    BasisLayout,
-    GridSamples,
-    TrigVector,
-    analysis_residual,
-    analyze,
-    differentiate,
-    pointwise_product,
-    random_state,
-    synth,
-    theta_norm,
-)
+from modes import cos_mode, sin_mode
+from nldlab import BasisLayout, analysis_residual, mode_map, random_state, theta_norm
+
+
+def differentiate(layout, c):
+    return mode_map(layout, "D")(c)
+
+
+def product(layout, u, v):
+    """The band-limited product of two states, analyzed on the grid."""
+    return layout.fft_analysis(layout.fft_synthesis(u) * layout.fft_synthesis(v))
 
 
 class TestLayout:
@@ -55,79 +54,37 @@ class TestLayout:
         np.testing.assert_allclose(P @ S, np.eye(layout16.dim), atol=1e-13)
 
 
-class TestTrigVector:
-    def test_constructors_and_flat_order(self, layout16):
-        v = TrigVector.cosine(layout16, 2, 3.0)
-        c = v.coeffs()
-        assert c[2] == 3.0 and np.count_nonzero(c) == 1
-        s = TrigVector.sine(layout16, 5, -1.0)
-        assert s.coeffs()[layout16.N + 5] == -1.0
-        assert TrigVector.constant(layout16, 4.0).coeffs()[0] == 4.0
-        assert np.all(TrigVector.zero(layout16).coeffs() == 0.0)
-
-    def test_from_coeffs_round_trip(self, layout16, rng):
-        c = rng.standard_normal(layout16.dim)
-        v = TrigVector.from_coeffs(layout16, c)
-        np.testing.assert_array_equal(v.coeffs(), c)
-
-    def test_shape_validation(self, layout16):
-        with pytest.raises(ValueError):
-            TrigVector(layout16, np.zeros(5), np.zeros(17))
-        with pytest.raises(ValueError):
-            TrigVector.from_coeffs(layout16, np.zeros(7))
-        with pytest.raises(ValueError):
-            TrigVector.cosine(layout16, 17)
-        with pytest.raises(ValueError):
-            TrigVector.sine(layout16, 0)
-        assert TrigVector.sine(layout16, 17).b[-1] == 1.0  # top sine exists
-
-    def test_arithmetic(self, layout16, rng):
-        u = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        np.testing.assert_allclose((u + v).coeffs(), u.coeffs() + v.coeffs())
-        np.testing.assert_allclose((u - v).coeffs(), u.coeffs() - v.coeffs())
-        np.testing.assert_allclose((2.5 * u).coeffs(), 2.5 * u.coeffs())
-
-    def test_mixed_layouts_rejected(self, layout16, layout32):
-        with pytest.raises(ValueError):
-            TrigVector.zero(layout16) + TrigVector.zero(layout32)
-
-    def test_loss_propagates_through_arithmetic(self, layout16):
-        u = TrigVector(layout16, np.zeros(17), np.zeros(17), truncation_loss=0.25)
-        v = TrigVector.zero(layout16)
-        assert (u + v).truncation_loss == 0.25
-        assert (-2.0 * u).truncation_loss == 0.5
-
-
 class TestTransforms:
     def test_round_trip_on_random_band_limited(self, layout16, rng):
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        back = analyze(synth(v))
-        np.testing.assert_allclose(back.coeffs(), v.coeffs(), atol=1e-13)
+        c = rng.standard_normal(layout16.dim)
+        back = layout16.fft_analysis(layout16.fft_synthesis(c))
+        np.testing.assert_allclose(back, c, atol=1e-13)
 
     def test_analyze_known_samples(self, layout16):
         x = layout16.grid
-        v = analyze(GridSamples(layout16, np.cos(2 * x)))
-        np.testing.assert_allclose(v.coeffs(), TrigVector.cosine(layout16, 2).coeffs(), atol=1e-14)
-        w = analyze(GridSamples(layout16, 1.0 - np.sin(x)))
-        expected = TrigVector.constant(layout16, 1.0) - TrigVector.sine(layout16, 1)
-        np.testing.assert_allclose(w.coeffs(), expected.coeffs(), atol=1e-14)
+        v = layout16.fft_analysis(np.cos(2 * x))
+        np.testing.assert_allclose(v, cos_mode(layout16, 2), atol=1e-14)
+        w = layout16.fft_analysis(1.0 - np.sin(x))
+        expected = cos_mode(layout16, 0) - sin_mode(layout16, 1)
+        np.testing.assert_allclose(w, expected, atol=1e-14)
 
     def test_out_of_band_mode_is_invisible_not_aliased(self, layout16):
         # sin((N+2)x) is below the grid Nyquist but outside the layout: it must
         # project to ~0 (discrete orthogonality), not fold onto a low mode.
         x = layout16.grid
-        g = GridSamples(layout16, np.sin((layout16.N + 2) * x))
-        assert np.max(np.abs(analyze(g).coeffs())) < 1e-13
-        assert analysis_residual(g) == pytest.approx(np.sqrt(np.pi), abs=1e-10)
+        g = np.sin((layout16.N + 2) * x)
+        assert np.max(np.abs(layout16.fft_analysis(g))) < 1e-13
+        assert analysis_residual(layout16, g) == pytest.approx(np.sqrt(np.pi), abs=1e-10)
 
     def test_residual_vanishes_in_band(self, layout16, rng):
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        assert analysis_residual(synth(v)) < 1e-12
+        g = layout16.fft_synthesis(rng.standard_normal(layout16.dim))
+        assert analysis_residual(layout16, g) < 1e-12
 
     def test_sample_shape_validation(self, layout16):
-        with pytest.raises(ValueError):
-            GridSamples(layout16, np.zeros(layout16.M + 1))
+        with pytest.raises(ValueError, match="grid size"):
+            layout16.fft_analysis(np.zeros(layout16.M + 1))
+        with pytest.raises(ValueError, match="grid size"):
+            layout16.fft_analysis(np.zeros((layout16.M - 2, 3)))
 
 
 FFT_LAYOUTS = [BasisLayout(4), BasisLayout(16), BasisLayout(127), BasisLayout(1024),
@@ -169,107 +126,116 @@ class TestFFTPair:
 
 class TestDifferentiate:
     def test_single_modes(self, layout16):
-        d_cos3 = differentiate(TrigVector.cosine(layout16, 3))
-        np.testing.assert_allclose(d_cos3.coeffs(), TrigVector.sine(layout16, 3, -3.0).coeffs())
-        d_sin5 = differentiate(TrigVector.sine(layout16, 5))
-        np.testing.assert_allclose(d_sin5.coeffs(), TrigVector.cosine(layout16, 5, 5.0).coeffs())
-        assert d_cos3.truncation_loss == 0.0
+        d_cos3 = differentiate(layout16, cos_mode(layout16, 3))
+        np.testing.assert_allclose(d_cos3, sin_mode(layout16, 3, -3.0))
+        d_sin5 = differentiate(layout16, sin_mode(layout16, 5))
+        np.testing.assert_allclose(d_sin5, cos_mode(layout16, 5, 5.0))
 
     def test_constant_has_zero_derivative(self, layout16):
-        assert np.all(differentiate(TrigVector.constant(layout16, 7.0)).coeffs() == 0.0)
+        assert np.all(differentiate(layout16, cos_mode(layout16, 0, 7.0)) == 0.0)
 
     def test_second_derivative_is_minus_n_squared(self, layout16):
         for n in range(1, layout16.N + 1):
-            dd = differentiate(differentiate(TrigVector.cosine(layout16, n)))
-            np.testing.assert_allclose(dd.coeffs(), TrigVector.cosine(layout16, n, -float(n * n)).coeffs())
+            dd = differentiate(layout16, differentiate(layout16, cos_mode(layout16, n)))
+            np.testing.assert_allclose(dd, cos_mode(layout16, n, -float(n * n)))
 
     def test_top_sine_image_dropped_and_logged(self, layout16):
-        top = TrigVector.sine(layout16, layout16.N + 1, 2.0)
-        d = differentiate(top)
-        assert np.all(d.coeffs() == 0.0)
-        assert d.truncation_loss == pytest.approx(2.0 * (layout16.N + 1) * np.sqrt(np.pi))
+        # the image 2(N+1) cos (N+1)x leaves the layout: it is dropped, and its
+        # L2 size |c[-1]| (N+1) sqrt(pi) is what the grid analysis cannot hold
+        N = layout16.N
+        d = differentiate(layout16, sin_mode(layout16, N + 1, 2.0))
+        assert np.all(d == 0.0)
+        image = 2.0 * (N + 1) * np.cos((N + 1) * layout16.grid)
+        assert analysis_residual(layout16, image) == pytest.approx(
+            2.0 * (N + 1) * np.sqrt(np.pi))
 
     def test_matches_grid_derivative(self, layout16, rng):
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
+        c = rng.standard_normal(layout16.dim)
+        a, b = c[:layout16.N + 1], c[layout16.N + 1:]
         x = layout16.grid
         target = np.zeros_like(x)
         for n in range(layout16.N + 1):
-            target += -n * v.a[n] * np.sin(n * x)
+            target += -n * a[n] * np.sin(n * x)
         for i, m in enumerate(layout16.sin_orders):
-            target += m * v.b[i] * np.cos(m * x)
-        d = differentiate(v)
+            target += m * b[i] * np.cos(m * x)
+        d = differentiate(layout16, c)
         # the dropped (N+1) cos (N+1)x image is the only discrepancy
-        target -= (layout16.N + 1) * v.b[-1] * np.cos((layout16.N + 1) * x)
-        np.testing.assert_allclose(synth(d).values, target, atol=1e-12)
+        target -= (layout16.N + 1) * b[-1] * np.cos((layout16.N + 1) * x)
+        np.testing.assert_allclose(layout16.fft_synthesis(d), target, atol=1e-12)
 
 
 class TestThetaNorm:
     def test_reference_values(self, layout16):
-        one = TrigVector.constant(layout16, 1.0)
-        assert theta_norm(one, 0.875) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
-        c1 = TrigVector.cosine(layout16, 1)
-        assert theta_norm(c1, 0.0) == pytest.approx(np.sqrt(np.pi), rel=1e-14)
-        assert theta_norm(c1, 0.5) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
-        c3 = TrigVector.cosine(layout16, 3, 2.0)
-        assert theta_norm(c3, 0.0) == pytest.approx(2 * np.sqrt(np.pi), rel=1e-14)
-        assert theta_norm(c3, 1.0) == pytest.approx(2 * 10 * np.sqrt(np.pi), rel=1e-14)
+        one = cos_mode(layout16, 0)
+        assert theta_norm(layout16, one, 0.875) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
+        c1 = cos_mode(layout16, 1)
+        assert theta_norm(layout16, c1, 0.0) == pytest.approx(np.sqrt(np.pi), rel=1e-14)
+        assert theta_norm(layout16, c1, 0.5) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
+        c3 = cos_mode(layout16, 3, 2.0)
+        assert theta_norm(layout16, c3, 0.0) == pytest.approx(2 * np.sqrt(np.pi), rel=1e-14)
+        assert theta_norm(layout16, c3, 1.0) == pytest.approx(2 * 10 * np.sqrt(np.pi),
+                                                              rel=1e-14)
 
     def test_alpha_zero_matches_grid_quadrature(self, layout16, rng):
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        g = synth(v).values
+        c = rng.standard_normal(layout16.dim)
+        g = layout16.fft_synthesis(c)
         quad = np.sqrt(2 * np.pi / layout16.M * np.sum(g**2))
-        assert theta_norm(v, 0.0) == pytest.approx(quad, rel=1e-12)
+        assert theta_norm(layout16, c, 0.0) == pytest.approx(quad, rel=1e-12)
 
     def test_monotone_in_alpha(self, layout16, rng):
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        norms = [theta_norm(v, al) for al in (0.0, 0.25, 0.5, 0.875)]
+        c = rng.standard_normal(layout16.dim)
+        norms = [theta_norm(layout16, c, al) for al in (0.0, 0.25, 0.5, 0.875)]
         assert norms == sorted(norms)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.875])
+    def test_block_gives_the_column_norms(self, layout16, rng, alpha):
+        block = rng.standard_normal((layout16.dim, 5))
+        norms = theta_norm(layout16, block, alpha)
+        assert norms.shape == (5,)
+        columns = np.array([theta_norm(layout16, block[:, j], alpha) for j in range(5)])
+        assert np.max(np.abs(norms - columns) / columns) <= 1e-15
 
 
 class TestPointwiseProduct:
     def test_multiplying_by_one_is_identity(self, layout16, rng):
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        p = pointwise_product(TrigVector.constant(layout16, 1.0), v)
-        np.testing.assert_allclose(p.coeffs(), v.coeffs(), atol=1e-13)
+        c = rng.standard_normal(layout16.dim)
+        np.testing.assert_allclose(product(layout16, cos_mode(layout16, 0), c), c, atol=1e-13)
 
     def test_product_formulas(self, layout16):
-        c1 = TrigVector.cosine(layout16, 1)
-        s1 = TrigVector.sine(layout16, 1)
+        c1 = cos_mode(layout16, 1)
+        s1 = sin_mode(layout16, 1)
         # cos^2 = 1/2 + cos 2x / 2
-        sq = pointwise_product(c1, c1)
-        expected = TrigVector.constant(layout16, 0.5) + TrigVector.cosine(layout16, 2, 0.5)
-        np.testing.assert_allclose(sq.coeffs(), expected.coeffs(), atol=1e-14)
+        expected = cos_mode(layout16, 0, 0.5) + cos_mode(layout16, 2, 0.5)
+        np.testing.assert_allclose(product(layout16, c1, c1), expected, atol=1e-14)
         # sin cos = sin 2x / 2
-        sc = pointwise_product(s1, c1)
-        np.testing.assert_allclose(sc.coeffs(), TrigVector.sine(layout16, 2, 0.5).coeffs(), atol=1e-14)
+        np.testing.assert_allclose(product(layout16, s1, c1), sin_mode(layout16, 2, 0.5),
+                                   atol=1e-14)
 
     def test_commutative_and_bilinear(self, layout16, rng):
-        u = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        v = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        w = TrigVector.from_coeffs(layout16, rng.standard_normal(layout16.dim))
-        np.testing.assert_allclose(pointwise_product(u, v).coeffs(),
-                                   pointwise_product(v, u).coeffs(), atol=1e-12)
-        lhs = pointwise_product(u + 2.0 * w, v).coeffs()
-        rhs = pointwise_product(u, v).coeffs() + 2.0 * pointwise_product(w, v).coeffs()
+        u, v, w = rng.standard_normal((3, layout16.dim))
+        np.testing.assert_allclose(product(layout16, u, v), product(layout16, v, u),
+                                   atol=1e-12)
+        lhs = product(layout16, u + 2.0 * w, v)
+        rhs = product(layout16, u, v) + 2.0 * product(layout16, w, v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_projection_drops_high_modes(self, layout16):
         # cos(Nx)^2 = 1/2 + cos(2Nx)/2; only the mean survives the projection
-        cN = TrigVector.cosine(layout16, layout16.N)
-        sq = pointwise_product(cN, cN)
-        np.testing.assert_allclose(sq.coeffs(), TrigVector.constant(layout16, 0.5).coeffs(), atol=1e-13)
-        g = GridSamples(layout16, synth(cN).values ** 2)
-        assert analysis_residual(g) == pytest.approx(0.5 * np.sqrt(np.pi), abs=1e-10)
+        cN = cos_mode(layout16, layout16.N)
+        np.testing.assert_allclose(product(layout16, cN, cN), cos_mode(layout16, 0, 0.5),
+                                   atol=1e-13)
+        g = layout16.fft_synthesis(cN) ** 2
+        assert analysis_residual(layout16, g) == pytest.approx(0.5 * np.sqrt(np.pi), abs=1e-10)
 
 
 class TestRandomState:
     def test_norm_and_determinism(self, layout16):
         v = random_state(layout16, 7, 0.875, 10.0)
-        assert theta_norm(v, 0.875) == pytest.approx(10.0, rel=1e-12)
+        assert theta_norm(layout16, v, 0.875) == pytest.approx(10.0, rel=1e-12)
         w = random_state(layout16, 7, 0.875, 10.0)
-        np.testing.assert_array_equal(v.coeffs(), w.coeffs())
+        np.testing.assert_array_equal(v, w)
 
     def test_seeds_differ(self, layout16):
         v = random_state(layout16, 1, 0.875, 10.0)
         w = random_state(layout16, 2, 0.875, 10.0)
-        assert not np.allclose(v.coeffs(), w.coeffs())
+        assert not np.allclose(v, w)

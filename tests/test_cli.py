@@ -36,35 +36,37 @@ def read_csv(path):
 class TestSeedSpec:
     def test_u0_is_zero(self):
         v = parse_seed_spec("u0", RunConfig(N=16))
-        assert not np.any(v.coeffs())
+        assert v.shape == (34,) and not np.any(v)
 
     def test_u1_is_unit_constant(self):
         v = parse_seed_spec("u1", RunConfig(N=16))
-        assert v.a[0] == 1.0
-        assert not np.any(v.a[1:]) and not np.any(v.b)
+        assert v[0] == 1.0
+        assert not np.any(v[1:])
 
     def test_constant_offset(self):
         config = RunConfig(N=16)
-        assert parse_seed_spec("u1+const:0.25", config).a[0] == 1.25
-        assert parse_seed_spec("u1+const:-0.5", config).a[0] == 0.5
+        assert parse_seed_spec("u1+const:0.25", config)[0] == 1.25
+        assert parse_seed_spec("u1+const:-0.5", config)[0] == 0.5
 
     def test_random_default_norm(self):
         config = RunConfig(N=16)
         v = parse_seed_spec("random:3", config)
-        assert theta_norm(v, config.theta) == pytest.approx(10.0, rel=1e-12)
-        w = random_state(config.model_params().layout, 3, config.theta, 10.0)
-        assert np.array_equal(v.coeffs(), w.coeffs())
+        layout = config.model_params().layout
+        assert theta_norm(layout, v, config.theta) == pytest.approx(10.0, rel=1e-12)
+        w = random_state(layout, 3, config.theta, 10.0)
+        assert np.array_equal(v, w)
 
     def test_random_explicit_norm(self):
         config = RunConfig(N=16)
         v = parse_seed_spec("random:3:2.5", config)
-        assert theta_norm(v, config.theta) == pytest.approx(2.5, rel=1e-12)
+        layout = config.model_params().layout
+        assert theta_norm(layout, v, config.theta) == pytest.approx(2.5, rel=1e-12)
 
     def test_random_is_deterministic(self):
         config = RunConfig(N=16)
         va = parse_seed_spec("random:7", config)
         vb = parse_seed_spec("random:7", config)
-        assert np.array_equal(va.coeffs(), vb.coeffs())
+        assert np.array_equal(va, vb)
 
     def test_unrecognized_spec_raises(self):
         with pytest.raises(ValueError, match="unrecognized"):
@@ -121,12 +123,15 @@ class TestConfigHandling:
         assert "epsilon_zero" in capsys.readouterr().err
 
     def test_null_value_rejected(self, tmp_path, capsys):
-        path = tmp_path / "null.json"
-        path.write_text(json.dumps({"kappa": None}), encoding="utf-8")
-        assert main(["--config", str(path), "verify"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "kappa" in err
-        assert "Traceback" not in err
+        # nulls and values of the wrong type are rejected, naming the key
+        path = tmp_path / "bad.json"
+        for key, value in [("kappa", None), ("N", 16.5), ("N", "16"), ("kappa", "1.25"),
+                           ("seeds", 3), ("tol_im", [1])]:
+            path.write_text(json.dumps({key: value}), encoding="utf-8")
+            assert main(["--config", str(path), "spectrum", "--at", "u0"]) == 1, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err, err
+            assert "Traceback" not in err
 
     def test_eps_underflow_is_an_error(self, make_config, capsys):
         assert main(["--config", make_config(), "verify", "--N", "100", "--rho", "0.01"]) == 1

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from modes import cos_mode
 from nldlab import (
     BasisLayout,
     EpsilonSequence,
     ModelParams,
-    TrigVector,
     absorbing_radius,
     dissipativity_probe,
     instability_growth_rate,
@@ -23,30 +23,28 @@ from nldlab.semiflow import cfl_number, nonlinearity_l2_bound
 
 class TestStep:
     def test_zero_is_an_exact_fixed_point(self, params32):
-        u = TrigVector.zero(params32.layout)
+        u = np.zeros(params32.layout.dim)
         stepped = step_imex(u, params32.dt, params32)
-        assert np.all(stepped.coeffs() == 0.0)
+        assert np.all(stepped == 0.0)
 
     def test_one_is_a_fixed_point_to_roundoff(self, params32):
-        u = TrigVector.constant(params32.layout, 1.0)
+        u = cos_mode(params32.layout, 0)
         stepped = step_imex(u, params32.dt, params32)
-        np.testing.assert_allclose(stepped.coeffs(), u.coeffs(), atol=1e-15)
+        np.testing.assert_allclose(stepped, u, atol=1e-15)
 
     def test_fixed_points_hold_over_ten_thousand_steps(self, layout32):
         params = ModelParams(layout32)
-        c = TrigVector.constant(layout32, 1.0)
+        c = cos_mode(layout32, 0)
         traj = integrate(c, params, T=10.0)
-        drift = theta_norm(traj.final_state() - c, params.theta)
+        drift = theta_norm(layout32, traj.final_state() - c, params.theta)
         assert drift <= 1e-9
 
     def test_diagonal_subproblem_matches_backward_euler_exactly(self, layout16):
         # with f and K off the step is (1 - dt*q_n)^(-1) mode by mode
         params = ModelParams(layout16, dt=1e-2)
-        u = TrigVector.cosine(layout16, 1)  # q = -2
-        c = u.coeffs()
+        c = cos_mode(layout16, 1)  # q = -2
         for _ in range(50):
-            c = step_imex(TrigVector.from_coeffs(layout16, c), params.dt, params,
-                          with_f=False, with_K=False).coeffs()
+            c = step_imex(c, params.dt, params, with_f=False, with_K=False)
         expected = (1.0 / (1.0 + 2.0 * params.dt)) ** 50
         assert c[1] == pytest.approx(expected, rel=1e-13)
         assert np.max(np.abs(np.delete(c, 1))) == 0.0
@@ -57,36 +55,36 @@ class TestStep:
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             params = ModelParams(layout16, dt=dt)
-            traj = integrate(TrigVector.cosine(layout16, 1), params, T=1.0,
+            traj = integrate(cos_mode(layout16, 1), params, T=1.0,
                              with_f=False, with_K=False)
-            errs.append(abs(traj.final_state().a[1] - np.exp(-2.0)))
+            errs.append(abs(traj.final_state()[1] - np.exp(-2.0)))
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.2)
 
     def test_full_scheme_is_first_order(self):
         lay = BasisLayout(8)
-        u0 = 0.1 * TrigVector.cosine(lay, 2) + TrigVector.constant(lay, 0.9)
+        u0 = 0.1 * cos_mode(lay, 2) + cos_mode(lay, 0, 0.9)
         ref = integrate(u0, ModelParams(lay, dt=1e-5), T=0.5).final_state()
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             got = integrate(u0, ModelParams(lay, dt=dt), T=0.5).final_state()
-            errs.append(theta_norm(got - ref, 0.875))
+            errs.append(theta_norm(lay, got - ref, 0.875))
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.25)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.35)
 
     def test_dt_validation_and_override(self, params32):
-        u = TrigVector.cosine(params32.layout, 1)
+        u = cos_mode(params32.layout, 1)
         with pytest.raises(ValueError):
             step_imex(u, 0.0, params32)
-        a = step_imex(u, 1e-3, params32).coeffs()
-        b = step_imex(u, 1e-4, params32).coeffs()
+        a = step_imex(u, 1e-3, params32)
+        b = step_imex(u, 1e-4, params32)
         assert not np.array_equal(a, b)
 
     def test_nan_state_aborts(self, params32):
         c = np.zeros(params32.layout.dim)
         c[0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
-            step_imex(TrigVector.from_coeffs(params32.layout, c), 1e-3, params32)
+            step_imex(c, 1e-3, params32)
 
 
 class TestIntegrate:
@@ -94,7 +92,7 @@ class TestIntegrate:
         params = ModelParams(layout32, dt=0.1)
         assert cfl_number(params) > 2.0
         with pytest.raises(ValueError, match="CFL"):
-            integrate(TrigVector.zero(layout32), params)
+            integrate(np.zeros(layout32.dim), params)
 
     def test_cfl_number_formula(self, layout32):
         from nldlab.cutoffs import sup_abs_w
@@ -103,12 +101,14 @@ class TestIntegrate:
         assert cfl_number(params) == pytest.approx(expected, rel=1e-15)
 
     def test_layout_mismatch(self, layout16, params32):
-        with pytest.raises(ValueError):
-            integrate(TrigVector.zero(layout16), params32)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(np.zeros(layout16.dim), params32)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(np.zeros((params32.layout.dim, 1)), params32)
 
     def test_recording_schedule(self, layout16):
         params = ModelParams(layout16, dt=1e-3)
-        traj = integrate(TrigVector.zero(layout16), params, T=0.55, record_every=100)
+        traj = integrate(np.zeros(layout16.dim), params, T=0.55, record_every=100)
         np.testing.assert_allclose(traj.times[:3], [0.0, 0.1, 0.2])
         assert traj.times[-1] == pytest.approx(0.55)
         assert len(traj.states) == len(traj.times) == len(traj.theta_norm_history)
@@ -118,7 +118,7 @@ class TestIntegrate:
         c = np.zeros(layout16.dim)
         c[3] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
-            integrate(TrigVector.from_coeffs(layout16, c), params, T=0.2)
+            integrate(c, params, T=0.2)
 
     def test_linear_flow_norm_never_increases(self, layout16):
         # Q <= 0, so each mode decays or stays; theta-norm is monotone
@@ -142,28 +142,28 @@ class TestIntegrate:
         steps = 200
         traj = integrate(u0, params, T=steps * params.dt, record_every=steps)
         S, P = layout16.synthesis_matrix(), layout16.analysis_matrix()
-        Q = assemble(layout16, "Q").entries
-        D = assemble(layout16, "D").entries
-        K = assemble(layout16, "K", eps=params.eps).entries
+        Q = assemble(layout16, "Q")
+        D = assemble(layout16, "D")
+        K = assemble(layout16, "K", eps=params.eps)
         implicit = np.eye(layout16.dim) - params.dt * Q
-        c = u0.coeffs()
+        c = u0
         for _ in range(steps):
             explicit = P @ f(layout16.grid, S @ c, S @ (D @ c), params) + K @ c
             c = np.linalg.solve(implicit, c + params.dt * explicit)
         assert traj.times[-1] == pytest.approx(steps * params.dt, rel=1e-12)
-        assert np.max(np.abs(traj.final_state().coeffs() - c)) <= 1e-13
+        assert np.max(np.abs(traj.final_state() - c)) <= 1e-13
 
 
 class TestStationaryResidual:
     def test_zero_state(self, params32):
-        assert stationary_residual(TrigVector.zero(params32.layout), params32) == 0.0
+        assert stationary_residual(np.zeros(params32.layout.dim), params32) == 0.0
 
     def test_unit_state(self, params32):
-        res = stationary_residual(TrigVector.constant(params32.layout, 1.0), params32)
+        res = stationary_residual(cos_mode(params32.layout, 0), params32)
         assert res <= 1e-12
 
     def test_nonstationary_state_is_flagged(self, params32):
-        res = stationary_residual(TrigVector.cosine(params32.layout, 2), params32)
+        res = stationary_residual(cos_mode(params32.layout, 2), params32)
         assert res > 0.1
 
 
@@ -207,8 +207,8 @@ class TestDissipativity:
 
     def test_probe_runs_and_reports(self, layout16):
         params = ModelParams(layout16)
-        seeds = [("u0", TrigVector.zero(layout16)),
-                 ("u1", TrigVector.constant(layout16, 1.0)),
+        seeds = [("u0", np.zeros(layout16.dim)),
+                 ("u1", cos_mode(layout16, 0)),
                  ("r7", random_state(layout16, 7, params.theta, 10.0))]
         rep = dissipativity_probe(seeds, params, T=2.0)
         assert rep.failed == []
@@ -231,9 +231,9 @@ class TestDissipativity:
     def test_nan_seed_fails_alone(self, params32):
         lay = params32.layout
         seeds = [(f"r{s}", random_state(lay, s, params32.theta, 10.0)) for s in range(4)]
-        c = seeds[2][1].coeffs()
+        c = seeds[2][1].copy()
         c[5] = np.nan
-        poisoned = seeds[:2] + [("nan", TrigVector.from_coeffs(lay, c))] + seeds[2:]
+        poisoned = seeds[:2] + [("nan", c)] + seeds[2:]
         clean = dissipativity_probe(seeds, params32, T=0.3)
         with np.errstate(invalid="ignore"):
             rep = dissipativity_probe(poisoned, params32, T=0.3)
@@ -254,10 +254,17 @@ class TestDissipativity:
         with pytest.raises(ValueError, match="CFL"):
             dissipativity_probe(seeds, params, T=1.0)
 
+    def test_probe_rejects_state_of_another_layout(self, layout16, params32):
+        seeds = [(f"r{s}", random_state(params32.layout, s, params32.theta, 10.0))
+                 for s in range(3)]
+        seeds[1] = ("r16", random_state(layout16, 1, params32.theta, 10.0))
+        with pytest.raises(ValueError, match="shape"):
+            dissipativity_probe(seeds, params32, T=0.1)
+
     def test_probe_needs_three_seeds(self, layout16):
         params = ModelParams(layout16)
         with pytest.raises(ValueError):
-            dissipativity_probe([("a", TrigVector.zero(layout16))], params, T=1.0)
+            dissipativity_probe([("a", np.zeros(layout16.dim))], params, T=1.0)
 
     def test_growth_rate_at_unit_state_is_eps0(self, layout16):
         params = ModelParams(layout16)

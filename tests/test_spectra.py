@@ -9,8 +9,6 @@ from nldlab import (
     BasisLayout,
     EpsilonSequence,
     ModelParams,
-    OperatorMatrix,
-    TrigVector,
     assemble,
     assemble_T,
     block_spectrum_u0,
@@ -19,6 +17,7 @@ from nldlab import (
     eigenvalues,
     eps0_threshold_scan,
     gap_check,
+    multiplier_from_samples,
     qkappa_spectrum,
     resolved_band,
     stationary_state,
@@ -35,9 +34,9 @@ class TestBasics:
         assert resolved_band(32) == 256.0
 
     def test_stationary_states(self, layout16):
-        assert np.all(stationary_state("u0", layout16).coeffs() == 0.0)
+        assert np.all(stationary_state("u0", layout16) == 0.0)
         u1 = stationary_state("u1", layout16)
-        assert u1.a[0] == 1.0 and np.count_nonzero(u1.coeffs()) == 1
+        assert u1[0] == 1.0 and np.count_nonzero(u1) == 1
         with pytest.raises(ValueError):
             stationary_state("u2", layout16)
 
@@ -47,7 +46,7 @@ class TestBasics:
         m[1, 1] = 1.0
         m[2, 3] = -2.0
         m[3, 2] = 2.0  # block with eigenvalues +-2i
-        eigs = eigenvalues(OperatorMatrix(layout16, m))
+        eigs = eigenvalues(m)
         assert eigs[0] == pytest.approx(3.0)
         assert eigs[1] == pytest.approx(1.0)
         # descending real part overall, and +2i listed before its conjugate
@@ -58,7 +57,7 @@ class TestBasics:
         m = np.zeros((layout16.dim, layout16.dim))
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
-            eigenvalues(OperatorMatrix(layout16, m))
+            eigenvalues(m)
 
 
 def _permuted_block_triangular(rng, dim):
@@ -89,7 +88,7 @@ class TestBlockEigenvalues:
         rng = np.random.default_rng(seed)
         m, blocks = _permuted_block_triangular(rng, layout16.dim)
         assert len(_strong_components(m)) == blocks
-        eigs = eigenvalues(OperatorMatrix(layout16, m))
+        eigs = eigenvalues(m)
         dense = eigvals(m)
         rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - dense[None, :]))
         assert np.abs(eigs[rows] - dense[cols]).max() <= 1e-12
@@ -101,7 +100,7 @@ class TestBlockEigenvalues:
         # yet no two nodes reach each other: dim singleton components
         m = triangle(1.0 + rng.random((layout16.dim, layout16.dim)))
         assert len(_strong_components(m)) == layout16.dim
-        eigs = eigenvalues(OperatorMatrix(layout16, m))
+        eigs = eigenvalues(m)
         assert eigs.dtype == complex   # as from the dense solve, though all are real
         np.testing.assert_array_equal(eigs, np.sort(np.diag(m))[::-1])
 
@@ -116,7 +115,7 @@ class TestBlockEigenvalues:
         assert len(_strong_components(m)) == 1
         dense = eigvals(m)
         expected = dense[np.lexsort((-dense.imag, -dense.real))]
-        got = eigenvalues(OperatorMatrix(layout16, m))
+        got = eigenvalues(m)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
 
@@ -131,8 +130,8 @@ class TestLinearizationAtZero:
     def test_matrix_is_exactly_Q_plus_K(self, layout16):
         params = ModelParams(layout16)
         t = assemble_T(stationary_state("u0", layout16), params)
-        qk = assemble(layout16, "Q").entries + assemble(layout16, "K", eps=EPS).entries
-        np.testing.assert_array_equal(t.entries, qk)
+        qk = assemble(layout16, "Q") + assemble(layout16, "K", eps=EPS)
+        np.testing.assert_array_equal(t, qk)
 
     def test_block_formulas(self):
         lo, hi = block_spectrum_u0(0, EPS)
@@ -183,20 +182,19 @@ class TestLinearizationAtOne:
         # T(u1) = Q + K + kappa*D + eps0 * mult(1 - sin x): the multiplier
         # samples are degree-one trig data, exact on the grid
         params = ModelParams(layout32)
-        t = assemble_T(stationary_state("u1", layout32), params).entries
-        g = TrigVector.constant(layout32, 1.0) - TrigVector.sine(layout32, 1)
-        manual = (assemble(layout32, "Q").entries
-                  + assemble(layout32, "K", eps=EPS).entries
-                  + params.kappa * assemble(layout32, "D").entries
-                  + EPS.eps0 * assemble(layout32, "mult", g=g).entries)
+        t = assemble_T(stationary_state("u1", layout32), params)
+        g = 1.0 - np.sin(layout32.grid)
+        manual = (assemble(layout32, "Q")
+                  + assemble(layout32, "K", eps=EPS)
+                  + params.kappa * assemble(layout32, "D")
+                  + EPS.eps0 * multiplier_from_samples(layout32, g))
         np.testing.assert_allclose(t, manual, atol=1e-12)
 
     def test_constant_direction_is_exact_eigenvector(self, layout32):
         params = ModelParams(layout32)
         t = assemble_T(stationary_state("u1", layout32), params)
-        one = TrigVector.constant(layout32, 1.0)
-        out = t.apply(one)
-        np.testing.assert_allclose(out.coeffs(), EPS.eps0 * one.coeffs(), atol=1e-15)
+        one = stationary_state("u1", layout32)
+        np.testing.assert_allclose(t @ one, EPS.eps0 * one, atol=1e-15)
 
     def test_exactly_one_real_in_band_at_eps0(self, layout32):
         params = ModelParams(layout32)
@@ -240,7 +238,7 @@ class TestQkappaBlocks:
 
     @pytest.mark.parametrize("kappa", [1.1, 1.25, 2.0])
     def test_dense_blocks_match_closed_form(self, layout16, kappa):
-        m = assemble(layout16, "Qkappa", kappa=kappa).entries
+        m = assemble(layout16, "Qkappa", kappa=kappa)
         N = layout16.N
         d = np.sqrt(kappa**2 - 1.0)
         for n in range(1, N + 1):
@@ -251,9 +249,9 @@ class TestQkappaBlocks:
             assert np.all(np.abs(got.imag) >= d - 1e-12)
 
     def test_constant_mode_is_a_simple_zero(self, layout16):
-        m = assemble(layout16, "Qkappa", kappa=1.25).entries
+        m = assemble(layout16, "Qkappa", kappa=1.25)
         assert np.all(m[0, :] == 0.0) and np.all(m[:, 0] == 0.0)
-        eigs = eigenvalues(OperatorMatrix(layout16, m))
+        eigs = eigenvalues(m)
         assert np.sum(np.abs(eigs) < 1e-12) == 1
 
 

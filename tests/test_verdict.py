@@ -116,7 +116,7 @@ class TestPipeline:
         original = nldlab.spectra.eigenvalues
 
         def counting(m):
-            sizes.append(m.layout.N)
+            sizes.append((len(m) - 2) // 2)
             return original(m)
 
         monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
@@ -140,6 +140,24 @@ class TestPipeline:
         assert run_verify(RunConfig(N=16)).verdict == OBSTRUCTED
         assert calls == []
 
+    def test_no_dense_operator_is_assembled(self, monkeypatch):
+        # assemble_T writes Q and K from their mode maps; the dense assembled
+        # operators are only a test oracle. Every module reference is counted.
+        import sys
+        import nldlab.operators
+        calls = []
+        original = nldlab.operators.assemble
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "nldlab" and getattr(module, "assemble", None) is original:
+                monkeypatch.setattr(module, "assemble", counting)
+        assert run_verify(RunConfig(N=16)).verdict == OBSTRUCTED
+        assert calls == []
+
     def test_eps_underflow_fails_before_any_spectrum(self, monkeypatch):
         # eps_n = 0.05 * 0.01^n underflows inside the 2N = 200 truncation
         import nldlab.spectra
@@ -147,7 +165,7 @@ class TestPipeline:
         original = nldlab.spectra.eigenvalues
 
         def counting(m):
-            solved.append(m.layout.N)
+            solved.append((len(m) - 2) // 2)
             return original(m)
 
         monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
