@@ -7,10 +7,9 @@ The linearization at a frozen state u is
 
 assembled as a dense matrix. Each multiplication operator is built from the
 grid moments of its samples (one real FFT, Toeplitz-plus-Hankel blocks) and
-M_{f_p} D is a column gather along the D mode map; the same code path serves
-every u, and the stationary states are not special-cased. At u = 0 the
-multiplier samples vanish identically and the matrix is exactly Q + K, block
-2x2 with closed-form eigenvalues -(n^2+n) +- i eps_n.
+M_{f_p} D is a column gather along the D mode map; all-zero samples add
+nothing, so at u = 0 the matrix is exactly Q + K, block 2x2 with closed-form
+eigenvalues -(n^2+n) +- i eps_n. The same code path serves every u.
 
 Spectra are solved block by block: the nonzero pattern (exact zeros only, no
 tolerance) splits into strongly connected components, whose diagonal blocks
@@ -18,14 +17,23 @@ carry the whole spectrum, and equal-size blocks are solved as one batch. So
 the spectrum of Q + K costs N + 1 batched 2x2 solves, while an irreducible
 matrix, such as T(u1), takes one dense eigensolve.
 
-Classification is threshold-based: an eigenvalue is "real" when
-|Im| < tol_im * (1 + |lambda|). Because eps_n decays exponentially, deep
-blocks always fall below any fixed threshold; certifying "no real eigenvalue"
-at u = 0 therefore goes through exact block identification, not thresholds.
-Verdict-grade real sets are additionally restricted to the resolved band
-|Re| <= N^2/4: the layout's dropped top-sine image plants one strongly
-negative real truncation artifact near -(N^2+N) that moves with N, while
-everything in band is stable under refinement.
+Evidence, by state and truncation:
+
+  u0: exact blocks. The block spectrum is matched against the closed form;
+      with every eps_n nonzero no eigenvalue is real, whatever any threshold
+      says (eps_n decays below any fixed threshold).
+  u1 at N: threshold classification, |Im| < tol_im * (1 + |lambda|), of the
+      dense spectrum (the reports list it).
+  u1 at the largest truncation of a convergence study: a Gershgorin
+      certificate (`disc_certificate`) on V^-1 T V, where V diagonalizes the
+      drift part Q_kappa in closed form. When its discs prove exactly one
+      in-band real eigenvalue, and where it lies, no eigensolve is made;
+      otherwise the row falls back to the dense spectrum, labelled "dense".
+
+Verdict-grade real sets are restricted to the resolved band |Re| <= N^2/4:
+the layout's dropped top-sine image plants one strongly negative real
+truncation artifact near -(N^2+N) that moves with N, while everything in band
+is stable under refinement.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ __all__ = [
     "SpectrumReport",
     "GapReport",
     "ConvergenceStudy",
+    "DiscCertificate",
     "Eps0ScanReport",
     "TOL_IM_DEFAULT",
     "TOL_RE_DEFAULT",
@@ -52,6 +61,7 @@ __all__ = [
     "is_real",
     "assemble_T",
     "eigenvalues",
+    "disc_certificate",
     "block_spectrum_u0",
     "match_blocks_u0",
     "qkappa_spectrum",
@@ -158,8 +168,9 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     Q and K are written from their mode maps into one zeroed matrix (their
     supports are disjoint), u and u_x are sampled by one FFT synthesis of a
     two-column block, each multiplier is built from the moments of its samples,
-    and M_{f_p} D is a column gather along the D mode map. No dense S, P or D is
-    formed.
+    and M_{f_p} D is a column gather along the D mode map; a multiplier whose
+    samples are all zero is skipped, which leaves every entry unchanged. No
+    dense S, P or D is formed.
     """
     lay = params.layout
     d = mode_map(lay, "D")
@@ -169,8 +180,10 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     entries = np.zeros((lay.dim, lay.dim))
     for op in (mode_map(lay, "Q"), mode_map(lay, "K", eps=params.eps)):
         entries[op.rows, op.cols] += op.values
-    entries += multiplier_from_samples(lay, fs_samp)
-    entries[:, d.cols] += multiplier_from_samples(lay, fp_samp)[:, d.rows] * d.values
+    if np.any(fs_samp):
+        entries += multiplier_from_samples(lay, fs_samp)
+    if np.any(fp_samp):
+        entries[:, d.cols] += multiplier_from_samples(lay, fp_samp)[:, d.rows] * d.values
     return entries
 
 
@@ -225,6 +238,134 @@ def _batched_eigvals(entries: np.ndarray, components: list[np.ndarray]) -> np.nd
     idx = np.stack(components)
     blocks = entries[idx[:, :, None], idx[:, None, :]]
     return np.linalg.eigvals(blocks).astype(complex).ravel()
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SLOT0_SCALE = 2.0**-27
+_DISC_ROWS_PER_CHUNK = 64   # bounds the complex temporaries to 64 x dim entries
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+@dataclass(frozen=True)
+class DiscCertificate:
+    """Gershgorin discs of V^-1 T(u1) V, one per layout slot, and what they prove.
+
+    Disc 0 is the constant's, the cos nx / sin nx slots hold the discs around
+    the pair -n^2 +- i n sqrt(kappa^2 - 1) of Q_kappa (conjugates of each
+    other), and the last slot is the top sine's. margin is min(1 - r_i/|Im c_i|)
+    over the other discs that reach the band |Re| <= N^2/4, isolation_gap is
+    min(|c_i - c_0| - r_i) - r_0. When both are positive (`certified`), the
+    matrix has exactly one real eigenvalue in the band; it is simple and lies
+    within radii[0] of centers[0], and l_count_in_band counts it when it
+    exceeds tol_re.
+    """
+
+    N: int
+    centers: np.ndarray
+    radii: np.ndarray
+    margin: float
+    isolation_gap: float
+    certified: bool
+    l_count_in_band: int
+
+    @property
+    def real_eigs_in_band(self) -> np.ndarray:
+        """The certified real eigenvalue, as the center of its disc."""
+        return self.centers[:1].real
+
+
+def disc_certificate(T: np.ndarray, kappa: float,
+                     tol_re: float = TOL_RE_DEFAULT) -> DiscCertificate:
+    """Gershgorin certificate for the in-band real spectrum of T = T(u1), in O(dim^2).
+
+    On each pair {cos nx, sin nx} the drift part Q_kappa is -n^2 I + n W with
+    W = [[-1, kappa], [-kappa, 1]], whose eigenvector for +i d, d = sqrt(kappa^2 - 1),
+    is v = (kappa, 1 + i d). V puts v in the cos slot and conj(v) in the sin slot
+    of every pair; the constant and the top sine are singletons. The constant
+    is an exact eigenvector of T(u1), so V scales its slot by 1/s, s = 2^-27 (an
+    exact power of two): disc 0 shrinks by s, and the other rows pay |T_i0|/s,
+    which is round-off sized.
+
+    F = X T V, X the computed inverse of V, is formed by mixing row pairs and
+    then column pairs, 64 rows at a time; only its diagonal and absolute row
+    sums are kept. T is real and X, V hold conjugate pairs, so the sin-slot
+    discs are the conjugates of the cos-slot ones and only those are formed.
+
+    Outward rounding (Rump, Acta Numerica 19, 2010), with u = 2^-53 and
+    gamma_k = k u / (1 - k u) (Higham, ch. 3): every computed entry obeys
+    |fl(F) - X T V| <= gamma_8 |X| |T| |V|; a computed sum of n nonnegative
+    terms is within gamma_n of the exact one; and X V = I + Delta, one 2x2 Delta
+    per pair, so V^-1 T V = (I + Delta)^-1 X T V moves row i by at most
+    eta = delta / (1 - delta) times the absolute row sums of X T V in its pair,
+    delta = ||Delta||_inf bounded from the computed product plus gamma_4 |X| |V|.
+    Each radius is enlarged by 2 (gamma_{dim+16} + eta)(S_i + t_i), where S_i is
+    the computed absolute row sum of F and t_i that of |X| |T| |V|; the factor 2
+    covers the second-order terms and the rounding of the bound itself. So
+    every disc contains the exact disc of V^-1 T V (underflow aside).
+
+    By Gershgorin's theorem, the row form of Bauer-Fike (Numer. Math. 2, 1960),
+    the discs cover the spectrum and a union of k discs disjoint from the others
+    holds k eigenvalues. An isolated disc 0 thus holds one eigenvalue; its
+    center T_00 is real and T is real, so that eigenvalue is real. Any other
+    in-band real eigenvalue would lie in a disc that reaches the band and meets
+    the real axis, which a positive margin excludes.
+    """
+    dim = len(T)
+    L = (dim - 2) // 2
+    s = _SLOT0_SCALE
+    d = np.sqrt(kappa * kappa - 1.0)
+    v = np.array([kappa, complex(1.0, d)])
+    x = np.array([np.conj(v[1]), -np.conj(v[0])]) / (2j * (v[0] * np.conj(v[1])).imag)
+    Xn, Vn = np.array([x, np.conj(x)]), np.array([v, np.conj(v)]).T
+    delta = float(np.max(np.sum(np.abs(Xn @ Vn - np.eye(2))
+                                + _gamma(4) * (np.abs(Xn) @ np.abs(Vn)), axis=1)))
+    eta = delta / (1.0 - delta) if delta < 1.0 else np.inf
+
+    # formed rows: the constant, the cos slot of every pair, the top sine; row
+    # slots[i] of F mixes a[i] * T[slots[i]] + b[i] * T[partner[i]]
+    slots = np.concatenate([[0], np.arange(1, L + 1), [dim - 1]])
+    partner = np.concatenate([[0], np.arange(L + 1, dim - 1), [dim - 1]])
+    a = np.concatenate([[s], np.full(L, x[0]), [1.0]])
+    b = np.concatenate([[0.0], np.full(L, x[1]), [0.0]])
+    w = np.concatenate([[1.0 / s], np.full(L, 2.0 * abs(v[0])), np.full(L, 2.0 * abs(v[1])),
+                        [1.0]])   # absolute row sums of V
+    cos, sin = slice(1, L + 1), slice(L + 1, dim - 1)
+    centers = np.empty(L + 2, dtype=complex)
+    S = np.empty(L + 2)
+    t = np.empty(L + 2)
+    for lo in range(0, L + 2, _DISC_ROWS_PER_CHUNK):
+        k = slice(lo, lo + _DISC_ROWS_PER_CHUNK)
+        Ta, Tb = T[slots[k]], T[partner[k]]
+        G = a[k, None] * Ta + b[k, None] * Tb
+        H = np.empty_like(G)
+        H[:, 0] = G[:, 0] / s
+        H[:, -1] = G[:, -1]
+        H[:, cos] = v[0] * G[:, cos] + v[1] * G[:, sin]
+        H[:, sin] = np.conj(v[0]) * G[:, cos] + np.conj(v[1]) * G[:, sin]
+        centers[k] = H[np.arange(len(G)), slots[k]]
+        S[k] = np.abs(H).sum(axis=1)
+        t[k] = np.abs(a[k]) * (np.abs(Ta) @ w) + np.abs(b[k]) * (np.abs(Tb) @ w)
+    radii = S - np.abs(centers) + 2.0 * (_gamma(dim + 16) + eta) * (S + t)
+
+    c0, r0 = centers[0].real, radii[0]
+    c, r = centers[1:], radii[1:]   # the conjugate discs share |Im c|, |Re c| and |c - c0|
+    reach = np.abs(c.real) - r <= resolved_band(L)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = float(np.min(1.0 - r[reach] / np.abs(c.imag[reach]), initial=1.0))
+    isolation_gap = float(np.min(np.abs(c - c0) - r) - r0)
+    certified = margin > 0.0 and isolation_gap > 0.0
+    pairs = slice(1, L + 1)
+    return DiscCertificate(
+        N=L,
+        centers=np.concatenate([centers[:1], centers[pairs], np.conj(centers[pairs]),
+                                centers[-1:]]),
+        radii=np.concatenate([radii[:1], radii[pairs], radii[pairs], radii[-1:]]),
+        margin=margin, isolation_gap=isolation_gap, certified=certified,
+        l_count_in_band=int(certified and c0 - r0 > tol_re))
 
 
 def block_spectrum_u0(n: int, eps: EpsilonSequence) -> tuple[complex, complex]:
@@ -305,11 +446,21 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Truncation study: per-N classified spectra plus cross-N stability checks.
+    """Truncation study: per-N rows plus cross-N stability checks.
+
+    A row holds a classified dense spectrum ("report": SpectrumReport), except
+    the largest truncation of a u1 study when `disc_certificate` certifies it
+    ("report": DiscCertificate, no eigensolve). Its "evidence" records the
+    kind, "dense" or "gershgorin", and, where a certificate was tried, its
+    margin and isolation gap (and for a certified row the anchor disc radius).
 
     Each pair of consecutive truncations is compared inside the stable zone
-    |Re| <= min(N)^2/8: every eigenvalue there must persist (relative drift
-    below drift_tol) and keep its classification.
+    |Re| <= min(N)^2/8. Against a dense row every eigenvalue there must
+    persist (relative drift below drift_tol) and keep its classification.
+    Against a certified row every eigenvalue there must lie in a disc and be
+    real exactly when that disc is disc 0, and the anchor's worst-case drift,
+    its distance to the disc-0 center plus the radius, must stay below
+    drift_tol.
     """
 
     point_label: str
@@ -326,13 +477,9 @@ def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("N_list must be increasing with at least 2 entries")
     params.eps.values(N_list[-1] + 1)   # an eps_n underflow fails before any spectrum
-    rows = []
-    for N in N_list:
-        report = stationary_spectrum(point_label, replace(params, layout=BasisLayout(N)),
-                                     tol_im, tol_re)
-        eigs = report.eigenvalues
-        lowest = eigs[np.argsort(np.abs(eigs.real))][:k_lowest]
-        rows.append({"N": N, "report": report, "lowest": lowest})
+    rows = [_study_row(point_label, replace(params, layout=BasisLayout(N)),
+                       point_label == "u1" and N == N_list[-1], tol_im, tol_re, k_lowest)
+            for N in N_list]
 
     pair_checks = []
     flagged = False
@@ -340,25 +487,66 @@ def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
         rep_a, rep_b = row_a["report"], row_b["report"]
         zone = min(row_a["N"], row_b["N"]) ** 2 / 8.0
         in_zone = rep_a.eigenvalues[np.abs(rep_a.eigenvalues.real) <= zone]
-        idx = np.argmin(np.abs(in_zone[:, None] - rep_b.eigenvalues[None, :]), axis=1)
-        matched = rep_b.eigenvalues[idx]
-        drift = np.abs(in_zone - matched) / (1.0 + np.abs(in_zone))
-        flips = int(np.sum(is_real(in_zone, tol_im) != is_real(matched, tol_im)))
-        max_drift = float(drift.max()) if len(drift) else 0.0
-        ok = max_drift <= drift_tol and flips == 0
+        if isinstance(rep_b, DiscCertificate):
+            check = _disc_pair_check(in_zone, rep_a.real_eigs_in_band, rep_b, tol_im)
+        else:
+            check = _dense_pair_check(in_zone, rep_b.eigenvalues, tol_im)
+        ok = (check["max_drift"] <= drift_tol and check["classification_flips"] == 0
+              and check.get("outside_discs", 0) == 0
+              and rep_a.l_count_in_band == rep_b.l_count_in_band)
         flagged = flagged or not ok
         pair_checks.append({
             "N_pair": (row_a["N"], row_b["N"]),
             "stable_zone": zone,
-            "max_drift": max_drift,
-            "classification_flips": flips,
+            **check,
             "l_in_band_pair": (rep_a.l_count_in_band, rep_b.l_count_in_band),
             "ok": ok,
         })
-        if rep_a.l_count_in_band != rep_b.l_count_in_band:
-            flagged = True
-            pair_checks[-1]["ok"] = False
     return ConvergenceStudy(point_label, rows, pair_checks, drift_tol, flagged)
+
+
+def _study_row(point_label: str, params: ModelParams, try_discs: bool, tol_im: float,
+               tol_re: float, k_lowest: int) -> dict:
+    """One row of a convergence study; T(u) lives only inside this call."""
+    N = params.layout.N
+    T = assemble_T(stationary_state(point_label, params.layout), params)
+    evidence = {"kind": "dense"}
+    if try_discs:
+        cert = disc_certificate(T, params.kappa, tol_re)
+        evidence = {"kind": "gershgorin" if cert.certified else "dense",
+                    "margin": cert.margin, "isolation_gap": cert.isolation_gap}
+        if cert.certified:
+            evidence["anchor_radius"] = float(cert.radii[0])
+            order = np.argsort(np.abs(cert.centers.real), kind="stable")
+            return {"N": N, "evidence": evidence, "report": cert,
+                    "lowest": cert.centers[order][:k_lowest]}
+    report = classify_and_count(eigenvalues(T), tol_im, tol_re, point_label=point_label, N=N)
+    eigs = report.eigenvalues
+    return {"N": N, "evidence": evidence, "report": report,
+            "lowest": eigs[np.argsort(np.abs(eigs.real))][:k_lowest]}
+
+
+def _dense_pair_check(in_zone: np.ndarray, eigs_b: np.ndarray, tol_im: float) -> dict:
+    """Relative drift of each in-zone eigenvalue to its nearest neighbour in
+    eigs_b, and the classification flips between the two."""
+    matched = eigs_b[np.argmin(np.abs(in_zone[:, None] - eigs_b[None, :]), axis=1)]
+    drift = np.abs(in_zone - matched) / (1.0 + np.abs(in_zone))
+    return {"max_drift": float(drift.max()) if len(drift) else 0.0,
+            "classification_flips": int(np.sum(is_real(in_zone, tol_im)
+                                               != is_real(matched, tol_im)))}
+
+
+def _disc_pair_check(in_zone: np.ndarray, reals_a: np.ndarray, cert: DiscCertificate,
+                     tol_im: float) -> dict:
+    """In-zone eigenvalues against certified discs: the anchor's worst-case
+    drift |a - c_0| + r_0 (a the real in-band eigenvalue nearest c_0), the
+    eigenvalues whose classification disagrees with their disc (real exactly
+    in disc 0), and those outside every disc."""
+    inside = np.abs(in_zone[:, None] - cert.centers[None, :]) <= cert.radii[None, :]
+    c0, r0 = cert.centers[0].real, cert.radii[0]
+    return {"max_drift": float(np.min(np.abs(reals_a - c0)) + r0) if len(reals_a) else np.inf,
+            "classification_flips": int(np.sum(is_real(in_zone, tol_im) != inside[:, 0])),
+            "outside_discs": int(np.sum(~inside.any(axis=1)))}
 
 
 @dataclass(frozen=True)

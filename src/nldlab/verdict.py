@@ -10,18 +10,28 @@ finite-dimensional invariant manifold, so the verdict is OBSTRUCTED. Any
 failed stage downgrades to INCONCLUSIVE; the pipeline never fabricates an
 obstruction.
 
-Membership evidence differs by point, deliberately:
+Membership evidence differs by point, deliberately, and verdict.json records
+which evidence was used, with its margin (`e_membership.<point>.evidence`):
 
-  u0: the linearization is exactly block 2x2; its spectrum, solved block by
-      block, is matched against the closed form -(n^2+n) +- i*eps_n (optimal
-      assignment). With every eps_n nonzero that certifies "no real
-      eigenvalues" exactly, which no fixed imaginary-part threshold can do
-      (eps_n decays below any threshold).
-  u1: threshold classification inside the resolved band |Re| <= N^2/4, with an
-      anchor requirement: the exact constant-eigenvector eigenvalue eps0 must
-      appear among the positive real-classified eigenvalues. The anchor makes
-      the verdict collapse to INCONCLUSIVE under broken tolerances instead of
-      silently flipping parity.
+  u0: "exact_blocks". The multiplier samples vanish, so the linearization is
+      exactly block 2x2; its spectrum, solved block by block, is matched
+      against the closed form -(n^2+n) +- i*eps_n (optimal assignment). With
+      every eps_n nonzero that certifies "no real eigenvalues" exactly, which no
+      fixed imaginary-part threshold can do (eps_n decays below any
+      threshold). The margin is min eps_n, the smallest imaginary part.
+  u1: at N, threshold classification inside the resolved band |Re| <= N^2/4,
+      with an anchor requirement: the exact constant-eigenvector eigenvalue
+      eps0 must appear among the positive real-classified eigenvalues. The
+      anchor makes the verdict collapse to INCONCLUSIVE under broken
+      tolerances instead of silently flipping parity. At 2N the count is
+      certified by Gershgorin discs ("gershgorin", see
+      `spectra.disc_certificate`): one isolated real disc around eps0 and no
+      other in-band disc meeting the real axis prove l = 1 without an
+      eigensolve. The margin is min(1 - r_i/|Im c_i|) over the in-band discs,
+      reported with the isolation gap of disc 0 and its radius. Where the discs
+      do not certify (kappa near 1, strong coupling) the 2N row is a dense
+      spectrum checked by drift and classification, labelled "dense", with the
+      failed discs' margin and gap.
 """
 
 from __future__ import annotations
@@ -212,6 +222,7 @@ def _convergence_dict(study: ConvergenceStudy) -> dict:
         "flagged": study.flagged,
         "rows": [{
             "N": row["N"],
+            "evidence": row["evidence"],
             "l_count_in_band": row["report"].l_count_in_band,
             "real_eigs_in_band": [float(v) for v in row["report"].real_eigs_in_band],
             "lowest": [[float(z.real), float(z.imag)] for z in row["lowest"]],
@@ -251,9 +262,8 @@ def run_verify(config: RunConfig) -> VerdictReport:
     rep1 = conv_u1.rows[0]["report"]
 
     block_dist, block_index = match_blocks_u0(rep0.eigenvalues, eps, layout.N)
-    eps_nonzero = not eps.degenerate
-    if eps_nonzero:
-        eps_nonzero = bool(np.all(eps.values(layout.N + 1) != 0.0))
+    eps_n = eps.values(layout.N + 1)
+    eps_nonzero = not eps.degenerate and bool(np.all(eps_n != 0.0))
     member_u0 = {
         "stationary": stationarity["ok_u0"],
         "block_match_distance": block_dist,
@@ -266,6 +276,7 @@ def run_verify(config: RunConfig) -> VerdictReport:
     member_u0["ok"] = all(member_u0[k] for k in
                           ("stationary", "block_match_ok", "eps_nonzero",
                            "no_negative_real", "zero_not_eigenvalue", "l_consistent"))
+    member_u0["evidence"] = {"kind": "exact_blocks", "margin": float(eps_n.min())}
 
     reals1 = rep1.real_eigs_in_band
     anchor_candidates = reals1[np.abs(reals1 - eps.eps0) <= ANCHOR_TOL] if len(reals1) else reals1
@@ -281,6 +292,7 @@ def run_verify(config: RunConfig) -> VerdictReport:
     member_u1["ok"] = all(member_u1[k] for k in
                           ("stationary", "no_negative_real", "zero_not_eigenvalue",
                            "anchor_eps0_found", "l_consistent"))
+    member_u1["evidence"] = conv_u1.rows[-1]["evidence"]
     stages.append(("e_membership_u0", member_u0["ok"]))
     stages.append(("e_membership_u1", member_u1["ok"]))
 
@@ -289,8 +301,10 @@ def run_verify(config: RunConfig) -> VerdictReport:
         reals = row["report"].real_eigs_in_band
         anchors.append(float(reals[np.argmin(np.abs(reals - eps.eps0))])
                        if len(reals) else None)
+    # a certified last row knows its anchor to within the disc-0 radius
+    radius = conv_u1.rows[-1]["evidence"].get("anchor_radius", 0.0)
     anchor_drift_ok = (None not in anchors
-                       and abs(anchors[0] - anchors[-1]) <= config.convergence_tol)
+                       and abs(anchors[0] - anchors[-1]) + radius <= config.convergence_tol)
     conv_ok = not conv_u0.flagged and not conv_u1.flagged and anchor_drift_ok
     stages.append(("convergence", conv_ok))
 

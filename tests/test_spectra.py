@@ -22,7 +22,8 @@ from nldlab import (
     resolved_band,
     stationary_state,
 )
-from nldlab.spectra import TOL_IM_DEFAULT, TOL_RE_DEFAULT, _strong_components, match_blocks_u0
+from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _strong_components, disc_certificate,
+                            match_blocks_u0)
 from nldlab.verdict import BLOCK_MATCH_TOL
 
 EPS = EpsilonSequence()
@@ -132,6 +133,26 @@ class TestLinearizationAtZero:
         t = assemble_T(stationary_state("u0", layout16), params)
         qk = assemble(layout16, "Q") + assemble(layout16, "K", eps=EPS)
         np.testing.assert_array_equal(t, qk)
+
+    def test_zero_multipliers_are_skipped_bit_for_bit(self, layout16, monkeypatch):
+        # the samples of f_s and f_p vanish at u0: no multiplier is built, and
+        # the matrix is the one the zero multipliers would have given
+        import nldlab.spectra
+        params = ModelParams(layout16)
+        u0 = stationary_state("u0", layout16)
+        lazy = assemble_T(u0, params)
+        zero = np.zeros((layout16.dim, layout16.dim))
+        d = nldlab.spectra.mode_map(layout16, "D")
+        eager = lazy + zero
+        eager[:, d.cols] += zero[:, d.rows] * d.values
+        assert lazy.tobytes() == eager.tobytes()
+        built = []
+        monkeypatch.setattr(nldlab.spectra, "multiplier_from_samples",
+                            lambda *args: built.append(args) or multiplier_from_samples(*args))
+        assemble_T(u0, params)
+        assert built == []
+        assemble_T(stationary_state("u1", layout16), params)
+        assert len(built) == 2
 
     def test_block_formulas(self):
         lo, hi = block_spectrum_u0(0, EPS)
@@ -317,12 +338,184 @@ class TestConvergence:
         study = convergence_study("u1", params, [16, 32], drift_tol=1e-30)
         assert study.flagged
 
+    def test_u1_double_truncation_is_certified_by_discs(self, monkeypatch):
+        import nldlab.spectra
+        seen = []
+        original = nldlab.spectra.eigenvalues
+
+        def counting(m):
+            seen.append(len(m))
+            return original(m)
+
+        monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
+        params = ModelParams(BasisLayout(16))
+        study = convergence_study("u1", params, [16, 32])
+        assert seen == [34]
+        dense, certified = study.rows
+        assert dense["evidence"] == {"kind": "dense"}
+        evidence = certified["evidence"]
+        assert evidence["kind"] == "gershgorin"
+        assert evidence["margin"] > 0 and evidence["isolation_gap"] > 0
+        assert evidence["anchor_radius"] == certified["report"].radii[0]
+        check = study.pair_checks[0]
+        assert check["outside_discs"] == 0 and check["classification_flips"] == 0
+        anchor = dense["report"].real_eigs_in_band[0]
+        assert check["max_drift"] == pytest.approx(
+            abs(anchor - certified["report"].centers[0].real) + evidence["anchor_radius"])
+        assert check["max_drift"] <= 1e-8
+
+    def test_discs_missing_an_eigenvalue_flag_the_study(self, monkeypatch):
+        # shrink every disc but disc 0 to its center: the N-level pairs then
+        # lie outside every disc, which must flag the row pair
+        import dataclasses
+        import nldlab.spectra
+        original = nldlab.spectra.disc_certificate
+
+        def shrunk(*args):
+            cert = original(*args)
+            radii = np.where(np.arange(len(cert.radii)) == 0, cert.radii, 0.0)
+            return dataclasses.replace(cert, radii=radii)
+
+        monkeypatch.setattr(nldlab.spectra, "disc_certificate", shrunk)
+        study = convergence_study("u1", ModelParams(BasisLayout(16)), [16, 32])
+        assert study.rows[1]["evidence"]["kind"] == "gershgorin"
+        check = study.pair_checks[0]
+        assert check["outside_discs"] > 0 and check["classification_flips"] == 0
+        assert study.flagged and not check["ok"]
+
+    def test_real_classified_pairs_flip_against_their_discs(self):
+        study = convergence_study("u1", ModelParams(BasisLayout(16)), [16, 32], tol_im=1e3)
+        check = study.pair_checks[0]
+        assert check["classification_flips"] > 0 and check["outside_discs"] == 0
+        assert study.flagged
+
+    def test_uncertified_double_truncation_falls_back_to_dense(self):
+        # strong coupling: the pair discs reach the real axis
+        params = ModelParams(BasisLayout(16), eps=EpsilonSequence(0.5, 0.5))
+        study = convergence_study("u1", params, [16, 32])
+        evidence = study.rows[1]["evidence"]
+        assert evidence["kind"] == "dense" and evidence["margin"] < 0
+        assert "anchor_radius" not in evidence
+        assert len(study.rows[1]["report"].eigenvalues) == 66
+        assert not study.flagged
+        assert "outside_discs" not in study.pair_checks[0]
+
+    def test_u0_rows_stay_dense(self):
+        study = convergence_study("u0", ModelParams(BasisLayout(16)), [16, 32])
+        assert [row["evidence"] for row in study.rows] == [{"kind": "dense"}] * 2
+
     def test_n_list_validation(self):
         params = ModelParams(BasisLayout(16))
         with pytest.raises(ValueError):
             convergence_study("u0", params, [16])
         with pytest.raises(ValueError):
             convergence_study("u0", params, [32, 16])
+
+
+def _u1_matrix(N, kappa=1.25, eps0=0.05):
+    params = ModelParams(BasisLayout(N), kappa=kappa, eps=EpsilonSequence(eps0, 0.5))
+    return assemble_T(stationary_state("u1", params.layout), params)
+
+
+def _disc_component(centers, radii, start=0):
+    """Slots of the connected component of overlapping discs that holds start."""
+    overlap = np.abs(centers[:, None] - centers[None, :]) <= radii[:, None] + radii[None, :]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = set(np.flatnonzero(overlap[frontier].any(axis=0))) - seen
+        seen |= new
+        frontier = sorted(new)
+    return np.array(sorted(seen))
+
+
+class TestDiscCertificate:
+    """Gershgorin discs of V^-1 T(u1) V against the dense spectrum and an
+    exact-arithmetic oracle."""
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    @pytest.mark.parametrize("kappa", [1.05, 1.25, 2.0])
+    @pytest.mark.parametrize("eps0", [0.05, 0.3])
+    def test_discs_cover_the_dense_spectrum(self, N, kappa, eps0):
+        T = _u1_matrix(2 * N, kappa, eps0)
+        cert = disc_certificate(T, kappa)
+        eigs = eigvals(T)
+        inside = np.abs(eigs[:, None] - cert.centers[None, :]) <= cert.radii[None, :]
+        assert inside.any(axis=1).all()
+        # a union of k discs apart from the others holds exactly k eigenvalues
+        component = _disc_component(cert.centers, cert.radii)
+        assert np.sum(inside[:, component].any(axis=1)) == len(component)
+        if cert.certified:
+            assert list(component) == [0]
+            (lam,) = eigs[inside[:, 0]]
+            assert lam.imag == 0.0
+            assert abs(lam.real - cert.centers[0].real) <= cert.radii[0]
+            assert cert.l_count_in_band == 1
+        else:
+            assert cert.l_count_in_band == 0
+        assert cert.certified == (cert.margin > 0 and cert.isolation_gap > 0)
+
+    def test_default_disc_zero_is_tight_and_certified(self):
+        cert = disc_certificate(_u1_matrix(256), 1.25)
+        assert cert.certified
+        assert abs(cert.centers[0] - 0.05) <= 1e-15
+        assert cert.radii[0] <= 1e-8
+        assert cert.margin > 0.5 and cert.isolation_gap > 1.0
+        np.testing.assert_array_equal(cert.real_eigs_in_band, cert.centers[:1].real)
+
+    def test_conjugate_slots_hold_conjugate_discs(self):
+        cert = disc_certificate(_u1_matrix(16), 1.25)
+        cos, sin = slice(1, 17), slice(17, 33)
+        np.testing.assert_array_equal(cert.centers[sin], np.conj(cert.centers[cos]))
+        np.testing.assert_array_equal(cert.radii[sin], cert.radii[cos])
+        n = np.arange(1, 17)
+        # centers near the Q_kappa pair -n^2 + i n sqrt(kappa^2 - 1)
+        assert np.abs(cert.centers[cos] - (-n**2 + 0.75j * n)).max() < 0.1
+
+    def test_rounded_radii_bound_the_exact_discs(self):
+        # exact arithmetic (mpmath, 50 digits) on V^-1 T V with the same float
+        # V: every float disc must contain the exact disc, and the slack stays
+        # round-off sized
+        mpmath = pytest.importorskip("mpmath")
+        kappa, N = 1.25, 8
+        T = _u1_matrix(N, kappa)
+        cert = disc_certificate(T, kappa)
+        dim = len(T)
+        d = np.sqrt(kappa * kappa - 1.0)
+        v = (kappa, complex(1.0, d))
+        V = np.zeros((dim, dim), dtype=complex)
+        V[0, 0] = 2.0**27
+        V[-1, -1] = 1.0
+        for n in range(1, N + 1):
+            c, s = n, N + n
+            V[c, c], V[s, c] = v
+            V[c, s], V[s, s] = np.conj(v[0]), np.conj(v[1])
+        with mpmath.workdps(50):
+            Vm = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in V])
+            Tm = mpmath.matrix([[mpmath.mpf(float(z)) for z in row] for row in T])
+            A = mpmath.inverse(Vm) * Tm * Vm
+            for i in range(dim):
+                exact_r = mpmath.fsum(abs(A[i, j]) for j in range(dim) if j != i)
+                c = cert.centers[i]
+                reach = abs(A[i, i] - mpmath.mpc(c.real, c.imag)) + exact_r
+                assert reach <= cert.radii[i]
+                assert cert.radii[i] - reach <= 1e-11 * (1 + abs(c))
+
+    def test_two_real_eigenvalues_in_band_are_never_certified(self):
+        # cut the drift coupling of the n = 1 pair: that block turns real
+        # (about -2 and 0), so the band holds three real eigenvalues
+        N = 16
+        T = _u1_matrix(N)
+        T[1, N + 1] = T[N + 1, 1] = 0.0
+        reals = eigvals(T)
+        in_band = reals[(reals.imag == 0) & (np.abs(reals.real) <= resolved_band(N))]
+        assert len(in_band) >= 2
+        cert = disc_certificate(T, 1.25)
+        assert not cert.certified and cert.l_count_in_band == 0
+
+    def test_wrong_kappa_does_not_certify(self):
+        # V built for another drift leaves the n-scaled drift in the radii
+        assert not disc_certificate(_u1_matrix(32, kappa=2.0), 1.01).certified
 
 
 class TestEps0Scan:

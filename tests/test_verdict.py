@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nldlab import (
     INCONCLUSIVE,
@@ -108,8 +110,9 @@ class TestPipeline:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_each_spectrum_is_computed_once(self, monkeypatch):
-        # u0 and u1 at N and 2N: the N-level spectra are reused from the
-        # convergence study instead of being solved a second time
+        # u0 at N and 2N, u1 at N: the N-level spectra are reused from the
+        # convergence study instead of being solved a second time, and the 2N
+        # count of u1 is certified by Gershgorin discs without an eigensolve
         import nldlab.spectra
         import nldlab.verdict
         sizes = []
@@ -122,8 +125,19 @@ class TestPipeline:
         monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
         monkeypatch.setattr(nldlab.verdict, "eigenvalues", counting, raising=False)
         run_verify(RunConfig(N=16))
-        assert sorted(sizes) == [16, 16, 32, 32]
+        assert sorted(sizes) == [16, 16, 32]
 
+    def test_evidence_is_recorded(self, report32):
+        m = report32.e_membership
+        assert m["u0"]["evidence"] == {"kind": "exact_blocks", "margin": 0.05 * 0.5**32}
+        evidence = m["u1"]["evidence"]
+        assert evidence["kind"] == "gershgorin"
+        assert 0 < evidence["margin"] < 1 and evidence["isolation_gap"] > 0
+        assert 0 < evidence["anchor_radius"] <= 1e-8
+        rows = report32.convergence["u1"]["rows"]
+        assert [row["evidence"]["kind"] for row in rows] == ["dense", "gershgorin"]
+        assert rows[1]["evidence"] == evidence
+        assert report32.convergence["u1"]["pair_checks"][0]["outside_discs"] == 0
 
     def test_no_dense_synthesis_matrix_is_built(self, monkeypatch):
         # assemble_T builds its multipliers from FFT moments; the dense S is
@@ -218,6 +232,25 @@ class TestSoundness:
                     RunConfig(N=32, stationarity_tol=1e-30),
                     RunConfig(N=32, convergence_tol=1e-30)):
             assert run_verify(cfg).verdict != NOT_OBSTRUCTED
+
+    @pytest.mark.parametrize("overrides", [
+        {"eps0": 0.3}, {"eps0": 0.5}, {"eps0": 0.9}, {"kappa": 1.01}, {"kappa": 1.05},
+        {"kappa": 2.0, "eps0": 0.9}])
+    def test_strong_coupling_and_weak_drift_stay_obstructed(self, overrides):
+        # the discs certify some of these and not others; either way the
+        # verdict is the one the dense 2N spectrum gave
+        rep = run_verify(RunConfig(N=32, **overrides))
+        assert rep.verdict == OBSTRUCTED and rep.l_values == (0, 1)
+        assert rep.e_membership["u1"]["evidence"]["kind"] in ("gershgorin", "dense")
+
+    @settings(max_examples=20, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kappa=st.floats(1.01, 3.0), eps0=st.floats(0.01, 0.95), rho=st.floats(0.3, 0.9),
+           N=st.integers(8, 32))
+    def test_never_not_obstructed_across_parameters(self, kappa, eps0, rho, N):
+        rep = run_verify(RunConfig(N=N, kappa=kappa, eps0=eps0, rho=rho))
+        assert rep.verdict != NOT_OBSTRUCTED
+        assert rep.e_membership["u1"]["evidence"]["kind"] in ("gershgorin", "dense")
 
 
 class TestEmission:
