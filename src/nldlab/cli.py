@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -195,6 +196,14 @@ def _cmd_scan_eps0(args) -> int:
     return 0
 
 
+def _null_if_not_finite(value):
+    """value, or each item of the list value, with a non-finite float replaced by
+    None, which JSON writes as null (NaN and Infinity are not JSON)."""
+    if isinstance(value, list):
+        return [_null_if_not_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _cmd_probe(args) -> int:
     config = _load_config(args)
     params = config.model_params()
@@ -211,7 +220,8 @@ def _cmd_probe(args) -> int:
     os.makedirs(config.outdir, exist_ok=True)
     path = os.path.join(config.outdir, "dissipativity.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2)
+        json.dump({k: _null_if_not_finite(v) for k, v in asdict(report).items()}, fh,
+                  indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {path}")
     all_finite = all(np.isfinite(t) for t in report.tail_norms)

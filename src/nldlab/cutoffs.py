@@ -16,9 +16,11 @@ the linear pull that keeps s + f bounded at large amplitude. w is the ramp
 that multiplies the derivative argument in the nonlinearity; it needs
 w(0) = 0 and w'(0) = 1, both satisfied by omega.
 
-`Blend` evaluates the bump quotient once per argument and builds every shape
-and first derivative from it; the public functions below and the nonlinearity
-in `model` all read it. All functions accept scalars or numpy arrays.
+`Blend` evaluates chi once per argument, from its closed form (1 on the plateau
+|s| <= 1, 0 for |s| >= 2, the bump quotient only on the band between), and
+builds every shape and first derivative from it; the public functions below
+read it, and the nonlinearity in `model` reads its chi and chi'. All functions
+accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -55,15 +57,6 @@ def _psi(t):
     return out
 
 
-def _psi_prime(t, psi_t):
-    """psi'(t) = psi(t) / t^2 for t > 0, else 0, given psi_t = psi(t)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = psi_t[pos] / t[pos] ** 2
-    return out
-
-
 def _value(out):
     return out if np.ndim(out) else float(out)
 
@@ -74,15 +67,19 @@ def psi(t):
 
 
 def psi_prime(t):
-    return _value(_psi_prime(t, _psi(t)))
+    """psi'(t) = psi(t) / t^2 for t > 0, else 0."""
+    t = np.asarray(t, dtype=float)
+    out = _psi(t)
+    pos = t > 0
+    out[pos] /= t[pos] ** 2
+    return _value(out)
 
 
-# Polynomial core p and its derivative p' of each shape chi(s) * p(s), read off a
-# Blend b: the cube b.cube costs a pow per element, so gamma and eta share it.
+# Polynomial core p and its derivative p' of each shape chi(s) * p(s), read off a Blend b.
 _CORES = {
     "omega": (lambda b: b.s, lambda b: 1.0),
-    "gamma": (lambda b: 2.0 * b.cube - 3.0 * b.s**2, lambda b: 6.0 * b.s**2 - 6.0 * b.s),
-    "eta": (lambda b: 2.0 * b.s**2 - b.cube, lambda b: 4.0 * b.s - 3.0 * b.s**2),
+    "gamma": (lambda b: 2.0 * b.s**3 - 3.0 * b.s**2, lambda b: 6.0 * b.s**2 - 6.0 * b.s),
+    "eta": (lambda b: 2.0 * b.s**2 - b.s**3, lambda b: 4.0 * b.s - 3.0 * b.s**2),
 }
 _CORES["w"] = _CORES["omega"]
 
@@ -91,32 +88,34 @@ class Blend:
     """chi and chi' at one argument s, and the shapes built on them.
 
     Every shape is chi(s) times its core from _CORES, except the far-field pull
-    mu(s) = -(1 - chi(s)) * s; slopes follow by the product rule. The bump
-    quotients (and the cube s^3) are evaluated once, however many shapes are
-    read; chi' only when a slope is.
+    mu(s) = -(1 - chi(s)) * s; slopes follow by the product rule. chi is 1 on
+    |s| <= 1 and 0 on |s| >= 2, chi' is 0 on both, so the bump quotients
+    up = psi(2 - |s|) and down = psi(|s| - 1) are evaluated only on the band
+    1 < |s| < 2 (where both are positive), once however many shapes are read;
+    chi' only when a slope is. On the band chi = up / (up + down).
     """
 
     def __init__(self, s):
         self.s = np.asarray(s, dtype=float)
-        az = np.abs(self.s)
-        self._up = _psi(2.0 - az)
-        self._down = _psi(az - 1.0)
-        den = np.asarray(self._up + self._down)
-        # den == 0 happens only for az >= 2 where chi and chi' are 0 already
-        self.chi = np.divide(self._up, den, out=np.zeros_like(den), where=den > 0)
+        az = np.asarray(np.abs(self.s))
+        self.chi = np.array(az <= 1.0, dtype=float)
+        self._band = (az > 1.0) & (az < 2.0)
+        if self._band.any():
+            self._az = az[self._band]
+            self._up = np.exp(-1.0 / (2.0 - self._az))
+            self._down = np.exp(-1.0 / (self._az - 1.0))
+            self.chi[self._band] = self._up / (self._up + self._down)
 
     @cached_property
     def chi_prime(self):
-        up, down, az = self._up, self._down, np.abs(self.s)
-        dup = -_psi_prime(2.0 - az, up)
-        ddown = _psi_prime(az - 1.0, down)
-        den = np.asarray((up + down) ** 2)
-        core = np.divide(dup * down - up * ddown, den, out=np.zeros_like(den), where=den > 0)
-        return np.sign(self.s) * core
-
-    @cached_property
-    def cube(self):
-        return self.s**3
+        out = np.zeros_like(self.chi)
+        if self._band.any():
+            up, down, az = self._up, self._down, self._az
+            dup = -(up / (2.0 - az) ** 2)
+            ddown = down / (az - 1.0) ** 2
+            core = (dup * down - up * ddown) / (up + down) ** 2
+            out[self._band] = np.sign(self.s[self._band]) * core
+        return out
 
     def shape(self, name: str):
         if name == "mu":

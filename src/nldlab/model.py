@@ -10,10 +10,16 @@ using (B u_x)_x = J u_x. The nonlinearity is the cutoff-localized family
     f(x, s, p) = kappa*omega(s)*w(p) + eps0*gamma(s) + eps0*eta(s)*(1 - sin x) + mu(s),
 
 engineered so that u = 0 and u = 1 are exact stationary states:
-f(x,0,0) = 0, and f(x,1,0) = -eps0 sin x cancels K1 = eps0 sin x. Its partial
-derivatives are evaluated analytically (product rule on the chi-blended
-shapes); finite differences exist only as a test oracle. The bounded part
-f + Ku of F is written once, in `explicit_part`, which the IMEX stepper uses.
+f(x,0,0) = 0, and f(x,1,0) = -eps0 sin x cancels K1 = eps0 sin x. Every shape
+but mu is chi(s) times a polynomial, so f is evaluated regrouped, with chi read
+once per argument and no cube, as f = chi(s)*core - (1 - chi(s))*s with
+
+    core = kappa*s*w(p) + eps0*s^2*((s - 1) + (s - 2) sin x):
+
+exactly -eps0 sin x at (s, p) = (1, 0) and exactly -s for |s| >= 2. The partial
+derivatives are analytic (product rule on this form); finite differences exist
+only as a test oracle. The bounded part f + Ku of F is written once, in
+`explicit_part`, which the IMEX stepper uses.
 """
 
 from __future__ import annotations
@@ -68,24 +74,27 @@ class ModelParams:
         return float(np.sqrt(self.kappa**2 - 1.0))
 
 
-def _shape_sum(x, read_s, w_p, params: ModelParams):
-    """kappa*omega*w_p + eps0*gamma + eps0*eta*(1 - sin x) + mu, each shape read
-    at s by read_s; f is linear in these shapes, so f_s is the same sum of slopes."""
-    eps0 = params.eps.eps0
-    return (params.kappa * read_s("omega") * w_p
-            + eps0 * read_s("gamma")
-            + eps0 * read_s("eta") * (1.0 - np.sin(x))
-            + read_s("mu"))
+def _core(x, s, w_p, params: ModelParams):
+    """kappa*s*w_p + eps0*s^2*((s - 1) + (s - 2) sin x), the sum of the chi-blended
+    shapes omega, gamma and eta (each with its coefficient) divided by chi(s)."""
+    return params.kappa * s * w_p + params.eps.eps0 * (s * s) * ((s - 1.0) + (s - 2.0) * np.sin(x))
 
 
 def f(x, s, p, params: ModelParams):
     """The nonlinearity, vectorized over broadcastable x, s, p."""
-    return _shape_sum(x, ct.Blend(s).shape, ct.Blend(p).shape("w"), params)
+    blend = ct.Blend(s)
+    chi, s = blend.chi, blend.s
+    return chi * _core(x, s, ct.Blend(p).shape("w"), params) - (1.0 - chi) * s
 
 
 def f_s(x, s, p, params: ModelParams):
     """Analytic partial derivative of f in s."""
-    return _shape_sum(x, ct.Blend(s).slope, ct.Blend(p).shape("w"), params)
+    blend = ct.Blend(s)
+    chi, s = blend.chi, blend.s
+    w_p = ct.Blend(p).shape("w")
+    core_s = (params.kappa * w_p
+              + params.eps.eps0 * ((3.0 * s - 2.0) * s + (3.0 * s - 4.0) * s * np.sin(x)))
+    return blend.chi_prime * (_core(x, s, w_p, params) + s) + chi * core_s - (1.0 - chi)
 
 
 def f_p(x, s, p, params: ModelParams):

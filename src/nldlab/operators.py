@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisLayout
 
@@ -179,26 +180,34 @@ def multiplier_from_samples(layout: BasisLayout, g: np.ndarray) -> np.ndarray:
         sin m  <- cos n'   S_{m+n'} + S_{m-n'}
 
     This holds for any samples, band-limited or not: every |k| <= 2N+2 < M/2,
-    so no index wraps. Zero samples give an exactly zero matrix.
+    so no index wraps. Each block is a strided view of the moments (no index
+    arrays), summed straight into the one (dim, dim) result. Zero samples give
+    an exactly zero matrix.
     """
     top = 2 * layout.N + 2
     k = np.arange(-top, top + 1)
     moments = np.fft.rfft(g)[np.abs(k)] * (np.where(k % 2 == 0, 1.0, -1.0) / layout.M)
-    cos_moments = moments.real                   # C_k, even in k
-    sin_moments = -np.sign(k) * moments.imag     # S_k, odd in k
+    L = layout.N + 1   # cos orders 0..N and sin orders 1..N+1, so each block is L x L
+    # windows[r, q] = moments[r + q] of C_k (even in k) and of S_k (odd in k)
+    C = sliding_window_view(moments.real, L)
+    S = sliding_window_view(-np.sign(k) * moments.imag, L)
 
-    def C(j):
-        return cos_moments[top + j]
+    def plus(W, a):    # [i, j] -> moment a + i + j
+        return W[top + a:top + a + L]
 
-    def S(j):
-        return sin_moments[top + j]
+    def minus(W, a):   # [i, j] -> moment a + i - j
+        return W[top + a - L + 1:top + a + 1, ::-1]
 
-    n, m = layout.cos_orders, layout.sin_orders
-    nr, mr = n[:, None], m[:, None]   # row frequencies
-    w = np.where(nr == 0, 0.5, 1.0)
-    cos_rows = np.hstack([w * (C(nr - n) + C(nr + n)), w * (S(m + nr) + S(m - nr))])
-    sin_rows = np.hstack([S(mr + n) + S(mr - n), C(mr - m) - C(mr + m)])
-    return np.vstack([cos_rows, sin_rows])
+    def flip(W, a):    # [i, j] -> moment a - i + j
+        return W[top + a - L + 1:top + a + 1][::-1]
+
+    out = np.empty((2 * L, 2 * L))
+    np.add(minus(C, 0), plus(C, 0), out=out[:L, :L])       # i = n, j = n'
+    np.add(plus(S, 1), flip(S, 1), out=out[:L, L:])        # i = n, j = m' - 1
+    out[0] *= 0.5                                          # w_0
+    np.add(plus(S, 1), minus(S, 1), out=out[L:, :L])       # i = m - 1, j = n'
+    np.subtract(minus(C, 0), plus(C, 2), out=out[L:, L:])  # i = m - 1, j = m' - 1
+    return out
 
 
 def assemble(layout: BasisLayout, opname: str, *, eps: EpsilonSequence | None = None,

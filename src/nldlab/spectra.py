@@ -162,15 +162,19 @@ def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_
                               point_label=label, N=params.layout.N)
 
 
+_ROWS_PER_CHUNK = 64   # bounds row-chunk temporaries to 64 x dim entries
+
+
 def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Dense (dim, dim) matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout.
 
     Q and K are written from their mode maps into one zeroed matrix (their
     supports are disjoint), u and u_x are sampled by one FFT synthesis of a
     two-column block, each multiplier is built from the moments of its samples,
-    and M_{f_p} D is a column gather along the D mode map; a multiplier whose
-    samples are all zero is skipped, which leaves every entry unchanged. No
-    dense S, P or D is formed.
+    and M_{f_p} D is a column gather along the D mode map, 64 rows at a time; a
+    multiplier whose samples are all zero is skipped, which leaves every entry
+    unchanged. No dense S, P or D is formed, and no temporary as large as T but
+    the one multiplier being added.
     """
     lay = params.layout
     d = mode_map(lay, "D")
@@ -183,7 +187,10 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     if np.any(fs_samp):
         entries += multiplier_from_samples(lay, fs_samp)
     if np.any(fp_samp):
-        entries[:, d.cols] += multiplier_from_samples(lay, fp_samp)[:, d.rows] * d.values
+        fp_mult = multiplier_from_samples(lay, fp_samp)
+        for lo in range(0, lay.dim, _ROWS_PER_CHUNK):
+            rows = slice(lo, lo + _ROWS_PER_CHUNK)
+            entries[rows, d.cols] += fp_mult[rows, d.rows] * d.values
     return entries
 
 
@@ -242,7 +249,6 @@ def _batched_eigvals(entries: np.ndarray, components: list[np.ndarray]) -> np.nd
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SLOT0_SCALE = 2.0**-27
-_DISC_ROWS_PER_CHUNK = 64   # bounds the complex temporaries to 64 x dim entries
 
 
 def _gamma(k: int) -> float:
@@ -337,8 +343,8 @@ def disc_certificate(T: np.ndarray, kappa: float,
     centers = np.empty(L + 2, dtype=complex)
     S = np.empty(L + 2)
     t = np.empty(L + 2)
-    for lo in range(0, L + 2, _DISC_ROWS_PER_CHUNK):
-        k = slice(lo, lo + _DISC_ROWS_PER_CHUNK)
+    for lo in range(0, L + 2, _ROWS_PER_CHUNK):
+        k = slice(lo, lo + _ROWS_PER_CHUNK)
         Ta, Tb = T[slots[k]], T[partner[k]]
         G = a[k, None] * Ta + b[k, None] * Tb
         H = np.empty_like(G)

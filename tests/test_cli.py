@@ -296,6 +296,26 @@ class TestProbeCommand:
         assert rc == 2
         capsys.readouterr()
 
+    def test_failed_seeds_write_strict_json(self, make_config, tmp_path, capsys):
+        # every seed overflows; its tail and a_emp are not finite, so they are
+        # written as null, never as the NaN that strict JSON parsers reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["--config", make_config(), "probe-dissipativity",
+                       "--T", "0.01", "--r-in", "1e306"])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.count(": failed") == 3 and "a_emp=nan" in out
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with open(tmp_path / "out" / "dissipativity.json", encoding="utf-8") as fh:
+            payload = json.load(fh, parse_constant=reject)
+        assert payload["tail_norms"] == [None, None, None]
+        assert payload["a_emp"] is None
+        assert payload["failed"] == ["random:0", "random:1", "random:2"]
+        assert np.isfinite(payload["M_scan"]) and np.isfinite(payload["a_formula"])
+
     def test_fewer_than_three_seeds_is_error(self, make_config, capsys):
         cfg = make_config(seeds=[0, 1])
         rc = main(["--config", cfg, "probe-dissipativity", "--T", "0.01"])

@@ -154,3 +154,26 @@ class TestW:
         assert sup_abs_w() == val  # cached
         # the sup is attained inside the transition zone, above the plateau max
         assert val > 1.0
+
+
+class TestClosedForm:
+    """chi is built from its closed form (the bump quotient only on the band);
+    it must equal the quotient taken everywhere, bit for bit."""
+
+    z = np.concatenate([np.linspace(-3.0, 3.0, 6001),
+                        [-2.0, -1.0, 1.0, 2.0, 1.0 + 1e-12, 2.0 - 1e-12, -1.0 - 1e-12]])
+
+    def test_chi_is_the_bump_quotient(self):
+        az = np.abs(self.z)
+        up, down = psi(2.0 - az), psi(az - 1.0)
+        den = up + down
+        expected = np.divide(up, den, out=np.zeros_like(den), where=den > 0)
+        np.testing.assert_array_equal(chi(self.z), expected)
+
+    def test_chi_prime_is_the_quotient_rule(self):
+        az = np.abs(self.z)
+        up, down = psi(2.0 - az), psi(az - 1.0)
+        num = -psi_prime(2.0 - az) * down - up * psi_prime(az - 1.0)
+        den = (up + down) ** 2
+        expected = np.sign(self.z) * np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+        np.testing.assert_array_equal(chi_prime(self.z), expected)

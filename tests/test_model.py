@@ -149,3 +149,58 @@ class TestRightHandSide:
         fsamp = f(layout32.grid, layout32.fft_synthesis(u), layout32.fft_synthesis(ux), params)
         manual = u + mode_map(layout32, "J")(ux) + layout32.fft_analysis(fsamp)
         np.testing.assert_array_equal(out, manual)
+
+
+def shape_sum_f(x, s, p, params):
+    """f as the sum of the public cutoff shapes, the form the model regroups."""
+    from nldlab import eta, gamma, mu, omega, w
+    eps0 = params.eps.eps0
+    return (params.kappa * omega(s) * w(p) + eps0 * gamma(s)
+            + eps0 * eta(s) * (1.0 - np.sin(x)) + mu(s))
+
+
+def shape_sum_f_s(x, s, p, params):
+    from nldlab.cutoffs import eta_prime, gamma_prime, mu_prime, omega_prime, w
+    eps0 = params.eps.eps0
+    return (params.kappa * omega_prime(s) * w(p) + eps0 * gamma_prime(s)
+            + eps0 * eta_prime(s) * (1.0 - np.sin(x)) + mu_prime(s))
+
+
+class TestRegroupedKernel:
+    """f, f_s, f_p against the shape sums they regroup."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(11)
+        x, s, p = rng.uniform(-4.0, 4.0, (3, 20000))
+        # the seams |s|, |p| in {1, 2}, the band between and the plateau, in every pairing
+        edges = np.array([-2.0, -1.999, -1.5, -1.0 - 1e-9, -1.0, -0.5, 0.0,
+                          0.5, 1.0, 1.0 + 1e-9, 1.25, 1.5, 1.999, 2.0, 2.5])
+        xe, se, pe = np.meshgrid(np.linspace(-4.0, 4.0, 9), edges, edges)
+        return (np.concatenate([x, xe.ravel()]), np.concatenate([s, se.ravel()]),
+                np.concatenate([p, pe.ravel()]))
+
+    def test_f_matches_shape_sum(self, params32, points):
+        x, s, p = points
+        np.testing.assert_allclose(f(x, s, p, params32), shape_sum_f(x, s, p, params32),
+                                   rtol=0, atol=1e-15)
+
+    def test_f_s_matches_shape_sum(self, params32, points):
+        x, s, p = points
+        np.testing.assert_allclose(f_s(x, s, p, params32), shape_sum_f_s(x, s, p, params32),
+                                   rtol=0, atol=1e-14)
+
+    def test_f_p_is_the_shape_product_bit_for_bit(self, params32, points):
+        from nldlab.cutoffs import omega, w_prime
+        x, s, p = points
+        np.testing.assert_array_equal(f_p(x, s, p, params32),
+                                      params32.kappa * omega(s) * w_prime(p))
+
+    def test_stationary_values_exact(self, params32):
+        x = np.linspace(-np.pi, np.pi, 1001)
+        eps0 = params32.eps.eps0
+        assert np.all(f(x, 1.0, 0.0, params32) == -eps0 * np.sin(x))
+        assert np.all(f(x, 0.0, 0.0, params32) == 0.0)
+        s = np.array([-9.0, -2.0, 2.0, 2.0 + 1e-12, 4.0])[:, None]
+        for p in (-2.0, -1.5, 0.0, 0.7, 3.0):
+            np.testing.assert_array_equal(f(x, s, p, params32), np.broadcast_to(-s, (5, 1001)))

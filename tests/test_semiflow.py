@@ -270,3 +270,53 @@ class TestDissipativity:
         params = ModelParams(layout16)
         rate = instability_growth_rate(params, T=5.0)
         assert rate == pytest.approx(params.eps.eps0, rel=0.1)
+
+
+def full_scan_bound(params, n_scan=161):
+    """The L2 bound scanned over every sampled x, not only the extremes of sin x."""
+    from nldlab import f
+    x = params.layout.grid
+    X = x[:: max(1, len(x) // 64), None, None]
+    S = np.linspace(-4.0, 4.0, n_scan)[None, :, None]
+    P = np.linspace(-4.0, 4.0, n_scan)[None, None, :]
+    return float(np.max(np.abs(S + f(X, S, P, params)))) * np.sqrt(2.0 * np.pi)
+
+
+def shape_sum_tails(seeds, params, T, record_every=100):
+    """Tail theta-norms of the IMEX march written out with f as the sum of the
+    public cutoff shapes, one step and one record at a time."""
+    from nldlab import eta, gamma, mu, mode_map, omega, w
+    lay, dt = params.layout, params.dt
+    kappa, eps0 = params.kappa, params.eps.eps0
+    D, K = mode_map(lay, "D"), mode_map(lay, "K", eps=params.eps)
+    q = mode_map(lay, "Q").values[:, None]
+    x = lay.grid[:, None]
+    C = np.column_stack(seeds)
+    tails = np.zeros(C.shape[1])
+    n_steps = int(round(T / dt))
+    for k in range(1, n_steps + 1):
+        s, p = lay.fft_synthesis(C), lay.fft_synthesis(D(C))
+        fs = (kappa * omega(s) * w(p) + eps0 * gamma(s)
+              + eps0 * eta(s) * (1.0 - np.sin(x)) + mu(s))
+        C = (C + dt * (lay.fft_analysis(fs) + K(C))) / (1.0 - dt * q)
+        if (k % record_every == 0 or k == n_steps) and k * dt >= T / 2.0:
+            tails = np.fmax(tails, theta_norm(lay, C, params.theta))
+    return tails
+
+
+class TestRegroupedKernel:
+    @pytest.mark.parametrize("kappa,eps0", [(1.25, 0.05), (2.0, 0.5)])
+    @pytest.mark.parametrize("N", [16, 128])
+    def test_two_row_bound_matches_full_scan(self, N, kappa, eps0):
+        params = ModelParams(BasisLayout(N), kappa=kappa, eps=EpsilonSequence(eps0))
+        full = full_scan_bound(params)
+        assert abs(nonlinearity_l2_bound(params) - full) <= 4 * np.finfo(float).eps * full
+
+    def test_probe_matches_shape_sum_stepper(self):
+        layout = BasisLayout(64)
+        params = ModelParams(layout)
+        seeds = [random_state(layout, s, params.theta, 10.0) for s in range(3)]
+        rep = dissipativity_probe([(f"r{s}", c) for s, c in enumerate(seeds)], params, T=0.4)
+        assert rep.failed == []
+        np.testing.assert_allclose(rep.tail_norms, shape_sum_tails(seeds, params, 0.4),
+                                   rtol=1e-12, atol=0)
