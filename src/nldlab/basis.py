@@ -6,9 +6,9 @@ n = 0..N, tile the space exactly, so the coupling operator K and the diagonal
 part Q act inside the truncation without spill.
 
 A state is a float array in layout order (see `BasisLayout`): a coefficient
-vector of shape (dim,), or a (dim, seeds) block with one state per column.
-Grid samples are plain (M,) or (M, seeds) arrays. The collocation transforms
-are real FFTs on the grid (`fft_synthesis`, `fft_analysis`); the dense
+vector of shape (dim,), or a (seeds, dim) block with one state per row.
+Grid samples are plain (M,) or (seeds, M) arrays. The collocation transforms
+are real FFTs along the last axis (`fft_synthesis`, `fft_analysis`); the dense
 matrices S and P are built only on request, as a test oracle. Fractional
 Sobolev norms live here; differentiation is one of the mode maps in
 `operators`.
@@ -89,25 +89,27 @@ class BasisLayout:
         of the grid offset x_j = -pi + 2 pi j / M."""
         return np.where(np.arange(self.N + 2) % 2 == 0, 1.0, -1.0)
 
-    def fft_synthesis(self, c: np.ndarray) -> np.ndarray:
-        """Grid samples of a coefficient vector, or of each column of a (dim, seeds)
-        block; equal to synthesis_matrix() @ c in O(M log M) per column.
-
-        a cos kx + b sin kx = Re((a - ib)(-1)^k e^(2 pi ijk/M)) on the grid, so the
-        half spectrum is X_0 = a_0, X_k = (-1)^k (a_k - i b_k) / 2 and an unscaled
-        inverse real FFT of length M sums it.
-        """
-        c = np.asarray(c, dtype=float)
+    def _half_spectrum(self, c: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Write the half spectrum of the coefficient rows c into the zeroed X and
+        return X. a cos kx + b sin kx = Re((a - ib)(-1)^k e^(2 pi ijk/M)) on the
+        grid, so X_0 = a_0, X_k = (-1)^k (a_k - i b_k) / 2, summed by an unscaled
+        inverse real FFT of length M."""
         n1 = self.N + 1
-        half = _along_axis0(0.5 * self._fft_phase, c.ndim)
-        X = np.zeros((self.M // 2 + 1,) + c.shape[1:], dtype=complex)
-        X.real[:n1] = half[:n1] * c[:n1]
-        X.real[0] = c[0]
-        X.imag[1:n1 + 1] = -half[1:] * c[n1:]
-        return np.fft.irfft(X, n=self.M, axis=0, norm="forward")
+        half = 0.5 * self._fft_phase
+        X.real[..., :n1] = half[:n1] * c[..., :n1]
+        X.real[..., 0] = c[..., 0]
+        X.imag[..., 1:n1 + 1] = -half[1:] * c[..., n1:]
+        return X
+
+    def fft_synthesis(self, c: np.ndarray) -> np.ndarray:
+        """Grid samples of a coefficient vector, or of each row of a (seeds, dim)
+        block; equal to synthesis_matrix() @ c in O(M log M) per row."""
+        c = np.asarray(c, dtype=float)
+        X = self._half_spectrum(c, np.zeros(c.shape[:-1] + (self.M // 2 + 1,), dtype=complex))
+        return np.fft.irfft(X, n=self.M, norm="forward")
 
     def fft_analysis(self, g: np.ndarray) -> np.ndarray:
-        """Coefficients of grid samples g (length M, or each column of an (M, seeds)
+        """Coefficients of grid samples g (length M, or each row of a (seeds, M)
         block); equal to analysis_matrix() @ g, by the forward real FFT that
         inverts fft_synthesis on the layout's modes.
 
@@ -116,14 +118,14 @@ class BasisLayout:
         grid); quadrature projection otherwise.
         """
         g = np.asarray(g, dtype=float)
-        if g.shape[0] != self.M:
-            raise ValueError(f"{g.shape[0]} samples do not match the grid size M={self.M}")
+        if g.shape[-1] != self.M:
+            raise ValueError(f"{g.shape[-1]} samples do not match the grid size M={self.M}")
         n1 = self.N + 1
-        scale = _along_axis0((2.0 / self.M) * self._fft_phase, g.ndim)
-        Y = np.fft.rfft(g, axis=0)[: n1 + 1]
-        a = scale[:n1] * Y.real[:n1]
-        a[0] = Y.real[0] / self.M
-        return np.concatenate([a, -scale[1:] * Y.imag[1:]])
+        scale = (2.0 / self.M) * self._fft_phase
+        Y = np.fft.rfft(g)[..., : n1 + 1]
+        a = scale[:n1] * Y.real[..., :n1]
+        a[..., 0] = Y.real[..., 0] / self.M
+        return np.concatenate([a, -scale[1:] * Y.imag[..., 1:]], axis=-1)
 
     def synthesis_matrix(self) -> np.ndarray:
         """S with S[j, i] = (i-th basis function)(x_j), shape (M, dim); the dense
@@ -145,11 +147,6 @@ class BasisLayout:
         return S, P
 
 
-def _along_axis0(v: np.ndarray, ndim: int) -> np.ndarray:
-    """v shaped to broadcast along axis 0 of an ndim-dimensional array."""
-    return v.reshape(v.shape + (1,) * (ndim - 1))
-
-
 def analysis_residual(layout: BasisLayout, g: np.ndarray) -> float:
     """Grid L2 magnitude of the content fft_analysis cannot represent.
 
@@ -163,14 +160,13 @@ def analysis_residual(layout: BasisLayout, g: np.ndarray) -> float:
 
 def theta_norm(layout: BasisLayout, c: np.ndarray, alpha: float):
     """Norm of A^alpha c in L2(Gamma), A = I - d2/dx2: a float for a coefficient
-    vector, one norm per column for a (dim, seeds) block.
+    vector, one norm per row for a (seeds, dim) block.
 
     ||c||_alpha^2 = 2*pi*a0^2 + pi * sum (1+n^2)^(2*alpha) (a_n^2 + b_n^2),
     with the convention ||1||^2 = 2*pi, ||cos nx||^2 = ||sin nx||^2 = pi.
     """
     lam = (1.0 + layout.mode_orders.astype(float) ** 2) ** alpha
-    # one contiguous row per state, so a column sums exactly as a lone vector
-    sq = np.ascontiguousarray((lam * np.asarray(c, dtype=float).T) ** 2)
+    sq = (lam * np.asarray(c, dtype=float)) ** 2
     n1 = layout.N + 1
     total = 2.0 * np.pi * sq[..., 0]
     total += np.pi * np.sum(sq[..., 1:n1], axis=-1)

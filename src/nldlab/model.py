@@ -19,7 +19,7 @@ once per argument and no cube, as f = chi(s)*core - (1 - chi(s))*s with
 exactly -eps0 sin x at (s, p) = (1, 0) and exactly -s for |s| >= 2. The partial
 derivatives are analytic (product rule on this form); finite differences exist
 only as a test oracle. The bounded part f + Ku of F is written once, in
-`explicit_part`, which the IMEX stepper uses.
+`explicit_part`, which the IMEX stepper applies to a (seeds, dim) block of rows.
 """
 
 from __future__ import annotations
@@ -81,16 +81,17 @@ def _core(x, s, w_p, params: ModelParams):
 
 
 def f(x, s, p, params: ModelParams):
-    """The nonlinearity, vectorized over broadcastable x, s, p."""
+    """The nonlinearity, vectorized over broadcastable x, s, p. The core is read at
+    s clipped to [-2, 2], so it cannot overflow where chi(s) = 0."""
     blend = ct.Blend(s)
     chi, s = blend.chi, blend.s
-    return chi * _core(x, s, ct.Blend(p).shape("w"), params) - (1.0 - chi) * s
+    return chi * _core(x, np.clip(s, -2.0, 2.0), ct.Blend(p).shape("w"), params) - (1.0 - chi) * s
 
 
 def f_s(x, s, p, params: ModelParams):
     """Analytic partial derivative of f in s."""
     blend = ct.Blend(s)
-    chi, s = blend.chi, blend.s
+    chi, s = blend.chi, np.clip(blend.s, -2.0, 2.0)
     w_p = ct.Blend(p).shape("w")
     core_s = (params.kappa * w_p
               + params.eps.eps0 * ((3.0 * s - 2.0) * s + (3.0 * s - 4.0) * s * np.sin(x)))
@@ -103,19 +104,31 @@ def f_p(x, s, p, params: ModelParams):
 
 
 def explicit_part(params: ModelParams, with_f: bool = True, with_K: bool = True):
-    """The map C -> P f(x, S C, S DC) + KC on a (dim, seeds) block of coefficient
-    columns, with S and P applied as the layout's FFT pair (C and DC are
-    synthesized in one call); with_f / with_K drop either term."""
+    """The map C -> P f(x, S C, S DC) + KC on a (seeds, dim) block of coefficient
+    rows, with S and P applied as the layout's FFT pair; with_f / with_K drop
+    either term. One inverse FFT samples C and DC: the spectrum holds C's half
+    spectrum above DC's, ik times it for k = 1..N (the top sine's image is
+    dropped, as in the D map). Spectrum and samples are allocated once per block
+    height: fresh ones cost about 200 page faults per step at N = 1024."""
     lay = params.layout
-    x = lay.grid[:, None]
-    D = mode_map(lay, "D")
+    x = lay.grid
+    n1 = lay.N + 1
+    k = np.arange(1.0, n1)
     K = mode_map(lay, "K", eps=params.eps)
+    work = {}
 
     def explicit(C: np.ndarray) -> np.ndarray:
         if with_f:
-            width = C.shape[1]
-            samples = lay.fft_synthesis(np.hstack([C, D(C)]))
-            out = lay.fft_analysis(f(x, samples[:, :width], samples[:, width:], params))
+            width = len(C)
+            if width not in work:
+                work[width] = (np.zeros((2 * width, lay.M // 2 + 1), dtype=complex),
+                               np.empty((2 * width, lay.M)))
+            X, samples = work[width]
+            half = lay._half_spectrum(C, X[:width])
+            X.real[width:, 1:n1] = -k * half.imag[:, 1:n1]
+            X.imag[width:, 1:n1] = k * half.real[:, 1:n1]
+            np.fft.irfft(X, n=lay.M, norm="forward", out=samples)
+            out = lay.fft_analysis(f(x, samples[:width], samples[width:], params))
         else:
             out = np.zeros_like(C)
         return out + K(C) if with_K else out
@@ -128,4 +141,4 @@ def evaluate_F(u: np.ndarray, params: ModelParams) -> np.ndarray:
     evaluated pseudospectrally."""
     lay = params.layout
     ux = mode_map(lay, "D")(u)
-    return u + mode_map(lay, "J")(ux) + explicit_part(params)(u[:, None])[:, 0]
+    return u + mode_map(lay, "J")(ux) + explicit_part(params)(u[None])[0]

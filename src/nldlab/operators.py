@@ -14,9 +14,10 @@ Every operator is defined once, by its exact action on basis modes:
     A - J d/dx   cos nx -> (1+n+n^2) cos nx,  sin mx -> (1-m+m^2) sin mx
 
 `mode_map` holds this table as sparse (row, col, value) maps; a map is applied
-by calling it on a coefficient vector or a (dim, seeds) block, and `assemble`
-gives its dense (dim, dim) matrix. The IMEX stepper's Q diagonal and D, K maps
-and the Q, K, D of the linearization are read from the same table.
+by calling it on a coefficient vector or a (seeds, dim) block of state rows,
+run by run as slice products along the last axis, and `assemble` gives its
+dense (dim, dim) matrix. The IMEX stepper's Q diagonal and K map and the
+Q, K, D of the linearization are read from the same table.
 
 Q and A - J d/dx are given by these closed-form diagonals rather than by
 composing matrices: the matrix composition loses the top sine mode (the
@@ -32,6 +33,7 @@ close under it, which is the point of the block-aligned truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -92,14 +94,22 @@ class _ModeMap:
     cols: np.ndarray
     values: np.ndarray
 
+    @cached_property
+    def _runs(self) -> list:
+        """The table cut into runs of consecutive rows against consecutive cols,
+        as (row slice, col slice, values) in table order."""
+        cut = np.flatnonzero((np.diff(self.rows) != 1) | (np.diff(self.cols) != 1)) + 1
+        return [(slice(self.rows[a], self.rows[b - 1] + 1),
+                 slice(self.cols[a], self.cols[b - 1] + 1), self.values[a:b])
+                for a, b in zip(np.r_[0, cut], np.r_[cut, len(self.rows)])]
+
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        """Image of the flat coefficient vector c, or of each column of a
-        (dim, seeds) block; the terms of a recurring row sum."""
-        block = c.reshape(len(c), -1)
-        width = block.shape[1]
-        slots = (self.rows[:, None] * width + np.arange(width)).ravel()
-        terms = (self.values[:, None] * block[self.cols]).ravel()
-        return np.bincount(slots, weights=terms, minlength=block.size).reshape(c.shape)
+        """Image of the coefficient vector c, or of each row of a (seeds, dim) block,
+        one slice product per run; a recurring row sums its terms in table order."""
+        out = np.zeros(np.shape(c))
+        for rows, cols, values in self._runs:
+            out[..., rows] += values * c[..., cols]
+        return out
 
 
 def _diagonal(cos_values: np.ndarray, sin_values: np.ndarray) -> _ModeMap:
@@ -120,7 +130,7 @@ def mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = No
     """The table of the module docstring: the one definition of each operator.
 
     The returned map is applied by calling it on a coefficient vector or on a
-    (dim, seeds) block; K needs eps and Qkappa needs kappa.
+    (seeds, dim) block; K needs eps and Qkappa needs kappa.
     """
     N = layout.N
     n = layout.cos_orders.astype(float)

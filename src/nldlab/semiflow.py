@@ -7,8 +7,8 @@ every term vanishes identically, and at u = 1 the f-term and K1 cancel in
 coefficients because the grid analysis of degree-one trigonometric data is
 exact.
 
-One march steps a (dim, seeds) block of states, one per column, through the
-layout's FFT transforms: `step_imex` and `integrate` are its one-column case,
+One march steps a (seeds, dim) block of states, one contiguous row each, through
+the layout's FFT transforms: `step_imex` and `integrate` are its one-row case,
 and the multi-seed empirical dissipativity probe marches all seeds at once.
 Also here: stationary residuals in the theta-norm and the closed-form
 absorbing radius C*M*Gamma(1-theta)*delta^(theta-1) with its quadrature
@@ -83,34 +83,34 @@ class DissipativityReport:
 
 
 def _imex_step(params: ModelParams, with_f: bool = True, with_K: bool = True):
-    """The map C -> (I - dt Q)^(-1) (C + dt * explicit part) on a (dim, seeds) block,
-    one state per column."""
+    """The map C -> (I - dt Q)^(-1) (C + dt * explicit part) on a (seeds, dim) block,
+    one state per row."""
     explicit = explicit_part(params, with_f, with_K)
-    inv_implicit = 1.0 / (1.0 - params.dt * mode_map(params.layout, "Q").values)[:, None]
+    inv_implicit = 1.0 / (1.0 - params.dt * mode_map(params.layout, "Q").values)
     dt = params.dt
     return lambda C: (C + dt * explicit(C)) * inv_implicit
 
 
 def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int,
            with_f: bool = True, with_K: bool = True):
-    """Step the (dim, seeds) block C n_steps times, one state per column.
+    """Step the (seeds, dim) block C n_steps times, one state per row.
 
-    Yields (k, cols, C) at step 0, every record_every-th step and the last one.
-    A column that is no longer finite at such a step is dropped there; cols
-    holds the original index of every column still marching. Columns never mix,
-    so dropping one leaves the others unchanged. Stops once no column is left.
+    Yields (k, rows, C) at step 0, every record_every-th step and the last one.
+    A row that is no longer finite at such a step is dropped there; rows holds
+    the original index of every row still marching. Rows never mix, so
+    dropping one leaves the others unchanged. Stops once no row is left.
     """
     step = _imex_step(params, with_f, with_K)
-    cols = np.arange(C.shape[1])
-    yield 0, cols, C
+    rows = np.arange(len(C))
+    yield 0, rows, C
     for k in range(1, n_steps + 1):
         C = step(C)
         if k % record_every == 0 or k == n_steps:
-            finite = np.all(np.isfinite(C), axis=0)
+            finite = np.all(np.isfinite(C), axis=1)
             if not finite.all():
-                C, cols = C[:, finite], cols[finite]
-            yield k, cols, C
-            if not cols.size:
+                C, rows = C[finite], rows[finite]
+            yield k, rows, C
+            if not rows.size:
                 return
 
 
@@ -125,7 +125,7 @@ def step_imex(u: np.ndarray, dt: float, params: ModelParams,
         raise ValueError("dt must be positive")
     if dt != params.dt:
         params = replace(params, dt=dt)
-    c_new = _imex_step(params, with_f, with_K)(u[:, None])[:, 0]
+    c_new = _imex_step(params, with_f, with_K)(u[None])[0]
     if not np.all(np.isfinite(c_new)):
         raise RuntimeError("non-finite state after one step; reduce dt")
     return c_new
@@ -167,15 +167,15 @@ def integrate(u0: np.ndarray, params: ModelParams, T: float | None = None,
     alpha = params.theta
 
     times, states, norms = [], [], []
-    for k, cols, C in _march(np.asarray(u0, dtype=float)[:, None], params, n_steps,
+    for k, rows, C in _march(np.asarray(u0, dtype=float)[None], params, n_steps,
                              record_every, with_f, with_K):
-        if not cols.size:
+        if not rows.size:
             raise RuntimeError(
                 f"non-finite state at t = {k * params.dt:.6g}; reduce dt "
                 f"(CFL number {number:.3g})")
         times.append(k * params.dt)
-        states.append(C[:, 0])
-        norms.append(theta_norm(params.layout, C[:, 0], alpha))
+        states.append(C[0])
+        norms.append(theta_norm(params.layout, C[0], alpha))
     return Trajectory(params, np.array(times), states, np.array(norms))
 
 
@@ -222,7 +222,8 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
     tail max over the records in [T/2, T].
 
     seeds is a list of (label, state) pairs; a seed whose state stops being
-    finite is marked failed and dropped, and the others march on unchanged.
+    finite is dropped, and the others march on unchanged. It is marked failed,
+    with a NaN tail, as is a seed whose theta-norm overflows.
     delta defaults to 1 - eps0: the minimum eigenvalue of A - J d/dx is exactly
     1 and K perturbs it by at most ||K|| = eps0.
     """
@@ -239,13 +240,14 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
     a_formula = absorbing_radius(C, M_scan, delta, params.theta)
 
     n_steps = int(round(horizon / params.dt))
-    block = np.column_stack([seed for _, seed in seeds])
+    block = np.array([seed for _, seed in seeds], dtype=float)
     tails = np.full(len(seeds), np.nan)
     for k, alive, states in _march(block, params, n_steps, record_every):
         if k * params.dt >= horizon / 2.0:
             norms = theta_norm(params.layout, states, params.theta)
             tails[alive] = np.fmax(tails[alive], norms)
-    failed = np.setdiff1d(np.arange(len(seeds)), alive)
+    tails[np.setdiff1d(np.arange(len(seeds)), alive)] = np.nan
+    failed = np.flatnonzero(~np.isfinite(tails))
     tails[failed] = np.nan
     entered = [bool(tail <= a_formula) for tail in tails]
     finite_tails = tails[np.isfinite(tails)]
@@ -264,6 +266,6 @@ def instability_growth_rate(params: ModelParams, amplitude: float = 1e-6,
     """
     one = stationary_state("u1", params.layout)
     traj = integrate((1.0 + amplitude) * one, params, T=T, record_every=record_every)
-    dev = theta_norm(params.layout, np.column_stack(traj.states) - one[:, None], params.theta)
+    dev = theta_norm(params.layout, np.array(traj.states) - one, params.theta)
     slope = np.polyfit(traj.times, np.log(dev), 1)[0]
     return float(slope)

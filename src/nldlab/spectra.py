@@ -170,7 +170,7 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
 
     Q and K are written from their mode maps into one zeroed matrix (their
     supports are disjoint), u and u_x are sampled by one FFT synthesis of a
-    two-column block, each multiplier is built from the moments of its samples,
+    two-row block, each multiplier is built from the moments of its samples,
     and M_{f_p} D is a column gather along the D mode map, 64 rows at a time; a
     multiplier whose samples are all zero is skipped, which leaves every entry
     unchanged. No dense S, P or D is formed, and no temporary as large as T but
@@ -178,7 +178,7 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     """
     lay = params.layout
     d = mode_map(lay, "D")
-    us, uxs = lay.fft_synthesis(np.stack([u, d(u)], axis=1)).T
+    us, uxs = lay.fft_synthesis(np.stack([u, d(u)]))
     fs_samp = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
     fp_samp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
     entries = np.zeros((lay.dim, lay.dim))

@@ -101,27 +101,27 @@ class TestFFTPair:
     @pytest.mark.parametrize("lay", FFT_LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")
     @pytest.mark.parametrize("width", [None, 5])
     def test_matches_dense_matrices(self, lay, width, rng):
-        shape = (lambda n: (n,)) if width is None else (lambda n: (n, width))
+        shape = (lambda n: (n,)) if width is None else (lambda n: (width, n))
         c = rng.standard_normal(shape(lay.dim))
         g = rng.standard_normal(shape(lay.M))
         S, P = lay.synthesis_matrix(), lay.analysis_matrix()
         samples, coeffs = lay.fft_synthesis(c), lay.fft_analysis(g)
         assert samples.shape == shape(lay.M) and coeffs.shape == shape(lay.dim)
-        assert relative_error(samples, S @ c) <= 1e-12
-        assert relative_error(coeffs, P @ g) <= 1e-12
+        assert relative_error(samples, c @ S.T) <= 1e-12
+        assert relative_error(coeffs, g @ P.T) <= 1e-12
 
     @pytest.mark.parametrize("lay", FFT_LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")
     def test_zero_block_maps_to_exact_zeros(self, lay):
-        assert np.all(lay.fft_synthesis(np.zeros((lay.dim, 5))) == 0.0)
-        assert np.all(lay.fft_analysis(np.zeros((lay.M, 5))) == 0.0)
+        assert np.all(lay.fft_synthesis(np.zeros((5, lay.dim))) == 0.0)
+        assert np.all(lay.fft_analysis(np.zeros((5, lay.M))) == 0.0)
 
     def test_columns_transform_independently(self, layout16, rng):
-        block = rng.standard_normal((layout16.dim, 5))
+        block = rng.standard_normal((5, layout16.dim))
         samples = layout16.fft_synthesis(block)
         for j in range(5):
-            np.testing.assert_array_equal(samples[:, j], layout16.fft_synthesis(block[:, j]))
-            np.testing.assert_array_equal(layout16.fft_analysis(samples)[:, j],
-                                          layout16.fft_analysis(samples[:, j]))
+            np.testing.assert_array_equal(samples[j], layout16.fft_synthesis(block[j]))
+            np.testing.assert_array_equal(layout16.fft_analysis(samples)[j],
+                                          layout16.fft_analysis(samples[j]))
 
 
 class TestDifferentiate:
@@ -189,10 +189,10 @@ class TestThetaNorm:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.875])
     def test_block_gives_the_column_norms(self, layout16, rng, alpha):
-        block = rng.standard_normal((layout16.dim, 5))
+        block = rng.standard_normal((5, layout16.dim))
         norms = theta_norm(layout16, block, alpha)
         assert norms.shape == (5,)
-        columns = np.array([theta_norm(layout16, block[:, j], alpha) for j in range(5)])
+        columns = np.array([theta_norm(layout16, block[j], alpha) for j in range(5)])
         assert np.max(np.abs(norms - columns) / columns) <= 1e-15
 
 

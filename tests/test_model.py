@@ -204,3 +204,27 @@ class TestRegroupedKernel:
         s = np.array([-9.0, -2.0, 2.0, 2.0 + 1e-12, 4.0])[:, None]
         for p in (-2.0, -1.5, 0.0, 0.7, 3.0):
             np.testing.assert_array_equal(f(x, s, p, params32), np.broadcast_to(-s, (5, 1001)))
+
+
+class TestFarFieldOverflow:
+    """f and f_s stay exactly -s and -1 where the polynomial core would overflow."""
+
+    def test_huge_positive_s(self, params32):
+        with np.errstate(over="raise", invalid="raise"):
+            assert f(0.3, 1e150, 0.0, params32) == -1e150
+            assert f_s(0.3, 1e150, 0.0, params32) == -1.0
+
+    def test_huge_negative_s(self, params32):
+        with np.errstate(over="raise", invalid="raise"):
+            assert f(0.3, -1e300, 0.5, params32) == 1e300
+            assert f_s(0.3, -1e300, 0.5, params32) == -1.0
+
+    def test_band_values_are_the_unclipped_core(self, params32):
+        # |s| <= 2 is where the core is read; clipping there changes no bit
+        from nldlab import cutoffs as ct
+        from nldlab.model import _core
+        rng = np.random.default_rng(5)
+        x, s, p = rng.uniform(-np.pi, np.pi, 100000), *rng.uniform(-2.0, 2.0, (2, 100000))
+        chi = ct.Blend(s).chi
+        unclipped = chi * _core(x, s, ct.Blend(p).shape("w"), params32) - (1.0 - chi) * s
+        np.testing.assert_array_equal(f(x, s, p, params32), unclipped)

@@ -243,15 +243,15 @@ class TestAssembly:
 
     @pytest.mark.parametrize("name", OPS)
     def test_mode_map_acts_on_blocks_column_by_column(self, name, layout16, rng):
-        # the batched stepper applies the maps to (dim, seeds) blocks; Qkappa's
+        # the batched stepper applies the maps to (seeds, dim) blocks; Qkappa's
         # rows recur, so its block image needs the per-row sums too
         op = mode_map(layout16, name, eps=EPS, kappa=1.25)
-        block = rng.standard_normal((layout16.dim, 5))
+        block = rng.standard_normal((5, layout16.dim))
         image = op(block)
-        np.testing.assert_allclose(image, assemble(layout16, name, eps=EPS, kappa=1.25)
-                                   @ block, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(image, block @ assemble(layout16, name, eps=EPS, kappa=1.25).T,
+                                   rtol=0, atol=1e-12)
         for j in range(5):
-            np.testing.assert_array_equal(image[:, j], op(block[:, j]))
+            np.testing.assert_array_equal(image[j], op(block[j]))
 
     @pytest.mark.parametrize("name", [op for op in OPS if op not in ("D", "reflect")])
     def test_matrix_columns_equal_mode_action(self, name, layout16):
@@ -385,3 +385,22 @@ class TestMultiplierFromMoments:
         # scale of the multiplier part elsewhere
         np.testing.assert_allclose(built, dense, rtol=1e-13,
                                    atol=1e-13 * np.abs(multipliers).max())
+
+
+class TestSliceApplication:
+    """Mode maps act run by run as slice products along the last axis."""
+
+    @pytest.mark.parametrize("name", TestAssembly.OPS)
+    def test_block_rows_equal_lone_vectors(self, name, layout16, rng):
+        op = mode_map(layout16, name, eps=EPS, kappa=1.25)
+        block = rng.standard_normal((5, layout16.dim))
+        image = op(block)
+        for j in range(5):
+            np.testing.assert_array_equal(image[j], op(block[j]))
+        oracle = block @ assemble(layout16, name, eps=EPS, kappa=1.25).T
+        assert np.max(np.abs(image - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+    def test_pair_maps_are_two_runs(self, layout16):
+        for name in ("J", "G", "D", "K"):
+            assert len(mode_map(layout16, name, eps=EPS)._runs) == 2
+        assert len(mode_map(layout16, "Qkappa", kappa=1.25)._runs) == 3

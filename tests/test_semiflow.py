@@ -289,10 +289,10 @@ def shape_sum_tails(seeds, params, T, record_every=100):
     lay, dt = params.layout, params.dt
     kappa, eps0 = params.kappa, params.eps.eps0
     D, K = mode_map(lay, "D"), mode_map(lay, "K", eps=params.eps)
-    q = mode_map(lay, "Q").values[:, None]
-    x = lay.grid[:, None]
-    C = np.column_stack(seeds)
-    tails = np.zeros(C.shape[1])
+    q = mode_map(lay, "Q").values
+    x = lay.grid
+    C = np.array(seeds)
+    tails = np.zeros(C.shape[0])
     n_steps = int(round(T / dt))
     for k in range(1, n_steps + 1):
         s, p = lay.fft_synthesis(C), lay.fft_synthesis(D(C))
@@ -320,3 +320,74 @@ class TestRegroupedKernel:
         assert rep.failed == []
         np.testing.assert_allclose(rep.tail_norms, shape_sum_tails(seeds, params, 0.4),
                                    rtol=1e-12, atol=0)
+
+
+class TestSeedMajorMarch:
+    """The block march keeps one state per row and takes the derivative's
+    samples from the synthesis spectrum."""
+
+    @pytest.mark.parametrize("N", [4, 16, 127, 1024])
+    def test_folded_derivative_samples_are_the_synthesis_of_D(self, N, monkeypatch):
+        import nldlab.model as model
+        from nldlab import mode_map
+        params = ModelParams(BasisLayout(N))
+        lay = params.layout
+        C = np.random.default_rng(N).standard_normal((5, lay.dim))
+        assert np.all(C[:, -1] != 0.0)   # the top sine, whose image d/dx drops
+        seen = []
+
+        def capture(x, s, p, params):
+            seen.append((s.copy(), p.copy()))
+            return np.zeros_like(s)
+
+        monkeypatch.setattr(model, "f", capture)
+        model.explicit_part(params)(C)
+        s, p = seen[0]
+        np.testing.assert_array_equal(s, lay.fft_synthesis(C))
+        np.testing.assert_array_equal(p, lay.fft_synthesis(mode_map(lay, "D")(C)))
+
+    def test_probe_makes_no_bincount_call(self, params32, monkeypatch):
+        def no_bincount(*args, **kwargs):
+            raise AssertionError("np.bincount called in the march")
+
+        lay = params32.layout
+        seeds = [(f"r{s}", random_state(lay, s, params32.theta, 10.0)) for s in range(3)]
+        monkeypatch.setattr(np, "bincount", no_bincount)
+        assert dissipativity_probe(seeds, params32, T=0.05).failed == []
+
+    def test_block_rows_end_bit_equal_to_one_seed_integration(self, params32):
+        from nldlab.semiflow import _march
+        lay = params32.layout
+        seeds = [random_state(lay, s, params32.theta, 10.0) for s in range(4)]
+        T = 0.3
+        n_steps = int(round(T / params32.dt))
+        *_, (_, rows, final) = _march(np.array(seeds), params32, n_steps, 100)
+        rep = dissipativity_probe([(f"r{s}", c) for s, c in enumerate(seeds)], params32, T=T)
+        np.testing.assert_array_equal(rows, np.arange(4))
+        for c, row, tail in zip(seeds, final, rep.tail_norms):
+            alone = integrate(c, params32, T=T)
+            np.testing.assert_array_equal(row, alone.final_state())
+            assert tail == alone.tail_max_norm(T / 2.0)
+
+    # float.hex of the probe outputs before the march moved to rows
+    GOLDEN = {
+        32: (4, 2.0, "0x1.075f8697fcc4ap+3", "0x1.7c079dc05eb8ep-6",
+             ["0x1.e5ac6512602d7p-8", "0x1.7c079dc05eb8ep-6", "0x1.02799dec01208p-7",
+              "0x1.22cb44f830f7dp-6"]),
+        128: (10, 0.5, "0x1.075e1a3101888p+3", "0x1.64c9fb0c963b5p-10",
+              ["0x1.9c124ad146444p-11", "0x1.f70c71ee84ec0p-12", "0x1.c5dcea68c495ap-12",
+               "0x1.64c9fb0c963b5p-10", "0x1.31d8c819cc565p-11", "0x1.7b54d585794f5p-11",
+               "0x1.9e5564be5ca83p-11", "0x1.56997292f5ae6p-11", "0x1.24e4b087156dbp-10",
+               "0x1.c1f280288c431p-12"]),
+    }
+
+    @pytest.mark.parametrize("N", sorted(GOLDEN))
+    def test_probe_outputs_are_pinned_bit_for_bit(self, N):
+        n_seeds, T, m_scan, a_emp, tails = self.GOLDEN[N]
+        params = ModelParams(BasisLayout(N))
+        seeds = [(f"r{s}", random_state(params.layout, s, params.theta, 10.0))
+                 for s in range(n_seeds)]
+        rep = dissipativity_probe(seeds, params, T=T)
+        assert rep.M_scan.hex() == m_scan
+        assert rep.a_emp.hex() == a_emp
+        assert [t.hex() for t in rep.tail_norms] == tails
