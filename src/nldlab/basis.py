@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # loaded here, not lazily inside the first transform
 
 __all__ = [
     "BasisLayout",
@@ -108,24 +109,29 @@ class BasisLayout:
         X = self._half_spectrum(c, np.zeros(c.shape[:-1] + (self.M // 2 + 1,), dtype=complex))
         return np.fft.irfft(X, n=self.M, norm="forward")
 
-    def fft_analysis(self, g: np.ndarray) -> np.ndarray:
+    def fft_analysis(self, g: np.ndarray, out=None, spectrum=None) -> np.ndarray:
         """Coefficients of grid samples g (length M, or each row of a (seeds, M)
         block); equal to analysis_matrix() @ g, by the forward real FFT that
         inverts fft_synthesis on the layout's modes.
 
         Exact coefficients for band-limited input (any trig polynomial of degree
         <= N+1, in fact <= M/2 - N - 2 beyond that stays orthogonal on this
-        grid); quadrature projection otherwise.
+        grid); quadrature projection otherwise. out (float, (..., dim)) and
+        spectrum (complex, (..., M/2 + 1)) receive the coefficients and the
+        FFT; they are allocated when not given.
         """
         g = np.asarray(g, dtype=float)
         if g.shape[-1] != self.M:
             raise ValueError(f"{g.shape[-1]} samples do not match the grid size M={self.M}")
         n1 = self.N + 1
         scale = (2.0 / self.M) * self._fft_phase
-        Y = np.fft.rfft(g)[..., : n1 + 1]
-        a = scale[:n1] * Y.real[..., :n1]
-        a[..., 0] = Y.real[..., 0] / self.M
-        return np.concatenate([a, -scale[1:] * Y.imag[..., 1:]], axis=-1)
+        Y = np.fft.rfft(g, out=spectrum)[..., : n1 + 1]
+        if out is None:
+            out = np.empty(g.shape[:-1] + (self.dim,))
+        np.multiply(scale[:n1], Y.real[..., :n1], out=out[..., :n1])
+        out[..., 0] = Y.real[..., 0] / self.M
+        np.multiply(-scale[1:], Y.imag[..., 1:], out=out[..., n1:])
+        return out
 
     def synthesis_matrix(self) -> np.ndarray:
         """S with S[j, i] = (i-th basis function)(x_j), shape (M, dim); the dense
@@ -164,14 +170,31 @@ def theta_norm(layout: BasisLayout, c: np.ndarray, alpha: float):
 
     ||c||_alpha^2 = 2*pi*a0^2 + pi * sum (1+n^2)^(2*alpha) (a_n^2 + b_n^2),
     with the convention ||1||^2 = 2*pi, ||cos nx||^2 = ||sin nx||^2 = pi.
+    A finite row whose sum of squares overflows is summed again divided by its
+    largest |coefficient|, so a norm reads inf only when it exceeds the float
+    range; every other row keeps the plain sum's bits.
     """
     lam = (1.0 + layout.mode_orders.astype(float) ** 2) ** alpha
-    sq = (lam * np.asarray(c, dtype=float)) ** 2
+    c = np.asarray(c, dtype=float)
     n1 = layout.N + 1
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.atleast_1d(_square_sum(lam * c, n1)))
+        over = np.isinf(norm)
+        if over.any():
+            rows = c.reshape(-1, layout.dim)
+            over &= np.all(np.isfinite(rows), axis=1)
+            scale = np.max(np.abs(rows[over]), axis=1, keepdims=True)
+            norm[over] = scale[:, 0] * np.sqrt(_square_sum(lam * (rows[over] / scale), n1))
+    return float(norm[0]) if c.ndim == 1 else norm
+
+
+def _square_sum(weighted: np.ndarray, n1: int):
+    """2*pi*w_0^2 + pi * sum of the other w_i^2, along the last axis."""
+    sq = weighted**2
     total = 2.0 * np.pi * sq[..., 0]
     total += np.pi * np.sum(sq[..., 1:n1], axis=-1)
     total += np.pi * np.sum(sq[..., n1:], axis=-1)
-    return float(np.sqrt(total)) if sq.ndim == 1 else np.sqrt(total)
+    return total
 
 
 def random_state(layout: BasisLayout, seed: int, alpha: float, norm: float) -> np.ndarray:

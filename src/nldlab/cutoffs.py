@@ -95,15 +95,19 @@ class Blend:
     chi' only when a slope is. On the band chi = up / (up + down).
     """
 
-    def __init__(self, s):
+    def __init__(self, s, out=None):
+        """out, a float array of the shape of s, receives chi; by default chi
+        gets an array of its own."""
         self.s = np.asarray(s, dtype=float)
-        az = np.asarray(np.abs(self.s))
-        self.chi = np.array(az <= 1.0, dtype=float)
+        az = np.abs(self.s, out=np.empty_like(self.s) if out is None else out)
         self._band = (az > 1.0) & (az < 2.0)
-        if self._band.any():
+        in_band = self._band.any()
+        if in_band:
             self._az = az[self._band]
             self._up = np.exp(-1.0 / (2.0 - self._az))
             self._down = np.exp(-1.0 / (self._az - 1.0))
+        self.chi = np.less_equal(az, 1.0, out=az)
+        if in_band:
             self.chi[self._band] = self._up / (self._up + self._down)
 
     @cached_property

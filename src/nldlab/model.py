@@ -74,18 +74,51 @@ class ModelParams:
         return float(np.sqrt(self.kappa**2 - 1.0))
 
 
-def _core(x, s, w_p, params: ModelParams):
+def _core(x, s, w_p, params: ModelParams, work=None):
     """kappa*s*w_p + eps0*s^2*((s - 1) + (s - 2) sin x), the sum of the chi-blended
-    shapes omega, gamma and eta (each with its coefficient) divided by chi(s)."""
-    return params.kappa * s * w_p + params.eps.eps0 * (s * s) * ((s - 1.0) + (s - 2.0) * np.sin(x))
+    shapes omega, gamma and eta (each with its coefficient) divided by chi(s).
+
+    Evaluated in that rounding order into work[0], with work[1] and work[2] as
+    scratch: three arrays of the broadcast shape, allocated when not given."""
+    if work is None:
+        shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(w_p))
+        work = [np.empty(shape) for _ in range(3)]
+    out, bracket, cubic = work
+    np.multiply(params.kappa, s, out=out)
+    out *= w_p
+    np.subtract(s, 2.0, out=cubic)
+    cubic *= np.sin(x)
+    np.subtract(s, 1.0, out=bracket)
+    bracket += cubic
+    np.multiply(s, s, out=cubic)
+    cubic *= params.eps.eps0
+    cubic *= bracket
+    out += cubic
+    return out
 
 
-def f(x, s, p, params: ModelParams):
+def f(x, s, p, params: ModelParams, work=None):
     """The nonlinearity, vectorized over broadcastable x, s, p. The core is read at
-    s clipped to [-2, 2], so it cannot overflow where chi(s) = 0."""
-    blend = ct.Blend(s)
-    chi, s = blend.chi, blend.s
-    return chi * _core(x, np.clip(s, -2.0, 2.0), ct.Blend(p).shape("w"), params) - (1.0 - chi) * s
+    s clipped to [-2, 2], so it cannot overflow where chi(s) = 0.
+
+    work, a float array of shape (6,) + the broadcast shape, holds every
+    intermediate and the value (work[0], which is returned): a march that
+    passes the same work each step allocates nothing of the samples' size.
+    Without it f allocates its own."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(p))
+    if work is None:
+        work = np.empty((6,) + shape)
+    value, chi, w_p, clipped, bracket, cubic = (work[i, ...] for i in range(6))
+    s = np.broadcast_to(np.asarray(s, dtype=float), shape)
+    p = np.broadcast_to(np.asarray(p, dtype=float), shape)
+    chi = ct.Blend(s, out=chi).chi
+    w_p = np.multiply(ct.Blend(p, out=w_p).chi, p, out=w_p)   # w(p) = chi(p) p
+    _core(x, np.clip(s, -2.0, 2.0, out=clipped), w_p, params, (value, bracket, cubic))
+    value *= chi
+    chi = np.subtract(1.0, chi, out=chi)
+    chi *= s
+    value -= chi   # chi * core - (1 - chi) * s
+    return value[()]
 
 
 def f_s(x, s, p, params: ModelParams):
@@ -108,30 +141,37 @@ def explicit_part(params: ModelParams, with_f: bool = True, with_K: bool = True)
     rows, with S and P applied as the layout's FFT pair; with_f / with_K drop
     either term. One inverse FFT samples C and DC: the spectrum holds C's half
     spectrum above DC's, ik times it for k = 1..N (the top sine's image is
-    dropped, as in the D map). Spectrum and samples are allocated once per block
-    height: fresh ones cost about 200 page faults per step at N = 1024."""
+    dropped, as in the D map). The spectrum, the samples, f's work arrays, the
+    forward FFT and the coefficients are buffers allocated once per block
+    height, so a step allocates nothing of the samples' size: with fresh arrays
+    each step the C heap shrank and grew back, 100-150 page faults per step at
+    N = 1024 with three seeds (`getrusage`)."""
     lay = params.layout
     x = lay.grid
     n1 = lay.N + 1
     k = np.arange(1.0, n1)
     K = mode_map(lay, "K", eps=params.eps)
-    work = {}
+    buffers = {}
 
     def explicit(C: np.ndarray) -> np.ndarray:
         if with_f:
             width = len(C)
-            if width not in work:
-                work[width] = (np.zeros((2 * width, lay.M // 2 + 1), dtype=complex),
-                               np.empty((2 * width, lay.M)))
-            X, samples = work[width]
+            if width not in buffers:
+                bins = lay.M // 2 + 1
+                buffers[width] = (np.zeros((2 * width, bins), dtype=complex),
+                                  np.empty((2 * width, lay.M)), np.empty((6, width, lay.M)),
+                                  np.empty((width, bins), dtype=complex),
+                                  np.empty((width, lay.dim)))
+            X, samples, work, Y, coefficients = buffers[width]
             half = lay._half_spectrum(C, X[:width])
             X.real[width:, 1:n1] = -k * half.imag[:, 1:n1]
             X.imag[width:, 1:n1] = k * half.real[:, 1:n1]
             np.fft.irfft(X, n=lay.M, norm="forward", out=samples)
-            out = lay.fft_analysis(f(x, samples[:width], samples[width:], params))
+            out = lay.fft_analysis(f(x, samples[:width], samples[width:], params, work),
+                                   coefficients, Y)
         else:
             out = np.zeros_like(C)
-        return out + K(C) if with_K else out
+        return out + K(C) if with_K else out.copy()
 
     return explicit
 

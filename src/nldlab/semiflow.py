@@ -17,10 +17,10 @@ cross-check contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as gamma_function
 
 from . import cutoffs as ct
 from .basis import theta_norm
@@ -192,7 +192,7 @@ def absorbing_radius(C: float, M: float, delta: float, theta: float) -> float:
         raise ValueError("C, M, delta must be positive")
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"theta must lie in [0, 1), the integral diverges at {theta}")
-    return float(C * M * gamma_function(1.0 - theta) * delta ** (theta - 1.0))
+    return float(C * M * math.gamma(1.0 - theta) * delta ** (theta - 1.0))
 
 
 def nonlinearity_l2_bound(params: ModelParams, n_scan: int = 161) -> float:
@@ -246,7 +246,9 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
         if k * params.dt >= horizon / 2.0:
             norms = theta_norm(params.layout, states, params.theta)
             tails[alive] = np.fmax(tails[alive], norms)
-    tails[np.setdiff1d(np.arange(len(seeds)), alive)] = np.nan
+    dropped = np.ones(len(seeds), dtype=bool)
+    dropped[alive] = False
+    tails[dropped] = np.nan
     failed = np.flatnonzero(~np.isfinite(tails))
     tails[failed] = np.nan
     entered = [bool(tail <= a_formula) for tail in tails]

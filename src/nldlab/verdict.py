@@ -14,8 +14,9 @@ Membership evidence differs by point, deliberately, and verdict.json records
 which evidence was used, with its margin (`e_membership.<point>.evidence`):
 
   u0: "exact_blocks". The multiplier samples vanish, so the linearization is
-      exactly block 2x2; its spectrum, solved block by block, is matched
-      against the closed form -(n^2+n) +- i*eps_n (optimal assignment). With
+      exactly block 2x2; its spectrum, solved block by block, is paired with
+      the closed form -(n^2+n) +- i*eps_n in (Re, Im) order, and any pairing
+      within BLOCK_MATCH_TOL will do (no optimal assignment is needed). With
       every eps_n nonzero that certifies "no real eigenvalues" exactly, which no
       fixed imaginary-part threshold can do (eps_n decays below any
       threshold). The margin is min eps_n, the smallest imaginary part.

@@ -195,6 +195,29 @@ class TestThetaNorm:
         columns = np.array([theta_norm(layout16, block[j], alpha) for j in range(5)])
         assert np.max(np.abs(norms - columns) / columns) <= 1e-15
 
+    def test_overflowing_sum_stays_finite(self, layout16):
+        # every coefficient of a 1e200 state is finite (max about 4e197), but
+        # the plain sum of its weighted squares overflows
+        c = random_state(layout16, 0, 0.875, 1e200)
+        with np.errstate(over="raise"):
+            norm = theta_norm(layout16, c, 0.875)
+        assert np.isfinite(norm)
+        # a power-of-two scale is exact, so the scaled plain sum is a reference
+        reference = 2.0**700 * theta_norm(layout16, c * 2.0**-700, 0.875)
+        assert norm == pytest.approx(reference, rel=1e-12)
+        assert norm == pytest.approx(1e200, rel=1e-12)
+
+    def test_rescue_touches_only_overflowing_rows(self, layout16):
+        rows = [random_state(layout16, s, 0.875, r) for s, r in enumerate((10.0, 1e200, 1e-3))]
+        block = np.array(rows + [np.full(layout16.dim, np.inf), np.full(layout16.dim, np.nan)])
+        norms = theta_norm(layout16, block, 0.875)
+        for row, norm in zip(rows, norms):
+            assert norm == theta_norm(layout16, row, 0.875)
+        lam = (1.0 + layout16.mode_orders**2) ** 0.875
+        plain = np.sqrt(np.sum(layout16.l2_weights() * (lam * rows[0]) ** 2))
+        assert norms[0] == pytest.approx(plain, rel=1e-15)
+        assert norms[3] == np.inf and np.isnan(norms[4])
+
 
 class TestPointwiseProduct:
     def test_multiplying_by_one_is_identity(self, layout16, rng):

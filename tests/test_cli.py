@@ -288,20 +288,32 @@ class TestProbeCommand:
         assert all(np.isfinite(t) for t in payload["tail_norms"])
 
     def test_overflowing_tails_exit_two(self, make_config, capsys):
-        # theta-norms of a 1e200-sized state overflow to inf; the probe must
-        # report that as failure (exit 2), not success
+        # seeds of infinite theta-norm are not finite from the first step; the
+        # probe must report that as failure (exit 2), not success
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["--config", make_config(), "probe-dissipativity",
-                       "--T", "0.01", "--r-in", "1e200"])
+                       "--T", "0.01", "--r-in", "inf"])
         assert rc == 2
         capsys.readouterr()
 
+    def test_huge_finite_seeds_are_measured(self, make_config, tmp_path, capsys):
+        # a 1e200-sized state stays finite, and so does its theta-norm: its
+        # tail is measured (far outside the ball), not reported as failed
+        rc = main(["--config", make_config(), "probe-dissipativity",
+                   "--T", "0.01", "--r-in", "1e200"])
+        assert rc == 0
+        assert ": failed" not in capsys.readouterr().out
+        with open(tmp_path / "out" / "dissipativity.json", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["failed"] == [] and payload["entered"] == [False] * 3
+        assert all(1e198 < t < 1e200 for t in payload["tail_norms"])
+
     def test_failed_seeds_write_strict_json(self, make_config, tmp_path, capsys):
-        # every seed overflows; its tail and a_emp are not finite, so they are
+        # every seed is infinite; its tail and a_emp are not finite, so they are
         # written as null, never as the NaN that strict JSON parsers reject
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["--config", make_config(), "probe-dissipativity",
-                       "--T", "0.01", "--r-in", "1e306"])
+                       "--T", "0.01", "--r-in", "inf"])
         assert rc == 2
         out = capsys.readouterr().out
         assert out.count(": failed") == 3 and "a_emp=nan" in out

@@ -1,0 +1,62 @@
+"""What a fresh process pays for nldlab: the modules it loads and the pages its
+march faults. Each check runs in its own interpreter, so that nothing the
+test session imported (scipy among it) hides the cost."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str) -> dict:
+    """Run code in a new interpreter with nldlab importable; return the JSON
+    object it prints last."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_pipeline_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    result = run_fresh(f"""
+import json, sys
+import nldlab
+from nldlab import BasisLayout, ModelParams, RunConfig, random_state
+params = ModelParams(BasisLayout(16))
+report = nldlab.run_verify(RunConfig(N=16))
+nldlab.emit_reports(report, {str(tmp_path)!r})
+seeds = [(s, random_state(params.layout, s, params.theta, 10.0)) for s in range(3)]
+probe = nldlab.dissipativity_probe(seeds, params, T=0.1)
+print(json.dumps({{"verdict": report.verdict, "failed": probe.failed,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[0] == "scipy"
+                                   or m.split(".")[:2] == ["numpy", "ma"])}}))
+""")
+    assert result["verdict"] == "OBSTRUCTED" and result["failed"] == []
+    assert result["loaded"] == []
+
+
+def test_block_march_faults_no_pages_per_step():
+    pytest.importorskip("resource")
+    result = run_fresh("""
+import json, resource
+import numpy as np
+from nldlab import BasisLayout, ModelParams, random_state
+from nldlab.semiflow import _imex_step
+params = ModelParams(BasisLayout(1024), dt=5e-4)
+C = np.array([random_state(params.layout, s, params.theta, 10.0) for s in range(3)])
+step = _imex_step(params)
+C = step(C)   # warm-up: allocates the buffers of this block height
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    C = step(C)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"faults_per_step": faults / 50, "finite": bool(np.isfinite(C).all())}))
+""")
+    assert result["finite"]
+    assert result["faults_per_step"] <= 5.0

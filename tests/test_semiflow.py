@@ -336,7 +336,7 @@ class TestSeedMajorMarch:
         assert np.all(C[:, -1] != 0.0)   # the top sine, whose image d/dx drops
         seen = []
 
-        def capture(x, s, p, params):
+        def capture(x, s, p, params, work=None):
             seen.append((s.copy(), p.copy()))
             return np.zeros_like(s)
 

@@ -127,6 +127,79 @@ class TestBlockEigenvalues:
         assert dist <= BLOCK_MATCH_TOL
 
 
+def _csgraph_partition(m):
+    """Strongly connected components of m's nonzero pattern by scipy, as sets."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    count, labels = connected_components(csr_array(m != 0.0), directed=True,
+                                         connection="strong")
+    return {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
+
+
+def _assert_same_partition(m):
+    components = _strong_components(m)
+    assert all(np.all(np.diff(c) > 0) for c in components)   # ascending node order
+    assert sum(len(c) for c in components) == len(m)
+    assert {frozenset(c.tolist()) for c in components} == _csgraph_partition(m)
+
+
+class TestScipyOracles:
+    """The numpy-only graph search, block pairing and eigensolve against scipy,
+    which only the tests import."""
+
+    @pytest.mark.parametrize("dim", [7, 60, 514])
+    @pytest.mark.parametrize("degree", [0.7, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_components_match_csgraph_on_random_patterns(self, dim, degree, seed):
+        # mean out-degree near 1 gives a mix of singletons and larger components
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < degree / dim)
+        _assert_same_partition(m)
+
+    @pytest.mark.parametrize("triangle", [np.triu, np.tril])
+    def test_components_match_csgraph_on_triangles(self, triangle, rng):
+        m = triangle(1.0 + rng.random((80, 80)), k=1)   # zero diagonal as well
+        _assert_same_partition(m)
+
+    @pytest.mark.parametrize("lengths", [(30,), (1, 2, 5, 13), (4, 4, 4, 4, 4)])
+    def test_components_match_csgraph_on_cycles(self, lengths, rng):
+        # disjoint cycles on shuffled nodes, joined by edges that point one way
+        dim = sum(lengths)
+        nodes = rng.permutation(dim)
+        m = np.zeros((dim, dim))
+        start = 0
+        for length in lengths:
+            cycle = nodes[start:start + length]
+            m[cycle, np.roll(cycle, 1)] = 1.0
+            if start:
+                m[nodes[start - 1], cycle[0]] = 2.0
+            start += length
+        _assert_same_partition(m)
+        assert len(_strong_components(m)) == len(lengths)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("N", [16, 128, 512])
+    def test_block_pairing_is_the_optimal_assignment(self, N, shuffle, rng):
+        lay = BasisLayout(N)
+        eigs = eigenvalues(assemble_T(stationary_state("u0", lay), ModelParams(lay)))
+        if shuffle:
+            eigs = rng.permutation(eigs)
+        targets = np.concatenate([block_spectrum_u0(n, EPS) for n in range(N + 1)])
+        cost = np.abs(eigs[:, None] - targets[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        dist, block_index = match_blocks_u0(eigs, EPS, N)
+        assert dist == cost[rows, cols].max()
+        np.testing.assert_array_equal(block_index[rows], cols // 2)
+
+    def test_u1_spectrum_matches_scipy_eigvals(self):
+        lay = BasisLayout(256)
+        T = assemble_T(stationary_state("u1", lay), ModelParams(lay))
+        got = eigenvalues(T)
+        dense = eigvals(T)
+        expected = dense[np.lexsort((-dense.imag, -dense.real))]
+        assert np.all(np.abs(got - expected) <= 1e-9 * np.abs(expected))
+
+
 class TestLinearizationAtZero:
     def test_matrix_is_exactly_Q_plus_K(self, layout16):
         params = ModelParams(layout16)
