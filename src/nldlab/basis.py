@@ -114,9 +114,10 @@ class BasisLayout:
         block); equal to analysis_matrix() @ g, by the forward real FFT that
         inverts fft_synthesis on the layout's modes.
 
-        Exact coefficients for band-limited input (any trig polynomial of degree
-        <= N+1, in fact <= M/2 - N - 2 beyond that stays orthogonal on this
-        grid); quadrature projection otherwise. out (float, (..., dim)) and
+        Exact coefficients for any combination of the layout's modes; every
+        cos kx and sin kx with N + 2 <= k <= M - N - 2 analyzes to zero up to
+        round-off, while sin (M - N - 1)x aliases onto the top sine; quadrature
+        projection otherwise. out (float, (..., dim)) and
         spectrum (complex, (..., M/2 + 1)) receive the coefficients and the
         FFT; they are allocated when not given.
         """

@@ -224,8 +224,8 @@ def _cmd_probe(args) -> int:
                   indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {path}")
-    all_finite = all(np.isfinite(t) for t in report.tail_norms)
-    return 0 if all_finite and not report.failed else 2
+    # a seed enters only with a finite tail, so a failed or unmeasured seed fails the probe
+    return 0 if all(report.entered) else 2
 
 
 _COMMANDS = {

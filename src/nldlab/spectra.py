@@ -11,11 +11,10 @@ M_{f_p} D is a column gather along the D mode map; all-zero samples add
 nothing, so at u = 0 the matrix is exactly Q + K, block 2x2 with closed-form
 eigenvalues -(n^2+n) +- i eps_n. The same code path serves every u.
 
-Spectra are solved block by block: the nonzero pattern (exact zeros only, no
-tolerance) splits into strongly connected components, found by a Tarjan
-search in O(dim + nonzeros), whose diagonal blocks carry the whole spectrum,
-and equal-size blocks are solved as one batch. So the spectrum of Q + K costs
-N + 1 batched 2x2 solves, while an irreducible matrix, such as T(u1), takes
+Spectra are solved on the layout's structure: a matrix whose nonzero entries
+(exact zeros only, no tolerance) all lie in the 2x2 blocks of the pairs
+{cos nx, sin (n+1)x}, the K mode map's pairing, is solved as one batch of
+N + 1 2x2 blocks. Q + K is such a matrix; any other, such as T(u1), takes
 one dense eigensolve (LAPACK geev through numpy).
 
 Evidence, by state and truncation:
@@ -40,7 +39,6 @@ is stable under refinement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,93 +193,30 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     return entries
 
 
-def _strong_components(entries: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the strongly connected components of the nonzero pattern
-    (edge i -> j where entries[i, j] != 0; exact zeros only, no tolerance), each
-    in ascending node order.
-
-    A node whose row and column have no zero reaches and is reached by every
-    node; finding one settles the dense case without building the graph.
-    Otherwise an iterative Tarjan search runs over the successor lists read
-    from one flat nonzero scan, in O(dim + nonzeros).
-    """
-    pattern = entries != 0.0
-    np.fill_diagonal(pattern, True)
-    dim = len(entries)
-    if np.any(pattern.all(axis=0) & pattern.all(axis=1)):
-        return [np.arange(dim)]
-    heads, tails = np.divmod(np.flatnonzero(pattern), dim)   # 2-D np.nonzero is 10x slower
-    first = np.searchsorted(heads, np.arange(dim + 1)).tolist()
-    succ = tails.tolist()
-    index = [-1] * dim   # visit order; -1 before the visit, dim once in a component
-    low = [0] * dim      # least visit order reachable through the search tree
-    at = [0] * dim       # position on the stack
-    stack, path, components = [], [], []   # path: (node, its next successor slot)
-    order = itertools.count()
-
-    def enter(w):
-        index[w] = low[w] = next(order)
-        at[w] = len(stack)
-        stack.append(w)
-        path.append((w, first[w]))
-
-    for root in range(dim):
-        if index[root] < 0:
-            enter(root)
-        while path:
-            v, k = path[-1]
-            while k < first[v + 1]:
-                w = succ[k]
-                k += 1
-                if index[w] < 0:
-                    path[-1] = (v, k)
-                    enter(w)
-                    break
-                low[v] = min(low[v], index[w])
-            else:
-                path.pop()
-                if path:
-                    low[path[-1][0]] = min(low[path[-1][0]], low[v])
-                if low[v] == index[v]:
-                    for w in stack[at[v]:]:
-                        index[w] = dim
-                    components.append(np.sort(stack[at[v]:]))
-                    del stack[at[v]:]
-    return components
-
-
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of the dense square matrix m, sorted by Re then Im, descending.
 
-    An exactly reducible matrix is permutation-similar to a block triangular
-    one whose diagonal blocks are its strongly connected components, so its
-    spectrum is the union of theirs: equal-size blocks are solved as one
-    batch. An irreducible matrix takes one dense eigensolve.
+    When every nonzero entry lies in the 2x2 blocks of the slot pairs
+    (n, dim/2 + n), the layout's pairs {cos nx, sin (n+1)x}, the blocks carry
+    the whole spectrum and are solved as one (dim/2, 2, 2) batch; the blocks
+    partition the index set, so equal nonzero counts prove it. Any other
+    matrix takes one dense eigensolve.
     """
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    components = _strong_components(m)
+    solve = m
+    if len(m) % 2 == 0:
+        half = len(m) // 2
+        blocks = np.diagonal(m.reshape(2, half, 2, half), axis1=1, axis2=3).transpose(2, 0, 1)
+        if np.count_nonzero(blocks) == np.count_nonzero(m):
+            solve = blocks
     try:
-        if len(components) == 1:
-            eigs = np.linalg.eigvals(m).astype(complex)
-        else:
-            by_size: dict[int, list] = {}
-            for c in components:
-                by_size.setdefault(len(c), []).append(c)
-            eigs = np.concatenate([_batched_eigvals(m, group)
-                                   for group in by_size.values()])
+        eigs = np.linalg.eigvals(solve).astype(complex).ravel()
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         cond = np.linalg.cond(m)
         raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     order = np.lexsort((-eigs.imag, -eigs.real))
     return eigs[order]
-
-
-def _batched_eigvals(entries: np.ndarray, components: list[np.ndarray]) -> np.ndarray:
-    """Eigenvalues of the diagonal blocks entries[c, c], all of one size."""
-    idx = np.stack(components)
-    blocks = entries[idx[:, :, None], idx[:, None, :]]
-    return np.linalg.eigvals(blocks).astype(complex).ravel()
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2

@@ -76,6 +76,19 @@ class TestTransforms:
         assert np.max(np.abs(layout16.fft_analysis(g))) < 1e-13
         assert analysis_residual(layout16, g) == pytest.approx(np.sqrt(np.pi), abs=1e-10)
 
+    @pytest.mark.parametrize("wave", [np.cos, np.sin])
+    @pytest.mark.parametrize("k", [18, 19, 36, 53, 54])
+    def test_modes_up_to_M_minus_N_minus_2_analyze_to_zero(self, layout16, wave, k):
+        # N = 16, M = 72: every cos kx and sin kx with N+2 <= k <= M-N-2 = 54
+        assert layout16.M == 72
+        assert np.max(np.abs(layout16.fft_analysis(wave(k * layout16.grid)))) < 1e-13
+
+    def test_next_sine_aliases_onto_the_top_sine(self, layout16):
+        # sin (M-N-1)x = -sin (N+1)x on the grid: the bound above is sharp
+        lay = layout16
+        v = lay.fft_analysis(np.sin((lay.M - lay.N - 1) * lay.grid))
+        np.testing.assert_allclose(v, -sin_mode(lay, lay.N + 1), atol=1e-13)
+
     def test_residual_vanishes_in_band(self, layout16, rng):
         g = layout16.fft_synthesis(rng.standard_normal(layout16.dim))
         assert analysis_residual(layout16, g) < 1e-12

@@ -44,3 +44,20 @@ def test_workload_operations_pass_their_checks(bench, spec, tmp_path):
         t.disable()
     assert check(traced) == []
     assert t.snapshot()["calls"]
+
+
+def test_traced_verify_counts_its_eigensolves(bench, tmp_path):
+    # the per-layer spectra metrics read one call per spectrum solved (u0 and
+    # u1 at N, u0 at 2N; the 2N count of u1 comes from Gershgorin discs) and the
+    # largest dimension solved, 2(2N) + 2 = 66 at N = 16
+    tracer, worker = bench
+    op, _ = worker.build({"kind": "verify", "config": {"N": 16}}, str(tmp_path / "out"))
+    t = tracer.Tracer()
+    t.enable()
+    try:
+        op()
+    finally:
+        t.disable()
+    snap = t.snapshot()
+    assert snap["calls"]["spectra.eigenvalues"] == 3
+    assert snap["counts"]["spectra.eigenvalues.max_dim"] == 66

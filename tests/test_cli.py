@@ -298,10 +298,11 @@ class TestProbeCommand:
 
     def test_huge_finite_seeds_are_measured(self, make_config, tmp_path, capsys):
         # a 1e200-sized state stays finite, and so does its theta-norm: its
-        # tail is measured (far outside the ball), not reported as failed
+        # tail is measured (far outside the ball), not reported as failed, and
+        # the probe fails because no seed entered the ball
         rc = main(["--config", make_config(), "probe-dissipativity",
                    "--T", "0.01", "--r-in", "1e200"])
-        assert rc == 0
+        assert rc == 2
         assert ": failed" not in capsys.readouterr().out
         with open(tmp_path / "out" / "dissipativity.json", encoding="utf-8") as fh:
             payload = json.load(fh)

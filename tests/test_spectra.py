@@ -22,8 +22,7 @@ from nldlab import (
     resolved_band,
     stationary_state,
 )
-from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _strong_components, disc_certificate,
-                            match_blocks_u0)
+from nldlab.spectra import TOL_IM_DEFAULT, TOL_RE_DEFAULT, disc_certificate, match_blocks_u0
 from nldlab.verdict import BLOCK_MATCH_TOL
 
 EPS = EpsilonSequence()
@@ -63,7 +62,7 @@ class TestBasics:
 
 def _permuted_block_triangular(rng, dim):
     """A random upper block-triangular matrix with mixed 1x1, 2x2 and 3x3
-    diagonal blocks, symmetrically permuted; returns it and the block count.
+    diagonal blocks, symmetrically permuted.
 
     Block i is centred at -3i, so the blocks' spectra stay apart and the dense
     solve of the whole (non-normal) matrix is an accurate oracle.
@@ -77,18 +76,17 @@ def _permuted_block_triangular(rng, dim):
         m[a:b, a:b] = -3.0 * i * np.eye(b - a) + 0.5 * rng.standard_normal((b - a, b - a))
         m[a:b, b:] = rng.standard_normal((b - a, dim - b)) * (rng.random((b - a, dim - b)) < 0.3)
     perm = rng.permutation(dim)
-    return m[perm][:, perm], len(sizes)
+    return m[perm][:, perm]
 
 
 class TestBlockEigenvalues:
-    """eigenvalues() splits an exactly reducible matrix into its strongly
-    connected components; the result must not depend on that split."""
+    """eigenvalues() on reducible and irreducible zero patterns agrees with the
+    dense oracle, whichever path it takes."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_permuted_block_triangular_matches_dense(self, seed, layout16):
         rng = np.random.default_rng(seed)
-        m, blocks = _permuted_block_triangular(rng, layout16.dim)
-        assert len(_strong_components(m)) == blocks
+        m = _permuted_block_triangular(rng, layout16.dim)
         eigs = eigenvalues(m)
         dense = eigvals(m)
         rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - dense[None, :]))
@@ -97,10 +95,8 @@ class TestBlockEigenvalues:
 
     @pytest.mark.parametrize("triangle", [np.triu, np.tril])
     def test_triangular_splits_into_exact_diagonal(self, triangle, layout16, rng):
-        # node 0 reaches every node (triu) or is reached by every node (tril),
-        # yet no two nodes reach each other: dim singleton components
+        # a triangular matrix's eigenvalues are its diagonal, exactly
         m = triangle(1.0 + rng.random((layout16.dim, layout16.dim)))
-        assert len(_strong_components(m)) == layout16.dim
         eigs = eigenvalues(m)
         assert eigs.dtype == complex   # as from the dense solve, though all are real
         np.testing.assert_array_equal(eigs, np.sort(np.diag(m))[::-1])
@@ -110,10 +106,9 @@ class TestBlockEigenvalues:
         dim = layout16.dim
         if kind == "dense":
             m = rng.standard_normal((dim, dim))
-        else:   # no node touches all others: the graph search decides
+        else:   # one cycle through every node, most entries zero
             m = np.diag(rng.standard_normal(dim))
             m[np.arange(dim), np.roll(np.arange(dim), 1)] = rng.standard_normal(dim)
-        assert len(_strong_components(m)) == 1
         dense = eigvals(m)
         expected = dense[np.lexsort((-dense.imag, -dense.real))]
         got = eigenvalues(m)
@@ -127,55 +122,69 @@ class TestBlockEigenvalues:
         assert dist <= BLOCK_MATCH_TOL
 
 
-def _csgraph_partition(m):
-    """Strongly connected components of m's nonzero pattern by scipy, as sets."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-    count, labels = connected_components(csr_array(m != 0.0), directed=True,
-                                         connection="strong")
-    return {frozenset(np.flatnonzero(labels == k).tolist()) for k in range(count)}
+def _pair_block_matrix(rng, half):
+    """A random (2 half, 2 half) matrix whose nonzero entries all lie in the 2x2
+    blocks of the slot pairs (n, half + n)."""
+    m = np.zeros((2 * half, 2 * half))
+    n = np.arange(half)
+    for a in (0, half):
+        for b in (0, half):
+            m[a + n, b + n] = rng.standard_normal(half)
+    return m
 
 
-def _assert_same_partition(m):
-    components = _strong_components(m)
-    assert all(np.all(np.diff(c) > 0) for c in components)   # ascending node order
-    assert sum(len(c) for c in components) == len(m)
-    assert {frozenset(c.tolist()) for c in components} == _csgraph_partition(m)
+@pytest.fixture
+def eigvals_shapes(monkeypatch):
+    """Shapes of the arrays handed to np.linalg.eigvals, in call order."""
+    shapes = []
+    solve = np.linalg.eigvals
+
+    def record(a):
+        shapes.append(np.shape(a))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", record)
+    return shapes
+
+
+class TestEigenvalueDispatch:
+    """A matrix supported on the K-pair blocks {cos nx, sin (n+1)x} is solved as
+    one batch of 2x2 blocks; every other matrix takes one dense solve."""
+
+    def test_u0_is_one_batch_of_pair_blocks(self, layout16, eigvals_shapes):
+        eigs = eigenvalues(assemble_T(stationary_state("u0", layout16), ModelParams(layout16)))
+        assert eigvals_shapes == [(17, 2, 2)]
+        dist, _ = match_blocks_u0(eigs, EPS, layout16.N)
+        assert dist <= BLOCK_MATCH_TOL
+
+    def test_pair_block_matrix_matches_dense(self, layout16, rng, eigvals_shapes):
+        m = _pair_block_matrix(rng, layout16.N + 1)
+        dense = eigvals(m)
+        eigs = eigenvalues(m)
+        assert eigvals_shapes == [(17, 2, 2)]
+        rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - dense[None, :]))
+        assert np.abs(eigs[rows] - dense[cols]).max() <= 1e-12
+        assert np.all(np.diff(eigs.real) <= 0.0)
+
+    @pytest.mark.parametrize("kind", ["u1", "stray entry", "odd dimension"])
+    def test_other_patterns_take_one_dense_solve(self, kind, layout16, rng, eigvals_shapes):
+        if kind == "u1":
+            m = assemble_T(stationary_state("u1", layout16), ModelParams(layout16))
+        elif kind == "stray entry":   # slot 5 is outside the pair (0, 17)
+            m = _pair_block_matrix(rng, layout16.N + 1)
+            m[0, 5] = 1.0
+        else:
+            m = _pair_block_matrix(rng, layout16.N + 1)[:-1, :-1]
+        dense = eigvals(m)
+        expected = dense[np.lexsort((-dense.imag, -dense.real))]
+        got = eigenvalues(m)
+        assert eigvals_shapes == [m.shape]
+        assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
 
 
 class TestScipyOracles:
-    """The numpy-only graph search, block pairing and eigensolve against scipy,
-    which only the tests import."""
-
-    @pytest.mark.parametrize("dim", [7, 60, 514])
-    @pytest.mark.parametrize("degree", [0.7, 1.0, 1.5, 3.0])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_components_match_csgraph_on_random_patterns(self, dim, degree, seed):
-        # mean out-degree near 1 gives a mix of singletons and larger components
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((dim, dim)) * (rng.random((dim, dim)) < degree / dim)
-        _assert_same_partition(m)
-
-    @pytest.mark.parametrize("triangle", [np.triu, np.tril])
-    def test_components_match_csgraph_on_triangles(self, triangle, rng):
-        m = triangle(1.0 + rng.random((80, 80)), k=1)   # zero diagonal as well
-        _assert_same_partition(m)
-
-    @pytest.mark.parametrize("lengths", [(30,), (1, 2, 5, 13), (4, 4, 4, 4, 4)])
-    def test_components_match_csgraph_on_cycles(self, lengths, rng):
-        # disjoint cycles on shuffled nodes, joined by edges that point one way
-        dim = sum(lengths)
-        nodes = rng.permutation(dim)
-        m = np.zeros((dim, dim))
-        start = 0
-        for length in lengths:
-            cycle = nodes[start:start + length]
-            m[cycle, np.roll(cycle, 1)] = 1.0
-            if start:
-                m[nodes[start - 1], cycle[0]] = 2.0
-            start += length
-        _assert_same_partition(m)
-        assert len(_strong_components(m)) == len(lengths)
+    """The numpy-only block pairing and eigensolve against scipy, which only
+    the tests import."""
 
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("N", [16, 128, 512])
