@@ -14,8 +14,9 @@ eigenvalues -(n^2+n) +- i eps_n. The same code path serves every u.
 Spectra are solved on the layout's structure: a matrix whose nonzero entries
 (exact zeros only, no tolerance) all lie in the 2x2 blocks of the pairs
 {cos nx, sin (n+1)x}, the K mode map's pairing, is solved as one batch of
-N + 1 2x2 blocks. Q + K is such a matrix; any other, such as T(u1), takes
-one dense eigensolve (LAPACK geev through numpy).
+N + 1 2x2 blocks. Q + K is such a matrix. T(u1), given its Gershgorin
+discs, is solved from small windows (below); any other matrix takes one
+dense eigensolve (LAPACK geev through numpy).
 
 Evidence, by state and truncation:
 
@@ -24,7 +25,13 @@ Evidence, by state and truncation:
       every eps_n nonzero no eigenvalue is real, whatever any threshold says
       (eps_n decays below any fixed threshold).
   u1 at N: threshold classification, |Im| < tol_im * (1 + |lambda|), of the
-      dense spectrum (the reports list it).
+      spectrum (the reports list it). `disc_certificate` runs here too; when
+      its discs are mutually disjoint, each holds exactly one eigenvalue, and
+      T(u1), banded in pair order, yields each one from a principal window of
+      the 7 pairs around its slot. All windows are solved as one batch, and
+      the set is kept ("windows") only if every value lies in its own disc;
+      cos and sin slots are then exact conjugates. Otherwise the row is one
+      dense eigensolve, labelled "dense".
   u1 at the largest truncation of a convergence study: a Gershgorin
       certificate (`disc_certificate`) on V^-1 T V, where V diagonalizes the
       drift part Q_kappa in closed form. When its discs prove exactly one
@@ -61,6 +68,7 @@ __all__ = [
     "assemble_T",
     "eigenvalues",
     "disc_certificate",
+    "discs_disjoint",
     "block_spectrum_u0",
     "match_blocks_u0",
     "qkappa_spectrum",
@@ -155,10 +163,9 @@ def stationary_state(label: str, layout: BasisLayout) -> np.ndarray:
 
 def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_DEFAULT,
                         tol_re: float = TOL_RE_DEFAULT) -> SpectrumReport:
-    """Classified dense spectrum of T at the stationary state named by label."""
-    u = stationary_state(label, params.layout)
-    return classify_and_count(eigenvalues(assemble_T(u, params)), tol_im, tol_re,
-                              point_label=label, N=params.layout.N)
+    """Classified spectrum of T at the stationary state named by label, solved
+    as the N-level row of a convergence study is."""
+    return _study_row(label, params, False, tol_im, tol_re)["report"]
 
 
 _ROWS_PER_CHUNK = 64   # bounds row-chunk temporaries to 64 x dim entries
@@ -193,8 +200,14 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     return entries
 
 
-def eigenvalues(m: np.ndarray) -> np.ndarray:
+def eigenvalues(m: np.ndarray, discs: DiscCertificate | None = None,
+                evidence: dict | None = None) -> np.ndarray:
     """All eigenvalues of the dense square matrix m, sorted by Re then Im, descending.
+
+    With `discs`, the `disc_certificate` of m = T(u1), the spectrum is first
+    taken from small windows (`_window_eigenvalues`); when the discs do not
+    prove it, m takes the paths below unchanged. `evidence["kind"]`, when
+    given, records which: "windows" or "dense".
 
     When every nonzero entry lies in the 2x2 blocks of the slot pairs
     (n, dim/2 + n), the layout's pairs {cos nx, sin (n+1)x}, the blocks carry
@@ -204,17 +217,21 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    solve = m
-    if len(m) % 2 == 0:
-        half = len(m) // 2
-        blocks = np.diagonal(m.reshape(2, half, 2, half), axis1=1, axis2=3).transpose(2, 0, 1)
-        if np.count_nonzero(blocks) == np.count_nonzero(m):
-            solve = blocks
-    try:
-        eigs = np.linalg.eigvals(solve).astype(complex).ravel()
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        cond = np.linalg.cond(m)
-        raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
+    eigs = None if discs is None else _window_eigenvalues(m, discs)
+    if discs is not None and evidence is not None:
+        evidence["kind"] = "dense" if eigs is None else "windows"
+    if eigs is None:
+        solve = m
+        if len(m) % 2 == 0:
+            half = len(m) // 2
+            blocks = np.diagonal(m.reshape(2, half, 2, half), axis1=1, axis2=3).transpose(2, 0, 1)
+            if np.count_nonzero(blocks) == np.count_nonzero(m):
+                solve = blocks
+        try:
+            eigs = np.linalg.eigvals(solve).astype(complex).ravel()
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            cond = np.linalg.cond(m)
+            raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     order = np.lexsort((-eigs.imag, -eigs.real))
     return eigs[order]
 
@@ -346,6 +363,80 @@ def disc_certificate(T: np.ndarray, kappa: float,
         l_count_in_band=int(certified and c0 - r0 > tol_re))
 
 
+def discs_disjoint(centers: np.ndarray, radii: np.ndarray) -> bool:
+    """Whether the closed discs |z - centers[i]| <= radii[i] are mutually disjoint
+    (tangent discs meet; a negative or NaN radius proves nothing).
+
+    Only discs whose real intervals [Re c - r, Re c + r] overlap can meet. With
+    the discs sorted by the left ends, disc i can meet disc j > i only if j
+    starts before i ends, so exactly those pairs are tested, one offset j - i at
+    a time, and no dim x dim temporary is formed. Each interval is widened by
+    8 ulps of |Re c| + r, so that every pair whose computed |c_i - c_j| is at
+    most r_i + r_j reaches the exact test.
+    """
+    c = np.asarray(centers, dtype=complex)
+    r = np.asarray(radii, dtype=float)
+    if not np.all(r >= 0.0):
+        return False
+    reach = r + 4.0 * np.finfo(float).eps * (np.abs(c.real) + r)
+    lo, hi = c.real - reach, c.real + reach
+    order = np.argsort(lo, kind="stable")
+    c, r, lo, hi = c[order], r[order], lo[order], hi[order]
+    ends = np.searchsorted(lo, hi, side="right")   # discs i + 1 .. ends[i] - 1 start before i ends
+    i = np.arange(len(c))
+    for k in range(1, len(c)):
+        i = i[i + k < ends[i]]
+        if not len(i):
+            break
+        if np.any(np.abs(c[i] - c[i + k]) <= r[i] + r[i + k]):
+            return False
+    return True
+
+
+_WINDOW_PAIRS = 3   # a window holds the pairs n - 3 .. n + 3
+
+
+def _window_eigenvalues(T: np.ndarray, discs: DiscCertificate) -> np.ndarray | None:
+    """The spectrum of T = T(u1), one eigenvalue per disc, from small windows of
+    T, or None when the discs do not prove it.
+
+    Mutually disjoint discs hold one eigenvalue each (Gershgorin's union
+    theorem). In pair order (the constant, then (cos nx, sin nx) for n = 1..N,
+    then the top sine) T is banded and diagonally dominant, so its eigenvectors
+    decay exponentially away from their slot (Demko, Moss & Smith, Math. Comp.
+    43, 1984; Benzi & Golub, BIT 39, 1999), and the principal submatrix of the
+    pairs n - w .. n + w, shifted inward at the edges, carries the eigenvalue of
+    pair n. The N windows, gathered from T by index, are solved as one
+    (N, 2(2w + 1), 2(2w + 1)) batch. The cos slot of pair n takes the window
+    eigenvalue nearest its disc center and the sin slot its conjugate; the
+    constant and the top sine take theirs from the first and last windows. The
+    set is returned only if every value lies in its own disc.
+    """
+    dim = len(T)
+    if len(discs.centers) != dim:
+        raise ValueError(f"{len(discs.centers)} discs for a matrix of dimension {dim}")
+    size = 2 * (2 * _WINDOW_PAIRS + 1)
+    if dim < size or not discs_disjoint(discs.centers, discs.radii):
+        return None
+    L = (dim - 2) // 2
+    pair_order = np.arange(dim)
+    pair_order[1:-1] = pair_order[1:-1].reshape(2, L).T.ravel()   # cos 1, sin 1, cos 2, ...
+    starts = np.clip(2 * np.arange(1, L + 1) - 1 - 2 * _WINDOW_PAIRS, 0, dim - size)
+    index = pair_order[starts[:, None] + np.arange(size)]
+    try:
+        vals = np.linalg.eigvals(T[index[:, :, None], index[:, None, :]]).astype(complex)
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
+        return None
+    rows = vals[np.r_[np.arange(L), 0, L - 1]]
+    targets = discs.centers[np.r_[np.arange(1, L + 1), 0, dim - 1]]
+    picked = rows[np.arange(L + 2), np.argmin(np.abs(rows - targets[:, None]), axis=1)]
+    cos = picked[:L]
+    eigs = np.concatenate([picked[L:L + 1], cos, np.conj(cos), picked[L + 1:]])
+    if not np.all(np.abs(eigs - discs.centers) <= discs.radii):
+        return None
+    return eigs
+
+
 def block_spectrum_u0(n: int, eps: EpsilonSequence) -> tuple[complex, complex]:
     """Closed-form eigenvalues -(n^2+n) +- i*eps_n of the n-th 2x2 block."""
     if n < 0:
@@ -405,11 +496,11 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
     real_in_band = eigs.real[real_mask & band_mask]
 
     nonreal = eigs[~real_mask]
-    if len(nonreal):
-        mismatch = float(np.max(np.min(np.abs(np.conj(nonreal)[:, None] - nonreal[None, :]),
-                                       axis=1)))
-    else:
-        mismatch = 0.0
+    mismatch = 0.0
+    for lo in range(0, len(nonreal), _ROWS_PER_CHUNK):
+        conj = np.conj(nonreal[lo:lo + _ROWS_PER_CHUNK])
+        mismatch = max(mismatch, float(np.max(np.min(np.abs(conj[:, None] - nonreal[None, :]),
+                                                     axis=1))))
 
     return SpectrumReport(
         point_label=point_label,
@@ -432,11 +523,12 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
 class ConvergenceStudy:
     """Truncation study: per-N rows plus cross-N stability checks.
 
-    A row holds a classified dense spectrum ("report": SpectrumReport), except
-    the largest truncation of a u1 study when `disc_certificate` certifies it
+    A row holds a classified spectrum ("report": SpectrumReport), except the
+    largest truncation of a u1 study when `disc_certificate` certifies it
     ("report": DiscCertificate, no eigensolve). Its "evidence" records the
-    kind, "dense" or "gershgorin", and, where a certificate was tried, its
-    margin and isolation gap (and for a certified row the anchor disc radius).
+    kind, "dense", "windows" (a u1 spectrum solved from windows inside its
+    discs) or "gershgorin", and, for every u1 row, the certificate's margin and
+    isolation gap (and for a certified row the anchor disc radius).
 
     Each pair of consecutive truncations is compared inside the stable zone
     |Re| <= min(N)^2/8. Against a dense row every eigenvalue there must
@@ -462,7 +554,7 @@ def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
         raise ValueError("N_list must be increasing with at least 2 entries")
     params.eps.values(N_list[-1] + 1)   # an eps_n underflow fails before any spectrum
     rows = [_study_row(point_label, replace(params, layout=BasisLayout(N)),
-                       point_label == "u1" and N == N_list[-1], tol_im, tol_re, k_lowest)
+                       N == N_list[-1], tol_im, tol_re, k_lowest)
             for N in N_list]
 
     pair_checks = []
@@ -489,22 +581,28 @@ def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
     return ConvergenceStudy(point_label, rows, pair_checks, drift_tol, flagged)
 
 
-def _study_row(point_label: str, params: ModelParams, try_discs: bool, tol_im: float,
-               tol_re: float, k_lowest: int) -> dict:
-    """One row of a convergence study; T(u) lives only inside this call."""
+def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_im: float,
+               tol_re: float, k_lowest: int = 8) -> dict:
+    """One row of a convergence study; T(u) lives only inside this call.
+
+    A u1 row runs `disc_certificate`. With count_by_discs a certified row is
+    the certificate itself; any other u1 row passes the discs to `eigenvalues`,
+    which takes the spectrum from windows when the discs allow.
+    """
     N = params.layout.N
     T = assemble_T(stationary_state(point_label, params.layout), params)
     evidence = {"kind": "dense"}
-    if try_discs:
+    cert = None
+    if point_label == "u1":
         cert = disc_certificate(T, params.kappa, tol_re)
-        evidence = {"kind": "gershgorin" if cert.certified else "dense",
-                    "margin": cert.margin, "isolation_gap": cert.isolation_gap}
-        if cert.certified:
-            evidence["anchor_radius"] = float(cert.radii[0])
+        evidence.update(margin=cert.margin, isolation_gap=cert.isolation_gap)
+        if count_by_discs and cert.certified:
+            evidence.update(kind="gershgorin", anchor_radius=float(cert.radii[0]))
             order = np.argsort(np.abs(cert.centers.real), kind="stable")
             return {"N": N, "evidence": evidence, "report": cert,
                     "lowest": cert.centers[order][:k_lowest]}
-    report = classify_and_count(eigenvalues(T), tol_im, tol_re, point_label=point_label, N=N)
+    report = classify_and_count(eigenvalues(T, cert, evidence), tol_im, tol_re,
+                                point_label=point_label, N=N)
     eigs = report.eigenvalues
     return {"N": N, "evidence": evidence, "report": report,
             "lowest": eigs[np.argsort(np.abs(eigs.real))][:k_lowest]}

@@ -24,7 +24,12 @@ which evidence was used, with its margin (`e_membership.<point>.evidence`):
       with an anchor requirement: the exact constant-eigenvector eigenvalue
       eps0 must appear among the positive real-classified eigenvalues. The
       anchor makes the verdict collapse to INCONCLUSIVE under broken
-      tolerances instead of silently flipping parity. At 2N the count is
+      tolerances instead of silently flipping parity. The N-level spectrum
+      comes from small windows of T(u1) when its Gershgorin discs are
+      mutually disjoint and every window value lies in its own disc
+      ("windows", see `spectra.eigenvalues`); the anchor is then eps0 to
+      about an ulp. Otherwise it is one dense eigensolve ("dense"). Either
+      row records the discs' margin and isolation gap. At 2N the count is
       certified by Gershgorin discs ("gershgorin", see
       `spectra.disc_certificate`): one isolated real disc around eps0 and no
       other in-band disc meeting the real axis prove l = 1 without an

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvals
 from scipy.optimize import linear_sum_assignment
 
@@ -22,7 +24,8 @@ from nldlab import (
     resolved_band,
     stationary_state,
 )
-from nldlab.spectra import TOL_IM_DEFAULT, TOL_RE_DEFAULT, disc_certificate, match_blocks_u0
+from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, disc_certificate, discs_disjoint,
+                            match_blocks_u0)
 from nldlab.verdict import BLOCK_MATCH_TOL
 
 EPS = EpsilonSequence()
@@ -425,16 +428,17 @@ class TestConvergence:
         seen = []
         original = nldlab.spectra.eigenvalues
 
-        def counting(m):
+        def counting(m, *args, **kwargs):
             seen.append(len(m))
-            return original(m)
+            return original(m, *args, **kwargs)
 
         monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
         params = ModelParams(BasisLayout(16))
         study = convergence_study("u1", params, [16, 32])
         assert seen == [34]
         dense, certified = study.rows
-        assert dense["evidence"] == {"kind": "dense"}
+        assert dense["evidence"]["kind"] == "windows"
+        assert set(dense["evidence"]) == {"kind", "margin", "isolation_gap"}
         evidence = certified["evidence"]
         assert evidence["kind"] == "gershgorin"
         assert evidence["margin"] > 0 and evidence["isolation_gap"] > 0
@@ -598,6 +602,105 @@ class TestDiscCertificate:
     def test_wrong_kappa_does_not_certify(self):
         # V built for another drift leaves the n-scaled drift in the radii
         assert not disc_certificate(_u1_matrix(32, kappa=2.0), 1.01).certified
+
+
+class TestWindowedSpectrum:
+    """The N-level T(u1) spectrum from windows inside its isolated discs, against
+    the dense eigensolve."""
+
+    @pytest.mark.parametrize("N, kappa, eps0", [
+        (16, 1.25, 0.05), (16, 2.0, 0.3), (128, 1.25, 0.05), (128, 2.0, 0.3),
+        (128, 1.25, 0.3), (256, 1.25, 0.05), (256, 4.0, 0.9), (512, 1.25, 0.05)])
+    def test_windows_match_the_dense_spectrum(self, N, kappa, eps0):
+        T = _u1_matrix(N, kappa, eps0)
+        cert = disc_certificate(T, kappa)
+        evidence = {}
+        eigs = eigenvalues(T, cert, evidence)
+        assert evidence == {"kind": "windows"}
+        dense = eigenvalues(T)
+        assert np.all(np.abs(eigs - dense) <= 1e-9 * (1.0 + np.abs(dense)))
+        reals = eigs[eigs.imag == 0.0].real
+        assert np.min(np.abs(reals - eps0)) <= 1e-12
+        # sorted by (Re, Im) descending, each conjugate pair is adjacent
+        pairs = eigs[eigs.imag != 0.0].reshape(-1, 2)
+        np.testing.assert_array_equal(pairs[:, 1], np.conj(pairs[:, 0]))
+        assert classify_and_count(eigs, N=N).max_conjugate_mismatch == 0.0
+
+    def test_meeting_discs_keep_the_dense_spectrum(self):
+        T = _u1_matrix(128, kappa=1.01)
+        cert = disc_certificate(T, 1.01)
+        assert not discs_disjoint(cert.centers, cert.radii)
+        evidence = {}
+        np.testing.assert_array_equal(eigenvalues(T, cert, evidence), eigenvalues(T))
+        assert evidence == {"kind": "dense"}
+        params = ModelParams(BasisLayout(128), kappa=1.01)
+        row = convergence_study("u1", params, [128, 256]).rows[0]
+        assert row["evidence"]["kind"] == "dense"
+        np.testing.assert_array_equal(row["report"].eigenvalues, eigenvalues(T))
+
+    def test_values_outside_their_discs_fall_back_to_dense(self, monkeypatch):
+        # radii shrunk to zero: the discs stay disjoint, but no window value
+        # lies in its disc
+        import dataclasses
+        import nldlab.spectra
+        original = nldlab.spectra.disc_certificate
+
+        def shrunk(*args):
+            cert = original(*args)
+            return dataclasses.replace(cert, radii=np.zeros_like(cert.radii))
+
+        monkeypatch.setattr(nldlab.spectra, "disc_certificate", shrunk)
+        study = convergence_study("u1", ModelParams(BasisLayout(16)), [16, 32])
+        row = study.rows[0]
+        assert row["evidence"]["kind"] == "dense"
+        np.testing.assert_array_equal(row["report"].eigenvalues, eigenvalues(_u1_matrix(16)))
+
+    def test_discs_must_match_the_matrix(self):
+        cert = disc_certificate(_u1_matrix(16), 1.25)
+        with pytest.raises(ValueError, match="34 discs"):
+            eigenvalues(_u1_matrix(32), cert)
+
+
+def _brute_force_disjoint(centers, radii):
+    return not any(abs(centers[i] - centers[j]) <= radii[i] + radii[j]
+                   for i in range(len(centers)) for j in range(i + 1, len(centers)))
+
+
+_grid = st.integers(-8, 8).map(lambda k: k / 2.0)
+_disc = st.tuples(_grid, _grid, _grid.map(abs)) | st.tuples(
+    st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 20))
+
+
+class TestDiscsDisjoint:
+    @settings(max_examples=400, deadline=None)
+    @given(discs=st.lists(_disc, max_size=12),
+           conjugates=st.lists(st.tuples(_grid, _grid), max_size=4))
+    def test_sweep_agrees_with_brute_force(self, discs, conjugates):
+        # half-integer discs are often tangent; a conjugate pair with
+        # r = |Im c| touches the real axis, and so its partner, at one point
+        centers = [complex(x, y) for x, y, _ in discs]
+        radii = [r for _, _, r in discs]
+        for x, y in conjugates:
+            centers += [complex(x, y), complex(x, -y)]
+            radii += [abs(y), abs(y)]
+        centers, radii = np.array(centers, dtype=complex), np.array(radii, dtype=float)
+        assert discs_disjoint(centers, radii) == _brute_force_disjoint(centers, radii)
+
+    def test_tangent_discs_meet(self):
+        assert not discs_disjoint(np.array([0.0, 2.0j]), np.array([1.0, 1.0]))
+        assert discs_disjoint(np.array([0.0, 2.0j]), np.array([1.0, 0.999]))
+        assert not discs_disjoint(np.array([1.0 + 0.5j, 1.0 - 0.5j]), np.array([0.5, 0.5]))
+        # |c_0 - c_1| and r_0 + r_1 both round to 4.19, but Re c_1 - r_1 rounds
+        # one ulp above Re c_0 + r_0: only the widened intervals overlap
+        centers, radii = np.array([2.681, 6.871]), np.array([0.82, 3.37])
+        assert centers[1] - radii[1] > centers[0] + radii[0]
+        assert not _brute_force_disjoint(centers, radii)
+        assert not discs_disjoint(centers, radii)
+
+    def test_unproven_radii(self):
+        assert discs_disjoint(np.array([0.0, 10.0]), np.array([1.0, 1.0]))
+        assert not discs_disjoint(np.array([0.0, 10.0]), np.array([1.0, np.nan]))
+        assert not discs_disjoint(np.array([0.0, 10.0]), np.array([1.0, np.inf]))
 
 
 class TestEps0Scan:

@@ -118,9 +118,9 @@ class TestPipeline:
         sizes = []
         original = nldlab.spectra.eigenvalues
 
-        def counting(m):
+        def counting(m, *args, **kwargs):
             sizes.append((len(m) - 2) // 2)
-            return original(m)
+            return original(m, *args, **kwargs)
 
         monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
         monkeypatch.setattr(nldlab.verdict, "eigenvalues", counting, raising=False)
@@ -135,9 +135,19 @@ class TestPipeline:
         assert 0 < evidence["margin"] < 1 and evidence["isolation_gap"] > 0
         assert 0 < evidence["anchor_radius"] <= 1e-8
         rows = report32.convergence["u1"]["rows"]
-        assert [row["evidence"]["kind"] for row in rows] == ["dense", "gershgorin"]
+        assert [row["evidence"]["kind"] for row in rows] == ["windows", "gershgorin"]
         assert rows[1]["evidence"] == evidence
         assert report32.convergence["u1"]["pair_checks"][0]["outside_discs"] == 0
+
+    def test_benchmark_config_solves_u1_from_windows(self):
+        # the verify-N256 workload: the N-level u1 spectrum comes from windows
+        # inside its discs, with no dense eigensolve of T(u1)
+        rep = run_verify(RunConfig(N=256))
+        assert rep.verdict == OBSTRUCTED and rep.l_values == (0, 1)
+        rows = rep.convergence["u1"]["rows"]
+        assert [row["evidence"]["kind"] for row in rows] == ["windows", "gershgorin"]
+        assert rep.spectrum_u1.max_conjugate_mismatch == 0.0
+        assert abs(rep.convergence["anchor_values"][0] - 0.05) <= 1e-12
 
     def test_no_dense_synthesis_matrix_is_built(self, monkeypatch):
         # assemble_T builds its multipliers from FFT moments; the dense S is
@@ -178,9 +188,9 @@ class TestPipeline:
         solved = []
         original = nldlab.spectra.eigenvalues
 
-        def counting(m):
+        def counting(m, *args, **kwargs):
             solved.append((len(m) - 2) // 2)
-            return original(m)
+            return original(m, *args, **kwargs)
 
         monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
         with pytest.raises(ValueError, match="eps_n underflowed to zero"):
