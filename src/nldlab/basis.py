@@ -109,6 +109,21 @@ class BasisLayout:
         X = self._half_spectrum(c, np.zeros(c.shape[:-1] + (self.M // 2 + 1,), dtype=complex))
         return np.fft.irfft(X, n=self.M, norm="forward")
 
+    def fft_synthesis_with_derivative(self, c: np.ndarray, spectrum=None, out=None) -> np.ndarray:
+        """Samples of the (width, dim) rows c in rows [:width] and of their
+        derivatives D c in rows [width:], bit-equal to fft_synthesis of each, by one
+        inverse FFT of c's half spectrum above ik times it, k = 1..N (D drops the
+        top sine's image). spectrum (complex, zero outside the bins written, as a
+        buffer of an earlier call is) and out receive both; allocated when not given."""
+        width, n1 = len(c), self.N + 1
+        if spectrum is None:
+            spectrum = np.zeros((2 * width, self.M // 2 + 1), dtype=complex)
+        half = self._half_spectrum(c, spectrum[:width])
+        k = np.arange(1.0, n1)
+        spectrum.real[width:, 1:n1] = -k * half.imag[:, 1:n1]
+        spectrum.imag[width:, 1:n1] = k * half.real[:, 1:n1]
+        return np.fft.irfft(spectrum, n=self.M, norm="forward", out=out)
+
     def fft_analysis(self, g: np.ndarray, out=None, spectrum=None) -> np.ndarray:
         """Coefficients of grid samples g (length M, or each row of a (seeds, M)
         block); equal to analysis_matrix() @ g, by the forward real FFT that

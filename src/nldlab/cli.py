@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -23,7 +22,7 @@ from .semiflow import dissipativity_probe, integrate
 from .spectra import (eps0_threshold_scan, gap_check, match_blocks_u0, stationary_spectrum,
                       stationary_state)
 from .verdict import (CONFIG_KEYS, INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, RunConfig,
-                      emit_reports, run_verify, write_csv, write_gap_csv,
+                      emit_reports, run_verify, write_csv, write_gap_csv, write_json,
                       write_spectrum_csv)
 
 __all__ = ["main", "build_parser", "parse_seed_spec"]
@@ -196,14 +195,6 @@ def _cmd_scan_eps0(args) -> int:
     return 0
 
 
-def _null_if_not_finite(value):
-    """value, or each item of the list value, with a non-finite float replaced by
-    None, which JSON writes as null (NaN and Infinity are not JSON)."""
-    if isinstance(value, list):
-        return [_null_if_not_finite(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def _cmd_probe(args) -> int:
     config = _load_config(args)
     params = config.model_params()
@@ -219,10 +210,7 @@ def _cmd_probe(args) -> int:
           f"(M_scan={report.M_scan:.6g}, C={report.C}, delta={report.delta})")
     os.makedirs(config.outdir, exist_ok=True)
     path = os.path.join(config.outdir, "dissipativity.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: _null_if_not_finite(v) for k, v in asdict(report).items()}, fh,
-                  indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(path, asdict(report))
     print(f"wrote {path}")
     # a seed enters only with a finite tail, so a failed or unmeasured seed fails the probe
     return 0 if all(report.entered) else 2

@@ -136,42 +136,32 @@ def f_p(x, s, p, params: ModelParams):
     return params.kappa * ct.Blend(s).shape("omega") * ct.Blend(p).slope("w")
 
 
-def explicit_part(params: ModelParams, with_f: bool = True, with_K: bool = True):
+def explicit_part(params: ModelParams):
     """The map C -> P f(x, S C, S DC) + KC on a (seeds, dim) block of coefficient
-    rows, with S and P applied as the layout's FFT pair; with_f / with_K drop
-    either term. One inverse FFT samples C and DC: the spectrum holds C's half
-    spectrum above DC's, ik times it for k = 1..N (the top sine's image is
-    dropped, as in the D map). The spectrum, the samples, f's work arrays, the
-    forward FFT and the coefficients are buffers allocated once per block
-    height, so a step allocates nothing of the samples' size: with fresh arrays
-    each step the C heap shrank and grew back, 100-150 page faults per step at
-    N = 1024 with three seeds (`getrusage`)."""
+    rows, with S and P applied as the layout's FFT pair and C, DC sampled by one
+    inverse FFT (`BasisLayout.fft_synthesis_with_derivative`). The spectrum, the
+    samples, f's work arrays, the forward FFT and the coefficients are buffers
+    allocated once per block height, so a step allocates nothing of the
+    samples' size: with fresh arrays each step the C heap shrank and grew back,
+    100-150 page faults per step at N = 1024 with three seeds (`getrusage`)."""
     lay = params.layout
     x = lay.grid
-    n1 = lay.N + 1
-    k = np.arange(1.0, n1)
     K = mode_map(lay, "K", eps=params.eps)
     buffers = {}
 
     def explicit(C: np.ndarray) -> np.ndarray:
-        if with_f:
-            width = len(C)
-            if width not in buffers:
-                bins = lay.M // 2 + 1
-                buffers[width] = (np.zeros((2 * width, bins), dtype=complex),
-                                  np.empty((2 * width, lay.M)), np.empty((6, width, lay.M)),
-                                  np.empty((width, bins), dtype=complex),
-                                  np.empty((width, lay.dim)))
-            X, samples, work, Y, coefficients = buffers[width]
-            half = lay._half_spectrum(C, X[:width])
-            X.real[width:, 1:n1] = -k * half.imag[:, 1:n1]
-            X.imag[width:, 1:n1] = k * half.real[:, 1:n1]
-            np.fft.irfft(X, n=lay.M, norm="forward", out=samples)
-            out = lay.fft_analysis(f(x, samples[:width], samples[width:], params, work),
-                                   coefficients, Y)
-        else:
-            out = np.zeros_like(C)
-        return out + K(C) if with_K else out.copy()
+        width = len(C)
+        if width not in buffers:
+            bins = lay.M // 2 + 1
+            buffers[width] = (np.zeros((2 * width, bins), dtype=complex),
+                              np.empty((2 * width, lay.M)), np.empty((6, width, lay.M)),
+                              np.empty((width, bins), dtype=complex),
+                              np.empty((width, lay.dim)))
+        X, samples, work, Y, coefficients = buffers[width]
+        lay.fft_synthesis_with_derivative(C, X, samples)
+        out = lay.fft_analysis(f(x, samples[:width], samples[width:], params, work),
+                               coefficients, Y)
+        return out + K(C)
 
     return explicit
 

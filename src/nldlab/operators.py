@@ -95,7 +95,7 @@ class _ModeMap:
     values: np.ndarray
 
     @cached_property
-    def _runs(self) -> list:
+    def runs(self) -> list:
         """The table cut into runs of consecutive rows against consecutive cols,
         as (row slice, col slice, values) in table order."""
         cut = np.flatnonzero((np.diff(self.rows) != 1) | (np.diff(self.cols) != 1)) + 1
@@ -107,7 +107,7 @@ class _ModeMap:
         """Image of the coefficient vector c, or of each row of a (seeds, dim) block,
         one slice product per run; a recurring row sums its terms in table order."""
         out = np.zeros(np.shape(c))
-        for rows, cols, values in self._runs:
+        for rows, cols, values in self.runs:
             out[..., rows] += values * c[..., cols]
         return out
 

@@ -18,7 +18,7 @@ cross-check contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,17 +82,16 @@ class DissipativityReport:
     delta: float
 
 
-def _imex_step(params: ModelParams, with_f: bool = True, with_K: bool = True):
+def _imex_step(params: ModelParams):
     """The map C -> (I - dt Q)^(-1) (C + dt * explicit part) on a (seeds, dim) block,
     one state per row."""
-    explicit = explicit_part(params, with_f, with_K)
+    explicit = explicit_part(params)
     inv_implicit = 1.0 / (1.0 - params.dt * mode_map(params.layout, "Q").values)
     dt = params.dt
     return lambda C: (C + dt * explicit(C)) * inv_implicit
 
 
-def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int,
-           with_f: bool = True, with_K: bool = True):
+def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int):
     """Step the (seeds, dim) block C n_steps times, one state per row.
 
     Yields (k, rows, C) at step 0, every record_every-th step and the last one.
@@ -100,7 +99,7 @@ def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int,
     the original index of every row still marching. Rows never mix, so
     dropping one leaves the others unchanged. Stops once no row is left.
     """
-    step = _imex_step(params, with_f, with_K)
+    step = _imex_step(params)
     rows = np.arange(len(C))
     yield 0, rows, C
     for k in range(1, n_steps + 1):
@@ -114,18 +113,10 @@ def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int,
                 return
 
 
-def step_imex(u: np.ndarray, dt: float, params: ModelParams,
-              with_f: bool = True, with_K: bool = True) -> np.ndarray:
-    """One first-order IMEX step u+ = (I - dt Q)^(-1) (u + dt (f-term + Ku)).
-
-    The with_f / with_K switches disable the explicit terms so the pure
-    diagonal subproblem u_t = Qu can be tested against its exact solution.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt != params.dt:
-        params = replace(params, dt=dt)
-    c_new = _imex_step(params, with_f, with_K)(u[None])[0]
+def step_imex(u: np.ndarray, params: ModelParams) -> np.ndarray:
+    """One first-order IMEX step u+ = (I - dt Q)^(-1) (u + dt (f-term + Ku)),
+    dt = params.dt."""
+    c_new = _imex_step(params)(u[None])[0]
     if not np.all(np.isfinite(c_new)):
         raise RuntimeError("non-finite state after one step; reduce dt")
     return c_new
@@ -136,39 +127,41 @@ def cfl_number(params: ModelParams) -> float:
     return params.dt * (params.layout.N + 1) * (abs(params.kappa) * ct.sup_abs_w() + 1.0)
 
 
-def _cfl_guard(params: ModelParams, cfl_bound: float) -> float:
-    """The CFL number, or ValueError if it exceeds cfl_bound."""
+def _march_plan(states: list, params: ModelParams, T: float | None,
+                cfl_bound: float) -> tuple[float, float, int]:
+    """(CFL number, horizon, step count) of a march of states to T (default
+    params.T_final). ValueError if a state is not a coefficient vector of the
+    params layout, if the CFL number exceeds cfl_bound, or if the horizon is
+    not finite or rounds to no step."""
+    for u in states:
+        if np.shape(u) != (params.layout.dim,):
+            raise ValueError(f"initial state has shape {np.shape(u)}, "
+                             f"not ({params.layout.dim},) of the params layout")
     number = cfl_number(params)
     if number > cfl_bound:
         raise ValueError(
             f"CFL guard: dt*(N+1)*(|kappa|*sup|w|+1) = {number:.3g} exceeds {cfl_bound};"
             " reduce dt")
-    return number
-
-
-def _require_state(u: np.ndarray, params: ModelParams):
-    """A state must be a coefficient vector of the params layout."""
-    if np.shape(u) != (params.layout.dim,):
-        raise ValueError(f"initial state has shape {np.shape(u)}, "
-                         f"not ({params.layout.dim},) of the params layout")
+    horizon = params.T_final if T is None else T
+    if not math.isfinite(horizon) or round(horizon / params.dt) < 1:
+        raise ValueError(f"horizon T = {horizon:g} must be finite and take at least one "
+                         f"step of dt = {params.dt:g}")
+    return number, horizon, int(round(horizon / params.dt))
 
 
 def integrate(u0: np.ndarray, params: ModelParams, T: float | None = None,
-              record_every: int = 100, cfl_bound: float = DEFAULT_CFL_BOUND,
-              with_f: bool = True, with_K: bool = True) -> Trajectory:
+              record_every: int = 100, cfl_bound: float = DEFAULT_CFL_BOUND) -> Trajectory:
     """March to T (default params.T_final), recording every record_every steps.
 
-    Aborts with a stability diagnostic if the state stops being finite.
+    ValueError if T is not finite or rounds to no step; aborts with a
+    stability diagnostic if the state stops being finite.
     """
-    _require_state(u0, params)
-    number = _cfl_guard(params, cfl_bound)
-    horizon = params.T_final if T is None else T
-    n_steps = int(round(horizon / params.dt))
+    number, _, n_steps = _march_plan([u0], params, T, cfl_bound)
     alpha = params.theta
 
     times, states, norms = [], [], []
     for k, rows, C in _march(np.asarray(u0, dtype=float)[None], params, n_steps,
-                             record_every, with_f, with_K):
+                             record_every):
         if not rows.size:
             raise RuntimeError(
                 f"non-finite state at t = {k * params.dt:.6g}; reduce dt "
@@ -195,7 +188,7 @@ def absorbing_radius(C: float, M: float, delta: float, theta: float) -> float:
     return float(C * M * math.gamma(1.0 - theta) * delta ** (theta - 1.0))
 
 
-def nonlinearity_l2_bound(params: ModelParams, n_scan: int = 161) -> float:
+def nonlinearity_l2_bound(params: ModelParams) -> float:
     """Scanned L2(Gamma) bound M for u + f(x, u, u_x): sup|s+f| * sqrt(2*pi).
 
     The sup is attained in the compact region |s|, |p| <= 2 because mu kills
@@ -204,45 +197,43 @@ def nonlinearity_l2_bound(params: ModelParams, n_scan: int = 161) -> float:
     sin x, and at fixed (s, p) s + f is affine in sin x, so over those points
     |s + f| is largest at an extreme of sin x: scanning only the two points
     with the smallest and the largest sin x gives the same sup up to round-off.
+    s and p each take 161 points of [-4, 4].
     """
     x = params.layout.grid[:: max(1, params.layout.M // 64)]
     sin_x = np.sin(x)
     X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]
-    S = np.linspace(-4.0, 4.0, n_scan)[None, :, None]
-    p = np.linspace(-4.0, 4.0, n_scan)[None, None, :]
+    S = np.linspace(-4.0, 4.0, 161)[None, :, None]
+    p = np.linspace(-4.0, 4.0, 161)[None, None, :]
     sup = float(np.max(np.abs(S + f(X, S, p, params))))
     return sup * float(np.sqrt(2.0 * np.pi))
 
 
 def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None,
                         R_in: float = 10.0, C: float = 1.0,
-                        delta: float | None = None, record_every: int = 100,
+                        delta: float | None = None,
                         cfl_bound: float = DEFAULT_CFL_BOUND) -> DissipativityReport:
     """Integrate all seeds as one block and estimate limsup ||u(t)||_theta by the
-    tail max over the records in [T/2, T].
+    tail max over the records (every 100th step and the last) in [T/2, T].
 
     seeds is a list of (label, state) pairs; a seed whose state stops being
     finite is dropped, and the others march on unchanged. It is marked failed,
     with a NaN tail, as is a seed whose theta-norm overflows.
     delta defaults to 1 - eps0: the minimum eigenvalue of A - J d/dx is exactly
-    1 and K perturbs it by at most ||K|| = eps0.
+    1 and K perturbs it by at most ||K|| = eps0. ValueError if T (default
+    params.T_final) is not finite or rounds to no step.
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
-    for _, seed in seeds:
-        _require_state(seed, params)
-    _cfl_guard(params, cfl_bound)
-    horizon = params.T_final if T is None else T
+    _, horizon, n_steps = _march_plan([seed for _, seed in seeds], params, T, cfl_bound)
     if delta is None:
         delta = 1.0 - params.eps.eps0
     labels = [str(label) for label, _ in seeds]
     M_scan = nonlinearity_l2_bound(params)
     a_formula = absorbing_radius(C, M_scan, delta, params.theta)
 
-    n_steps = int(round(horizon / params.dt))
     block = np.array([seed for _, seed in seeds], dtype=float)
     tails = np.full(len(seeds), np.nan)
-    for k, alive, states in _march(block, params, n_steps, record_every):
+    for k, alive, states in _march(block, params, n_steps, 100):
         if k * params.dt >= horizon / 2.0:
             norms = theta_norm(params.layout, states, params.theta)
             tails[alive] = np.fmax(tails[alive], norms)
@@ -258,16 +249,16 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
                                [labels[i] for i in failed], a_emp, a_formula, M_scan, C, delta)
 
 
-def instability_growth_rate(params: ModelParams, amplitude: float = 1e-6,
-                            T: float = 5.0, record_every: int = 10) -> float:
-    """Fitted exponential rate of ||u(t) - 1||_theta from u(0) = (1+amplitude)*1.
+def instability_growth_rate(params: ModelParams) -> float:
+    """Fitted exponential rate of ||u(t) - 1||_theta from u(0) = (1 + 1e-6) * 1,
+    recorded every 10th step up to t = 5.
 
     The constant direction is the exact unstable eigenvector of the
     linearization at u = 1 with eigenvalue eps0, so the fitted slope should
     match eps0 while the deviation stays small.
     """
     one = stationary_state("u1", params.layout)
-    traj = integrate((1.0 + amplitude) * one, params, T=T, record_every=record_every)
+    traj = integrate((1.0 + 1e-6) * one, params, T=5.0, record_every=10)
     dev = theta_norm(params.layout, np.array(traj.states) - one, params.theta)
     slope = np.polyfit(traj.times, np.log(dev), 1)[0]
     return float(slope)

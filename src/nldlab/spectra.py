@@ -7,7 +7,7 @@ The linearization at a frozen state u is
 
 assembled as a dense matrix. Each multiplication operator is built from the
 grid moments of its samples (one real FFT, Toeplitz-plus-Hankel blocks) and
-M_{f_p} D is a column gather along the D mode map; all-zero samples add
+M_{f_p} D is added along the two runs of the D mode map; all-zero samples add
 nothing, so at u = 0 the matrix is exactly Q + K, block 2x2 with closed-form
 eigenvalues -(n^2+n) +- i eps_n. The same code path serves every u.
 
@@ -20,10 +20,10 @@ dense eigensolve (LAPACK geev through numpy).
 
 Evidence, by state and truncation:
 
-  u0: exact blocks. The block spectrum is paired with the closed form in
-      (Re, Im) order; any bijection within tolerance certifies it, and with
-      every eps_n nonzero no eigenvalue is real, whatever any threshold says
-      (eps_n decays below any fixed threshold).
+  u0: exact blocks ("blocks"). The block spectrum is paired with the closed
+      form in (Re, Im) order; any bijection within tolerance certifies it,
+      and with every eps_n nonzero no eigenvalue is real, whatever any
+      threshold says (eps_n decays below any fixed threshold).
   u1 at N: threshold classification, |Im| < tol_im * (1 + |lambda|), of the
       spectrum (the reports list it). `disc_certificate` runs here too; when
       its discs are mutually disjoint, each holds exactly one eigenvalue, and
@@ -32,7 +32,7 @@ Evidence, by state and truncation:
       the set is kept ("windows") only if every value lies in its own disc;
       cos and sin slots are then exact conjugates. Otherwise the row is one
       dense eigensolve, labelled "dense".
-  u1 at the largest truncation of a convergence study: a Gershgorin
+  u1 at 2N, the second row of a convergence study: a Gershgorin
       certificate (`disc_certificate`) on V^-1 T V, where V diagonalizes the
       drift part Q_kappa in closed form. When its discs prove exactly one
       in-band real eigenvalue, and where it lies, no eigensolve is made;
@@ -171,20 +171,26 @@ def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_
 _ROWS_PER_CHUNK = 64   # bounds row-chunk temporaries to 64 x dim entries
 
 
+def _row_chunks(n: int):
+    """Slices of at most _ROWS_PER_CHUNK consecutive rows covering range(n)."""
+    return (slice(lo, lo + _ROWS_PER_CHUNK) for lo in range(0, n, _ROWS_PER_CHUNK))
+
+
 def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
     """Dense (dim, dim) matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout.
 
     Q and K are written from their mode maps into one zeroed matrix (their
-    supports are disjoint), u and u_x are sampled by one FFT synthesis of a
-    two-row block, each multiplier is built from the moments of its samples,
-    and M_{f_p} D is a column gather along the D mode map, 64 rows at a time; a
-    multiplier whose samples are all zero is skipped, which leaves every entry
-    unchanged. No dense S, P or D is formed, and no temporary as large as T but
-    the one multiplier being added.
+    supports are disjoint), u and u_x are sampled by one inverse FFT
+    (`BasisLayout.fft_synthesis_with_derivative`), and each multiplier is built
+    from the moments of its samples. M_{f_p} D is added along the two runs of
+    the D mode map: the multiplier's columns of a run are scaled in place by
+    its values, then added to the run's image columns. A multiplier whose
+    samples are all zero is skipped, which leaves every entry unchanged. No
+    dense S, P or D is formed, and no temporary as large as T but the one
+    multiplier being added.
     """
     lay = params.layout
-    d = mode_map(lay, "D")
-    us, uxs = lay.fft_synthesis(np.stack([u, d(u)]))
+    us, uxs = lay.fft_synthesis_with_derivative(u[None])
     fs_samp = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
     fp_samp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
     entries = np.zeros((lay.dim, lay.dim))
@@ -194,9 +200,9 @@ def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
         entries += multiplier_from_samples(lay, fs_samp)
     if np.any(fp_samp):
         fp_mult = multiplier_from_samples(lay, fp_samp)
-        for lo in range(0, lay.dim, _ROWS_PER_CHUNK):
-            rows = slice(lo, lo + _ROWS_PER_CHUNK)
-            entries[rows, d.cols] += fp_mult[rows, d.rows] * d.values
+        for rows, cols, values in mode_map(lay, "D").runs:   # D[rows, cols] = values
+            fp_mult[:, rows] *= values
+            entries[:, cols] += fp_mult[:, rows]
     return entries
 
 
@@ -206,32 +212,33 @@ def eigenvalues(m: np.ndarray, discs: DiscCertificate | None = None,
 
     With `discs`, the `disc_certificate` of m = T(u1), the spectrum is first
     taken from small windows (`_window_eigenvalues`); when the discs do not
-    prove it, m takes the paths below unchanged. `evidence["kind"]`, when
-    given, records which: "windows" or "dense".
+    prove it, m takes the paths below unchanged.
 
     When every nonzero entry lies in the 2x2 blocks of the slot pairs
     (n, dim/2 + n), the layout's pairs {cos nx, sin (n+1)x}, the blocks carry
     the whole spectrum and are solved as one (dim/2, 2, 2) batch; the blocks
     partition the index set, so equal nonzero counts prove it. Any other
-    matrix takes one dense eigensolve.
+    matrix takes one dense eigensolve. `evidence["kind"]`, when given, records
+    the path: "windows", "blocks" or "dense".
     """
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     eigs = None if discs is None else _window_eigenvalues(m, discs)
-    if discs is not None and evidence is not None:
-        evidence["kind"] = "dense" if eigs is None else "windows"
+    kind = "windows"
     if eigs is None:
-        solve = m
+        solve, kind = m, "dense"
         if len(m) % 2 == 0:
             half = len(m) // 2
             blocks = np.diagonal(m.reshape(2, half, 2, half), axis1=1, axis2=3).transpose(2, 0, 1)
             if np.count_nonzero(blocks) == np.count_nonzero(m):
-                solve = blocks
+                solve, kind = blocks, "blocks"
         try:
             eigs = np.linalg.eigvals(solve).astype(complex).ravel()
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             cond = np.linalg.cond(m)
             raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
+    if evidence is not None:
+        evidence["kind"] = kind
     order = np.lexsort((-eigs.imag, -eigs.real))
     return eigs[order]
 
@@ -332,8 +339,7 @@ def disc_certificate(T: np.ndarray, kappa: float,
     centers = np.empty(L + 2, dtype=complex)
     S = np.empty(L + 2)
     t = np.empty(L + 2)
-    for lo in range(0, L + 2, _ROWS_PER_CHUNK):
-        k = slice(lo, lo + _ROWS_PER_CHUNK)
+    for k in _row_chunks(L + 2):
         Ta, Tb = T[slots[k]], T[partner[k]]
         G = a[k, None] * Ta + b[k, None] * Tb
         H = np.empty_like(G)
@@ -477,9 +483,10 @@ def qkappa_spectrum(n: int, kappa: float) -> tuple[complex, complex]:
 
 
 def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
-                       tol_re: float = TOL_RE_DEFAULT, *, band: float | None = None,
-                       point_label: str = "custom", N: int | None = None) -> SpectrumReport:
-    """Threshold classification and the Morse count l = #{real, > tol_re}."""
+                       tol_re: float = TOL_RE_DEFAULT, *, point_label: str = "custom",
+                       N: int | None = None) -> SpectrumReport:
+    """Threshold classification and the Morse count l = #{real, > tol_re}, in
+    full and inside the resolved band of truncation N (default (len(eigs) - 2) // 2)."""
     if tol_im <= 0 or tol_re <= 0:
         raise ValueError("tolerances must be positive")
     eigs = np.asarray(eigs, dtype=complex)
@@ -487,8 +494,7 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
     eigs = eigs[order]
     if N is None:
         N = (len(eigs) - 2) // 2
-    if band is None:
-        band = resolved_band(N)
+    band = resolved_band(N)
 
     real_mask = is_real(eigs, tol_im)
     band_mask = np.abs(eigs.real) <= band
@@ -497,8 +503,8 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
 
     nonreal = eigs[~real_mask]
     mismatch = 0.0
-    for lo in range(0, len(nonreal), _ROWS_PER_CHUNK):
-        conj = np.conj(nonreal[lo:lo + _ROWS_PER_CHUNK])
+    for rows in _row_chunks(len(nonreal)):
+        conj = np.conj(nonreal[rows])
         mismatch = max(mismatch, float(np.max(np.min(np.abs(conj[:, None] - nonreal[None, :]),
                                                      axis=1))))
 
@@ -521,22 +527,21 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Truncation study: per-N rows plus cross-N stability checks.
+    """Truncation study: rows at N and 2N, and the one pair check between them.
 
     A row holds a classified spectrum ("report": SpectrumReport), except the
-    largest truncation of a u1 study when `disc_certificate` certifies it
-    ("report": DiscCertificate, no eigensolve). Its "evidence" records the
-    kind, "dense", "windows" (a u1 spectrum solved from windows inside its
-    discs) or "gershgorin", and, for every u1 row, the certificate's margin and
-    isolation gap (and for a certified row the anchor disc radius).
+    2N row of a u1 study when `disc_certificate` certifies it ("report":
+    DiscCertificate, no eigensolve). Its "evidence" records the kind, "blocks",
+    "dense", "windows" (see `eigenvalues`) or "gershgorin", and, for every u1
+    row, the certificate's margin and isolation gap (and for a certified row
+    the anchor disc radius); "lowest" holds the 8 values nearest Re = 0.
 
-    Each pair of consecutive truncations is compared inside the stable zone
-    |Re| <= min(N)^2/8. Against a dense row every eigenvalue there must
-    persist (relative drift below drift_tol) and keep its classification.
-    Against a certified row every eigenvalue there must lie in a disc and be
-    real exactly when that disc is disc 0, and the anchor's worst-case drift,
-    its distance to the disc-0 center plus the radius, must stay below
-    drift_tol.
+    The rows are compared inside the stable zone |Re| <= N^2/8. Against a
+    dense row every eigenvalue there must persist (relative drift below
+    drift_tol) and keep its classification. Against a certified row every
+    eigenvalue there must lie in a disc and be real exactly when that disc is
+    disc 0, and the anchor's worst-case drift, its distance to the disc-0
+    center plus the radius, must stay below drift_tol.
     """
 
     point_label: str
@@ -546,43 +551,33 @@ class ConvergenceStudy:
     flagged: bool
 
 
-def convergence_study(point_label: str, params: ModelParams, N_list: list[int],
+def convergence_study(point_label: str, params: ModelParams,
                       tol_im: float = TOL_IM_DEFAULT, tol_re: float = TOL_RE_DEFAULT,
-                      k_lowest: int = 8, drift_tol: float = 1e-6) -> ConvergenceStudy:
-    """Classify T(u) across truncations and flag instability under refinement."""
-    if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("N_list must be increasing with at least 2 entries")
-    params.eps.values(N_list[-1] + 1)   # an eps_n underflow fails before any spectrum
-    rows = [_study_row(point_label, replace(params, layout=BasisLayout(N)),
-                       N == N_list[-1], tol_im, tol_re, k_lowest)
-            for N in N_list]
-
-    pair_checks = []
-    flagged = False
-    for row_a, row_b in zip(rows, rows[1:]):
-        rep_a, rep_b = row_a["report"], row_b["report"]
-        zone = min(row_a["N"], row_b["N"]) ** 2 / 8.0
-        in_zone = rep_a.eigenvalues[np.abs(rep_a.eigenvalues.real) <= zone]
-        if isinstance(rep_b, DiscCertificate):
-            check = _disc_pair_check(in_zone, rep_a.real_eigs_in_band, rep_b, tol_im)
-        else:
-            check = _dense_pair_check(in_zone, rep_b.eigenvalues, tol_im)
-        ok = (check["max_drift"] <= drift_tol and check["classification_flips"] == 0
-              and check.get("outside_discs", 0) == 0
-              and rep_a.l_count_in_band == rep_b.l_count_in_band)
-        flagged = flagged or not ok
-        pair_checks.append({
-            "N_pair": (row_a["N"], row_b["N"]),
-            "stable_zone": zone,
-            **check,
-            "l_in_band_pair": (rep_a.l_count_in_band, rep_b.l_count_in_band),
-            "ok": ok,
-        })
-    return ConvergenceStudy(point_label, rows, pair_checks, drift_tol, flagged)
+                      drift_tol: float = 1e-6) -> ConvergenceStudy:
+    """Classify T(u) at the truncations N = params.layout.N and 2N and flag
+    instability under that refinement."""
+    N = params.layout.N
+    params.eps.values(2 * N + 1)   # an eps_n underflow fails before any spectrum
+    row_a, row_b = (_study_row(point_label, replace(params, layout=BasisLayout(n)), n > N,
+                               tol_im, tol_re)
+                    for n in (N, 2 * N))
+    rep_a, rep_b = row_a["report"], row_b["report"]
+    zone = N**2 / 8.0
+    in_zone = rep_a.eigenvalues[np.abs(rep_a.eigenvalues.real) <= zone]
+    if isinstance(rep_b, DiscCertificate):
+        check = _disc_pair_check(in_zone, rep_a.real_eigs_in_band, rep_b, tol_im)
+    else:
+        check = _dense_pair_check(in_zone, rep_b.eigenvalues, tol_im)
+    ok = (check["max_drift"] <= drift_tol and check["classification_flips"] == 0
+          and check.get("outside_discs", 0) == 0
+          and rep_a.l_count_in_band == rep_b.l_count_in_band)
+    pair_check = {"N_pair": (N, 2 * N), "stable_zone": zone, **check,
+                  "l_in_band_pair": (rep_a.l_count_in_band, rep_b.l_count_in_band), "ok": ok}
+    return ConvergenceStudy(point_label, [row_a, row_b], [pair_check], drift_tol, not ok)
 
 
 def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_im: float,
-               tol_re: float, k_lowest: int = 8) -> dict:
+               tol_re: float) -> dict:
     """One row of a convergence study; T(u) lives only inside this call.
 
     A u1 row runs `disc_certificate`. With count_by_discs a certified row is
@@ -591,7 +586,7 @@ def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_
     """
     N = params.layout.N
     T = assemble_T(stationary_state(point_label, params.layout), params)
-    evidence = {"kind": "dense"}
+    evidence = {"kind": "dense"}   # first key of the report; `eigenvalues` sets it
     cert = None
     if point_label == "u1":
         cert = disc_certificate(T, params.kappa, tol_re)
@@ -600,18 +595,20 @@ def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_
             evidence.update(kind="gershgorin", anchor_radius=float(cert.radii[0]))
             order = np.argsort(np.abs(cert.centers.real), kind="stable")
             return {"N": N, "evidence": evidence, "report": cert,
-                    "lowest": cert.centers[order][:k_lowest]}
+                    "lowest": cert.centers[order][:8]}
     report = classify_and_count(eigenvalues(T, cert, evidence), tol_im, tol_re,
                                 point_label=point_label, N=N)
     eigs = report.eigenvalues
     return {"N": N, "evidence": evidence, "report": report,
-            "lowest": eigs[np.argsort(np.abs(eigs.real))][:k_lowest]}
+            "lowest": eigs[np.argsort(np.abs(eigs.real))][:8]}
 
 
 def _dense_pair_check(in_zone: np.ndarray, eigs_b: np.ndarray, tol_im: float) -> dict:
     """Relative drift of each in-zone eigenvalue to its nearest neighbour in
     eigs_b, and the classification flips between the two."""
-    matched = eigs_b[np.argmin(np.abs(in_zone[:, None] - eigs_b[None, :]), axis=1)]
+    matched = np.empty_like(in_zone)
+    for rows in _row_chunks(len(in_zone)):
+        matched[rows] = eigs_b[np.argmin(np.abs(in_zone[rows, None] - eigs_b), axis=1)]
     drift = np.abs(in_zone - matched) / (1.0 + np.abs(in_zone))
     return {"max_drift": float(drift.max()) if len(drift) else 0.0,
             "classification_flips": int(np.sum(is_real(in_zone, tol_im)
@@ -624,11 +621,15 @@ def _disc_pair_check(in_zone: np.ndarray, reals_a: np.ndarray, cert: DiscCertifi
     drift |a - c_0| + r_0 (a the real in-band eigenvalue nearest c_0), the
     eigenvalues whose classification disagrees with their disc (real exactly
     in disc 0), and those outside every disc."""
-    inside = np.abs(in_zone[:, None] - cert.centers[None, :]) <= cert.radii[None, :]
     c0, r0 = cert.centers[0].real, cert.radii[0]
+    in_disc0 = np.abs(in_zone - cert.centers[0]) <= r0
+    outside = 0
+    for rows in _row_chunks(len(in_zone)):
+        inside = np.abs(in_zone[rows, None] - cert.centers) <= cert.radii
+        outside += int(np.sum(~inside.any(axis=1)))
     return {"max_drift": float(np.min(np.abs(reals_a - c0)) + r0) if len(reals_a) else np.inf,
-            "classification_flips": int(np.sum(is_real(in_zone, tol_im) != inside[:, 0])),
-            "outside_discs": int(np.sum(~inside.any(axis=1)))}
+            "classification_flips": int(np.sum(is_real(in_zone, tol_im) != in_disc0)),
+            "outside_discs": outside}
 
 
 @dataclass(frozen=True)

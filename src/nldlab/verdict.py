@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -64,6 +65,7 @@ __all__ = [
     "emit_reports",
     "reports_equal",
     "write_csv",
+    "write_json",
     "write_spectrum_csv",
     "write_gap_csv",
     "OBSTRUCTED",
@@ -123,12 +125,9 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return replace(self, **provided)
 
-    def eps_sequence(self) -> EpsilonSequence:
-        return EpsilonSequence(self.eps0, self.rho)
-
-    def model_params(self, N: int | None = None) -> ModelParams:
-        layout = BasisLayout(self.N if N is None else N)
-        return ModelParams(layout=layout, kappa=self.kappa, eps=self.eps_sequence(),
+    def model_params(self) -> ModelParams:
+        return ModelParams(layout=BasisLayout(self.N), kappa=self.kappa,
+                           eps=EpsilonSequence(self.eps0, self.rho),
                            theta=self.theta, dt=self.dt, T_final=self.T_final,
                            allow_theta_override=self.allow_theta_override)
 
@@ -260,8 +259,7 @@ def run_verify(config: RunConfig) -> VerdictReport:
     stages.append(("stationarity", stationarity["ok_u0"] and stationarity["ok_u1"]))
 
     # The N-level rows of the convergence studies are the verdict spectra.
-    conv_u0, conv_u1 = (convergence_study(label, params, [layout.N, 2 * layout.N],
-                                          config.tol_im, config.tol_re,
+    conv_u0, conv_u1 = (convergence_study(label, params, config.tol_im, config.tol_re,
                                           drift_tol=config.convergence_tol)
                         for label in ("u0", "u1"))
     rep0 = conv_u0.rows[0]["report"]
@@ -351,6 +349,22 @@ def write_csv(path: str, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def write_json(path: str, payload: dict) -> None:
+    """One JSON report, indented, with each non-finite float at any depth of its
+    dicts, lists and tuples written as null: NaN and Infinity are not JSON."""
+
+    def nulled(value):
+        if isinstance(value, dict):
+            return {k: nulled(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [nulled(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(nulled(payload), fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def write_spectrum_csv(path: str, rep: SpectrumReport,
                        block_index: np.ndarray | None = None):
     """spectrum_*.csv: columns re, im, is_real (in band), block_index."""
@@ -432,9 +446,7 @@ def emit_reports(report: VerdictReport, outdir: str) -> dict:
         "gap": os.path.join(outdir, "gap.csv"),
     }
     try:
-        with open(paths["verdict"], "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(paths["verdict"], report.to_dict())
         write_spectrum_csv(paths["spectrum_u0"], report.spectrum_u0, report.block_index_u0)
         write_spectrum_csv(paths["spectrum_u1"], report.spectrum_u1)
         _write_spectrum_svg(paths["svg"], report.spectrum_u0, report.spectrum_u1)

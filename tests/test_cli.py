@@ -219,6 +219,14 @@ class TestSimulateCommand:
         assert rc == 1
         assert "CFL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_horizon_without_a_step_is_error(self, make_config, tmp_path, capsys, horizon):
+        rc = main(["--config", make_config(), "simulate",
+                   "--seed-spec", "random:1", "--T", horizon])
+        assert rc == 1
+        assert "at least one" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
 
 class TestGapCheckCommand:
     def test_theta_half_stays_below_one(self, tmp_path, capsys):
@@ -329,6 +337,14 @@ class TestProbeCommand:
         assert payload["failed"] == ["random:0", "random:1", "random:2"]
         assert np.isfinite(payload["M_scan"]) and np.isfinite(payload["a_formula"])
 
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_horizon_without_a_step_is_error(self, make_config, tmp_path, capsys, horizon):
+        rc = main(["--config", make_config(), "probe-dissipativity", "--T", horizon])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "at least one" in captured.err and "entered" not in captured.out
+        assert not (tmp_path / "out" / "dissipativity.json").exists()
+
     def test_fewer_than_three_seeds_is_error(self, make_config, capsys):
         cfg = make_config(seeds=[0, 1])
         rc = main(["--config", cfg, "probe-dissipativity", "--T", "0.01"])
@@ -358,6 +374,21 @@ class TestVerifyCommand:
         assert "failed stage" not in out
         with open(tmp_path / "out" / "verdict.json", encoding="utf-8") as fh:
             assert json.load(fh)["verdict"] == "OBSTRUCTED"
+
+    def test_overflowing_discs_write_strict_json(self, make_config, tmp_path, capsys):
+        # at kappa = 1e20 the disc margins are -inf: written as null, never as
+        # the -Infinity that strict JSON parsers reject
+        assert main(["--config", make_config(), "verify", "--kappa", "1e20"]) == 2
+        capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with open(tmp_path / "out" / "verdict.json", encoding="utf-8") as fh:
+            payload = json.load(fh, parse_constant=reject)
+        assert payload["e_membership"]["u1"]["evidence"]["margin"] is None
+        assert [row["evidence"]["margin"] for row in payload["convergence"]["u1"]["rows"]] \
+            == [None, None]
 
     def test_inconclusive_exits_two(self, make_config, capsys):
         cfg = make_config(N=32)

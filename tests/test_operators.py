@@ -402,5 +402,5 @@ class TestSliceApplication:
 
     def test_pair_maps_are_two_runs(self, layout16):
         for name in ("J", "G", "D", "K"):
-            assert len(mode_map(layout16, name, eps=EPS)._runs) == 2
-        assert len(mode_map(layout16, "Qkappa", kappa=1.25)._runs) == 3
+            assert len(mode_map(layout16, name, eps=EPS).runs) == 2
+        assert len(mode_map(layout16, "Qkappa", kappa=1.25).runs) == 3

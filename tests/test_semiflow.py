@@ -1,5 +1,7 @@
 """IMEX semiflow: fixed points, order, stability guards, dissipativity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,15 +23,23 @@ from nldlab import (
 from nldlab.semiflow import cfl_number, nonlinearity_l2_bound
 
 
+@pytest.fixture
+def no_explicit(monkeypatch):
+    """Drop f and K from the stepper, leaving the diagonal subproblem u_t = Qu,
+    whose exact solution the stepper is tested against."""
+    import nldlab.semiflow as semiflow
+    monkeypatch.setattr(semiflow, "explicit_part", lambda params: np.zeros_like)
+
+
 class TestStep:
     def test_zero_is_an_exact_fixed_point(self, params32):
         u = np.zeros(params32.layout.dim)
-        stepped = step_imex(u, params32.dt, params32)
+        stepped = step_imex(u, params32)
         assert np.all(stepped == 0.0)
 
     def test_one_is_a_fixed_point_to_roundoff(self, params32):
         u = cos_mode(params32.layout, 0)
-        stepped = step_imex(u, params32.dt, params32)
+        stepped = step_imex(u, params32)
         np.testing.assert_allclose(stepped, u, atol=1e-15)
 
     def test_fixed_points_hold_over_ten_thousand_steps(self, layout32):
@@ -39,24 +49,23 @@ class TestStep:
         drift = theta_norm(layout32, traj.final_state() - c, params.theta)
         assert drift <= 1e-9
 
-    def test_diagonal_subproblem_matches_backward_euler_exactly(self, layout16):
+    def test_diagonal_subproblem_matches_backward_euler_exactly(self, layout16, no_explicit):
         # with f and K off the step is (1 - dt*q_n)^(-1) mode by mode
         params = ModelParams(layout16, dt=1e-2)
         c = cos_mode(layout16, 1)  # q = -2
         for _ in range(50):
-            c = step_imex(c, params.dt, params, with_f=False, with_K=False)
+            c = step_imex(c, params)
         expected = (1.0 / (1.0 + 2.0 * params.dt)) ** 50
         assert c[1] == pytest.approx(expected, rel=1e-13)
         assert np.max(np.abs(np.delete(c, 1))) == 0.0
 
-    def test_diagonal_subproblem_converges_to_heat_decay(self, layout16):
+    def test_diagonal_subproblem_converges_to_heat_decay(self, layout16, no_explicit):
         # u_t = Qu with u0 = cos x decays like exp(-2t); backward Euler error
         # shrinks linearly in dt
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             params = ModelParams(layout16, dt=dt)
-            traj = integrate(cos_mode(layout16, 1), params, T=1.0,
-                             with_f=False, with_K=False)
+            traj = integrate(cos_mode(layout16, 1), params, T=1.0)
             errs.append(abs(traj.final_state()[1] - np.exp(-2.0)))
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.2)
@@ -75,16 +84,16 @@ class TestStep:
     def test_dt_validation_and_override(self, params32):
         u = cos_mode(params32.layout, 1)
         with pytest.raises(ValueError):
-            step_imex(u, 0.0, params32)
-        a = step_imex(u, 1e-3, params32)
-        b = step_imex(u, 1e-4, params32)
+            replace(params32, dt=0.0)
+        a = step_imex(u, replace(params32, dt=1e-3))
+        b = step_imex(u, replace(params32, dt=1e-4))
         assert not np.array_equal(a, b)
 
     def test_nan_state_aborts(self, params32):
         c = np.zeros(params32.layout.dim)
         c[0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
-            step_imex(c, 1e-3, params32)
+            step_imex(c, params32)
 
 
 class TestIntegrate:
@@ -93,6 +102,11 @@ class TestIntegrate:
         assert cfl_number(params) > 2.0
         with pytest.raises(ValueError, match="CFL"):
             integrate(np.zeros(layout32.dim), params)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, 4e-4, np.inf, np.nan])
+    def test_horizon_without_a_step_is_error(self, params32, T):
+        with pytest.raises(ValueError, match="at least one"):
+            integrate(np.zeros(params32.layout.dim), params32, T=T)
 
     def test_cfl_number_formula(self, layout32):
         from nldlab.cutoffs import sup_abs_w
@@ -120,11 +134,11 @@ class TestIntegrate:
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="non-finite"):
             integrate(c, params, T=0.2)
 
-    def test_linear_flow_norm_never_increases(self, layout16):
+    def test_linear_flow_norm_never_increases(self, layout16, no_explicit):
         # Q <= 0, so each mode decays or stays; theta-norm is monotone
         params = ModelParams(layout16)
         u0 = random_state(layout16, 3, params.theta, 5.0)
-        traj = integrate(u0, params, T=2.0, with_f=False, with_K=False)
+        traj = integrate(u0, params, T=2.0)
         assert np.all(np.diff(traj.theta_norm_history) <= 1e-14)
 
     def test_tail_max_norm(self, layout16):
@@ -200,8 +214,8 @@ class TestAbsorbingRadius:
 class TestDissipativity:
     def test_nonlinearity_bound_is_finite_and_stable(self, layout16):
         params = ModelParams(layout16)
-        b1 = nonlinearity_l2_bound(params, n_scan=161)
-        b2 = nonlinearity_l2_bound(params, n_scan=321)
+        b1 = nonlinearity_l2_bound(params)
+        b2 = full_scan_bound(params, n_scan=321)
         assert np.isfinite(b1) and b1 > 0
         assert b1 == pytest.approx(b2, rel=0.01)
 
@@ -261,6 +275,13 @@ class TestDissipativity:
         with pytest.raises(ValueError, match="shape"):
             dissipativity_probe(seeds, params32, T=0.1)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_probe_horizon_without_a_step_is_error(self, params32, T):
+        seeds = [(f"r{s}", random_state(params32.layout, s, params32.theta, 10.0))
+                 for s in range(3)]
+        with pytest.raises(ValueError, match="at least one"):
+            dissipativity_probe(seeds, params32, T=T)
+
     def test_probe_needs_three_seeds(self, layout16):
         params = ModelParams(layout16)
         with pytest.raises(ValueError):
@@ -268,7 +289,7 @@ class TestDissipativity:
 
     def test_growth_rate_at_unit_state_is_eps0(self, layout16):
         params = ModelParams(layout16)
-        rate = instability_growth_rate(params, T=5.0)
+        rate = instability_growth_rate(params)
         assert rate == pytest.approx(params.eps.eps0, rel=0.1)
 
 

@@ -364,7 +364,7 @@ class TestQkappaBlocks:
 class TestClassification:
     def test_synthetic_counts(self):
         eigs = np.array([-1.0, 2.0, 3.0 + 4.0j, 3.0 - 4.0j])
-        report = classify_and_count(eigs, band=np.inf, N=1)
+        report = classify_and_count(eigs, N=64)
         np.testing.assert_allclose(np.sort(report.real_eigs), [-1.0, 2.0])
         assert report.l_count == 1
         assert report.max_conjugate_mismatch == 0.0
@@ -373,20 +373,20 @@ class TestClassification:
 
     def test_relative_imaginary_threshold(self):
         # |Im| = 1e-6 is nonreal next to lambda ~ 1 but real next to 1e3
-        near = classify_and_count(np.array([1.0 + 1e-6j, 1.0 - 1e-6j]), band=np.inf, N=1)
+        near = classify_and_count(np.array([1.0 + 1e-6j, 1.0 - 1e-6j]), N=64)
         assert len(near.real_eigs) == 0
         far = classify_and_count(np.array([1e3 + 1e-6j, 1e3 - 1e-6j]),
-                                 tol_im=1e-8, band=np.inf, N=1)
+                                 tol_im=1e-8, N=64)
         assert len(far.real_eigs) == 2
 
     def test_zero_axis_guard(self):
         # reals below tol_re in magnitude do not count toward l
         eigs = np.array([5e-11, 0.05, -3.0])
-        report = classify_and_count(eigs, band=np.inf, N=1)
+        report = classify_and_count(eigs, N=64)
         assert report.l_count == 1
 
     def test_unpaired_nonreal_is_flagged(self):
-        report = classify_and_count(np.array([1.0 + 1.0j]), band=np.inf, N=1)
+        report = classify_and_count(np.array([1.0 + 1.0j]), N=64)
         assert report.max_conjugate_mismatch == pytest.approx(2.0)
 
     def test_tolerance_validation(self):
@@ -397,7 +397,7 @@ class TestClassification:
 
     def test_band_restriction(self):
         eigs = np.array([0.05, -5000.0])
-        report = classify_and_count(eigs, band=100.0, N=1)
+        report = classify_and_count(eigs, N=20)   # resolved band |Re| <= 100
         assert report.l_count == 1 and len(report.real_eigs) == 2
         assert len(report.real_eigs_in_band) == 1
 
@@ -405,7 +405,7 @@ class TestClassification:
 class TestConvergence:
     def test_u0_stable_under_refinement(self):
         params = ModelParams(BasisLayout(16))
-        study = convergence_study("u0", params, [16, 32])
+        study = convergence_study("u0", params)
         assert not study.flagged
         check = study.pair_checks[0]
         assert check["ok"] and check["classification_flips"] == 0
@@ -414,13 +414,13 @@ class TestConvergence:
 
     def test_u1_stable_under_refinement(self):
         params = ModelParams(BasisLayout(16))
-        study = convergence_study("u1", params, [16, 32])
+        study = convergence_study("u1", params)
         assert not study.flagged
         assert study.pair_checks[0]["l_in_band_pair"] == (1, 1)
 
     def test_impossible_drift_tolerance_flags(self):
         params = ModelParams(BasisLayout(16))
-        study = convergence_study("u1", params, [16, 32], drift_tol=1e-30)
+        study = convergence_study("u1", params, drift_tol=1e-30)
         assert study.flagged
 
     def test_u1_double_truncation_is_certified_by_discs(self, monkeypatch):
@@ -434,7 +434,7 @@ class TestConvergence:
 
         monkeypatch.setattr(nldlab.spectra, "eigenvalues", counting)
         params = ModelParams(BasisLayout(16))
-        study = convergence_study("u1", params, [16, 32])
+        study = convergence_study("u1", params)
         assert seen == [34]
         dense, certified = study.rows
         assert dense["evidence"]["kind"] == "windows"
@@ -463,14 +463,14 @@ class TestConvergence:
             return dataclasses.replace(cert, radii=radii)
 
         monkeypatch.setattr(nldlab.spectra, "disc_certificate", shrunk)
-        study = convergence_study("u1", ModelParams(BasisLayout(16)), [16, 32])
+        study = convergence_study("u1", ModelParams(BasisLayout(16)))
         assert study.rows[1]["evidence"]["kind"] == "gershgorin"
         check = study.pair_checks[0]
         assert check["outside_discs"] > 0 and check["classification_flips"] == 0
         assert study.flagged and not check["ok"]
 
     def test_real_classified_pairs_flip_against_their_discs(self):
-        study = convergence_study("u1", ModelParams(BasisLayout(16)), [16, 32], tol_im=1e3)
+        study = convergence_study("u1", ModelParams(BasisLayout(16)), tol_im=1e3)
         check = study.pair_checks[0]
         assert check["classification_flips"] > 0 and check["outside_discs"] == 0
         assert study.flagged
@@ -478,7 +478,7 @@ class TestConvergence:
     def test_uncertified_double_truncation_falls_back_to_dense(self):
         # strong coupling: the pair discs reach the real axis
         params = ModelParams(BasisLayout(16), eps=EpsilonSequence(0.5, 0.5))
-        study = convergence_study("u1", params, [16, 32])
+        study = convergence_study("u1", params)
         evidence = study.rows[1]["evidence"]
         assert evidence["kind"] == "dense" and evidence["margin"] < 0
         assert "anchor_radius" not in evidence
@@ -486,16 +486,10 @@ class TestConvergence:
         assert not study.flagged
         assert "outside_discs" not in study.pair_checks[0]
 
-    def test_u0_rows_stay_dense(self):
-        study = convergence_study("u0", ModelParams(BasisLayout(16)), [16, 32])
-        assert [row["evidence"] for row in study.rows] == [{"kind": "dense"}] * 2
-
-    def test_n_list_validation(self):
-        params = ModelParams(BasisLayout(16))
-        with pytest.raises(ValueError):
-            convergence_study("u0", params, [16])
-        with pytest.raises(ValueError):
-            convergence_study("u0", params, [32, 16])
+    def test_u0_rows_are_solved_on_pair_blocks(self):
+        study = convergence_study("u0", ModelParams(BasisLayout(16)))
+        assert [row["evidence"] for row in study.rows] == [{"kind": "blocks"}] * 2
+        assert [row["N"] for row in study.rows] == [16, 32]
 
 
 def _u1_matrix(N, kappa=1.25, eps0=0.05):
@@ -634,7 +628,7 @@ class TestWindowedSpectrum:
         np.testing.assert_array_equal(eigenvalues(T, cert, evidence), eigenvalues(T))
         assert evidence == {"kind": "dense"}
         params = ModelParams(BasisLayout(128), kappa=1.01)
-        row = convergence_study("u1", params, [128, 256]).rows[0]
+        row = convergence_study("u1", params).rows[0]
         assert row["evidence"]["kind"] == "dense"
         np.testing.assert_array_equal(row["report"].eigenvalues, eigenvalues(T))
 
@@ -650,7 +644,7 @@ class TestWindowedSpectrum:
             return dataclasses.replace(cert, radii=np.zeros_like(cert.radii))
 
         monkeypatch.setattr(nldlab.spectra, "disc_certificate", shrunk)
-        study = convergence_study("u1", ModelParams(BasisLayout(16)), [16, 32])
+        study = convergence_study("u1", ModelParams(BasisLayout(16)))
         row = study.rows[0]
         assert row["evidence"]["kind"] == "dense"
         np.testing.assert_array_equal(row["report"].eigenvalues, eigenvalues(_u1_matrix(16)))

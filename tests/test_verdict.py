@@ -63,11 +63,6 @@ class TestRunConfig:
         assert tuple(d.keys()) == CONFIG_KEYS
         assert d["seeds"] == list(range(10))
 
-    def test_model_params_at_other_truncation(self):
-        params = RunConfig(N=32).model_params(N=16)
-        assert params.layout.N == 16
-        assert params.kappa == 1.25
-
 
 class TestPipeline:
     def test_default_configuration_is_obstructed(self, report32):
@@ -276,6 +271,12 @@ class TestEmission:
         assert loaded == report32.to_dict()
         assert loaded["verdict"] == OBSTRUCTED
         assert loaded["l_values"] == [0, 1]
+
+    def test_finite_verdict_json_is_the_plain_dump(self, report32, tmp_path):
+        # nulling non-finite values changes nothing in a report that has none
+        paths = emit_reports(report32, str(tmp_path / "out"))
+        with open(paths["verdict"], encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(report32.to_dict(), indent=2) + "\n"
 
     def test_report_key_order(self, report32):
         assert list(report32.to_dict().keys()) == [
