@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: verify (full pipeline), spectrum, simulate, gap-check, scan-eps0,
-probe-dissipativity. A JSON config file (--config) supplies defaults; explicit
-flags override file values. Exit codes: 0 for OBSTRUCTED or plain success of
-the requested computation, 2 for INCONCLUSIVE (including NOT_OBSTRUCTED, which
-is not a gate success), 1 for errors.
+probe-dissipativity. A JSON config file (--config) may set any RunConfig key;
+each subcommand has a flag for exactly the keys it reads (any other flag is a
+usage error), and an explicit flag overrides the file value. simulate and
+probe-dissipativity integrate to T_final (--t-final). Exit codes: 0 for
+OBSTRUCTED or plain success of the requested computation, 2 for INCONCLUSIVE
+(including NOT_OBSTRUCTED, which is not a gate success), 1 for errors.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ from .verdict import (CONFIG_KEYS, INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, Run
 
 __all__ = ["main", "build_parser", "parse_seed_spec"]
 
+# the flag and type of each RunConfig key a subcommand can read
+_CONFIG_FLAGS = {"N": ("--N", int), "kappa": ("--kappa", float), "eps0": ("--eps0", float),
+                 "rho": ("--rho", float), "theta": ("--theta", float), "dt": ("--dt", float),
+                 "T_final": ("--t-final", float), "tol_im": ("--tol-im", float),
+                 "tol_re": ("--tol-re", float), "outdir": ("--outdir", str)}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, keys: str):
+    """One flag for each of the space-separated RunConfig keys."""
+    for key in keys.split():
+        flag, kind = _CONFIG_FLAGS[key]
+        p.add_argument(flag, dest=key, type=kind)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -36,47 +51,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (flat keys)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--N", type=int)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--eps0", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--t-final", dest="T_final", type=float)
-        p.add_argument("--tol-im", dest="tol_im", type=float)
-        p.add_argument("--tol-re", dest="tol_re", type=float)
-        p.add_argument("--outdir")
-
     p_verify = sub.add_parser("verify", help="full stationarity/spectrum/parity pipeline")
-    add_common(p_verify)
+    _add_config_flags(p_verify, "N kappa eps0 rho theta tol_im tol_re outdir")
 
     p_spec = sub.add_parser("spectrum", help="classified spectrum at one stationary point")
     p_spec.add_argument("--at", choices=("u0", "u1"), required=True)
-    add_common(p_spec)
+    _add_config_flags(p_spec, "N kappa eps0 rho tol_im tol_re outdir")
 
-    p_sim = sub.add_parser("simulate", help="integrate one initial state")
+    p_sim = sub.add_parser("simulate", help="integrate one initial state to T_final")
     p_sim.add_argument("--seed-spec", required=True,
                        help="u0 | u1 | u1+const:<amp> | random:<int>[:<theta-norm>]")
-    p_sim.add_argument("--T", type=float, help="horizon override")
-    add_common(p_sim)
+    _add_config_flags(p_sim, "N kappa eps0 rho theta dt T_final outdir")
 
     p_gap = sub.add_parser("gap-check", help="spectral gap/sparseness quotients of A")
     p_gap.add_argument("--theta", type=float, default=0.5)
     p_gap.add_argument("--nmax", type=int, default=10000)
-    p_gap.add_argument("--outdir")
+    _add_config_flags(p_gap, "outdir")
 
     p_scan = sub.add_parser("scan-eps0", help="real-eigenvalue count across couplings")
     p_scan.add_argument("--list", dest="eps0_list", required=True,
                         help="comma-separated eps0 values in (0, 1)")
-    add_common(p_scan)
+    _add_config_flags(p_scan, "N kappa rho tol_im tol_re outdir")
 
-    p_probe = sub.add_parser("probe-dissipativity", help="multi-seed tail-norm probe")
+    p_probe = sub.add_parser("probe-dissipativity",
+                             help="multi-seed tail-norm probe to T_final")
     p_probe.add_argument("--r-in", dest="r_in", type=float, default=10.0)
-    p_probe.add_argument("--T", type=float)
     p_probe.add_argument("--C", type=float, default=1.0)
     p_probe.add_argument("--delta", type=float)
-    add_common(p_probe)
+    _add_config_flags(p_probe, "N kappa eps0 rho theta dt T_final outdir")
     return parser
 
 
@@ -145,7 +147,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args)
     params = config.model_params()
     u0 = parse_seed_spec(args.seed_spec, config)
-    traj = integrate(u0, params, T=args.T, cfl_bound=config.cfl_bound)
+    traj = integrate(u0, params)
     os.makedirs(config.outdir, exist_ok=True)
     path = os.path.join(config.outdir, "trajectory.csv")
     write_csv(path, ["t", "theta_norm"],
@@ -158,8 +160,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gap_check(args) -> int:
-    outdir = args.outdir or (RunConfig.from_file(args.config).outdir if args.config
-                             else RunConfig().outdir)
+    outdir = _load_config(args).outdir
     report = gap_check(args.theta, args.nmax)
     crossing = np.argmax(report.running_max_gap > 100.0)
     crossed = bool(report.running_max_gap[-1] > 100.0)
@@ -200,8 +201,7 @@ def _cmd_probe(args) -> int:
     params = config.model_params()
     seeds = [(f"random:{s}", random_state(params.layout, s, config.theta, args.r_in))
              for s in config.seeds]
-    report = dissipativity_probe(seeds, params, T=args.T, R_in=args.r_in,
-                                 C=args.C, delta=args.delta, cfl_bound=config.cfl_bound)
+    report = dissipativity_probe(seeds, params, R_in=args.r_in, C=args.C, delta=args.delta)
     for label, tail, entered in zip(report.seed_labels, report.tail_norms,
                                     report.entered):
         status = "failed" if label in report.failed else f"tail={tail:.6g} entered={entered}"

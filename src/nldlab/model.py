@@ -24,7 +24,6 @@ only as a test oracle. The bounded part f + Ku of F is written once, in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +42,7 @@ class ModelParams:
     """Parameters of one model instance.
 
     theta is the fractional power defining the state space X^theta; the
-    construction needs theta in (3/4, 1). Values outside are permitted only
-    with allow_theta_override=True and emit a warning.
+    construction needs theta in (3/4, 1), and any other value is a ValueError.
     """
 
     layout: BasisLayout
@@ -53,7 +51,6 @@ class ModelParams:
     theta: float = 0.875
     dt: float = 1e-3
     T_final: float = 50.0
-    allow_theta_override: bool = False
 
     def __post_init__(self):
         _require_supercritical(self.kappa)
@@ -61,12 +58,7 @@ class ModelParams:
             raise ValueError("dt and T_final must be positive")
         lo, hi = THETA_RANGE
         if not lo < self.theta < hi:
-            if not self.allow_theta_override:
-                raise ValueError(
-                    f"theta={self.theta} outside ({lo}, {hi}); "
-                    "pass allow_theta_override=True to proceed anyway")
-            warnings.warn(f"theta={self.theta} outside the supported range ({lo}, {hi})",
-                          stacklevel=2)
+            raise ValueError(f"theta={self.theta} outside ({lo}, {hi})")
 
     @property
     def d(self) -> float:

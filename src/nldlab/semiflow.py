@@ -40,7 +40,7 @@ __all__ = [
     "instability_growth_rate",
 ]
 
-DEFAULT_CFL_BOUND = 2.0
+CFL_BOUND = 2.0   # largest cfl_number a march accepts
 
 
 @dataclass(frozen=True)
@@ -127,20 +127,20 @@ def cfl_number(params: ModelParams) -> float:
     return params.dt * (params.layout.N + 1) * (abs(params.kappa) * ct.sup_abs_w() + 1.0)
 
 
-def _march_plan(states: list, params: ModelParams, T: float | None,
-                cfl_bound: float) -> tuple[float, float, int]:
+def _march_plan(states: list, params: ModelParams,
+                T: float | None) -> tuple[float, float, int]:
     """(CFL number, horizon, step count) of a march of states to T (default
     params.T_final). ValueError if a state is not a coefficient vector of the
-    params layout, if the CFL number exceeds cfl_bound, or if the horizon is
+    params layout, if the CFL number exceeds CFL_BOUND, or if the horizon is
     not finite or rounds to no step."""
     for u in states:
         if np.shape(u) != (params.layout.dim,):
             raise ValueError(f"initial state has shape {np.shape(u)}, "
                              f"not ({params.layout.dim},) of the params layout")
     number = cfl_number(params)
-    if number > cfl_bound:
+    if number > CFL_BOUND:
         raise ValueError(
-            f"CFL guard: dt*(N+1)*(|kappa|*sup|w|+1) = {number:.3g} exceeds {cfl_bound};"
+            f"CFL guard: dt*(N+1)*(|kappa|*sup|w|+1) = {number:.3g} exceeds {CFL_BOUND};"
             " reduce dt")
     horizon = params.T_final if T is None else T
     if not math.isfinite(horizon) or round(horizon / params.dt) < 1:
@@ -150,13 +150,13 @@ def _march_plan(states: list, params: ModelParams, T: float | None,
 
 
 def integrate(u0: np.ndarray, params: ModelParams, T: float | None = None,
-              record_every: int = 100, cfl_bound: float = DEFAULT_CFL_BOUND) -> Trajectory:
+              record_every: int = 100) -> Trajectory:
     """March to T (default params.T_final), recording every record_every steps.
 
     ValueError if T is not finite or rounds to no step; aborts with a
     stability diagnostic if the state stops being finite.
     """
-    number, _, n_steps = _march_plan([u0], params, T, cfl_bound)
+    number, _, n_steps = _march_plan([u0], params, T)
     alpha = params.theta
 
     times, states, norms = [], [], []
@@ -210,8 +210,7 @@ def nonlinearity_l2_bound(params: ModelParams) -> float:
 
 def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None,
                         R_in: float = 10.0, C: float = 1.0,
-                        delta: float | None = None,
-                        cfl_bound: float = DEFAULT_CFL_BOUND) -> DissipativityReport:
+                        delta: float | None = None) -> DissipativityReport:
     """Integrate all seeds as one block and estimate limsup ||u(t)||_theta by the
     tail max over the records (every 100th step and the last) in [T/2, T].
 
@@ -224,7 +223,7 @@ def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None
     """
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
-    _, horizon, n_steps = _march_plan([seed for _, seed in seeds], params, T, cfl_bound)
+    _, horizon, n_steps = _march_plan([seed for _, seed in seeds], params, T)
     if delta is None:
         delta = 1.0 - params.eps.eps0
     labels = [str(label) for label, _ in seeds]

@@ -46,6 +46,7 @@ is stable under refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +64,7 @@ __all__ = [
     "Eps0ScanReport",
     "TOL_IM_DEFAULT",
     "TOL_RE_DEFAULT",
+    "DRIFT_TOL",
     "resolved_band",
     "is_real",
     "assemble_T",
@@ -82,6 +84,7 @@ __all__ = [
 
 TOL_IM_DEFAULT = 1e-8
 TOL_RE_DEFAULT = 1e-10
+DRIFT_TOL = 1e-6   # largest eigenvalue drift a convergence study accepts between N and 2N
 
 
 def resolved_band(N: int) -> float:
@@ -147,8 +150,6 @@ class GapReport:
     jump_ratio: np.ndarray
     running_max_gap: np.ndarray
     sup_estimate: float
-    kL: float | None
-    condition_2_1_holds: bool | None
 
 
 def stationary_state(label: str, layout: BasisLayout) -> np.ndarray:
@@ -290,7 +291,10 @@ def disc_certificate(T: np.ndarray, kappa: float,
     of every pair; the constant and the top sine are singletons. The constant
     is an exact eigenvector of T(u1), so V scales its slot by 1/s, s = 2^-27 (an
     exact power of two): disc 0 shrinks by s, and the other rows pay |T_i0|/s,
-    which is round-off sized.
+    which is round-off sized. v is scaled by 2^-e, the power of two that
+    brings |kappa| into [1, 2), so that neither kappa^2 nor |v| overflows: a
+    diagonal similarity, which leaves the centers unchanged and moves only the
+    entries that couple a pair to the constant or the top sine.
 
     F = X T V, X the computed inverse of V, is formed by mixing row pairs and
     then column pairs, 64 rows at a time; only its diagonal and absolute row
@@ -319,8 +323,9 @@ def disc_certificate(T: np.ndarray, kappa: float,
     dim = len(T)
     L = (dim - 2) // 2
     s = _SLOT0_SCALE
-    d = np.sqrt(kappa * kappa - 1.0)
-    v = np.array([kappa, complex(1.0, d)])
+    e = max(math.frexp(kappa)[1] - 1, 0)
+    k, one = math.ldexp(kappa, -e), math.ldexp(1.0, -e)
+    v = np.array([k, complex(one, np.sqrt(k * k - one * one))])
     x = np.array([np.conj(v[1]), -np.conj(v[0])]) / (2j * (v[0] * np.conj(v[1])).imag)
     Xn, Vn = np.array([x, np.conj(x)]), np.array([v, np.conj(v)]).T
     delta = float(np.max(np.sum(np.abs(Xn @ Vn - np.eye(2))
@@ -354,7 +359,7 @@ def disc_certificate(T: np.ndarray, kappa: float,
 
     c0, r0 = centers[0].real, radii[0]
     c, r = centers[1:], radii[1:]   # the conjugate discs share |Im c|, |Re c| and |c - c0|
-    reach = np.abs(c.real) - r <= resolved_band(L)
+    reach = ~(np.abs(c.real) - r > resolved_band(L))   # a NaN radius reaches the band
     with np.errstate(divide="ignore", invalid="ignore"):
         margin = float(np.min(1.0 - r[reach] / np.abs(c.imag[reach]), initial=1.0))
     isolation_gap = float(np.min(np.abs(c - c0) - r) - r0)
@@ -483,17 +488,15 @@ def qkappa_spectrum(n: int, kappa: float) -> tuple[complex, complex]:
 
 
 def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
-                       tol_re: float = TOL_RE_DEFAULT, *, point_label: str = "custom",
-                       N: int | None = None) -> SpectrumReport:
+                       tol_re: float = TOL_RE_DEFAULT, *, N: int,
+                       point_label: str = "custom") -> SpectrumReport:
     """Threshold classification and the Morse count l = #{real, > tol_re}, in
-    full and inside the resolved band of truncation N (default (len(eigs) - 2) // 2)."""
+    full and inside the resolved band of truncation N."""
     if tol_im <= 0 or tol_re <= 0:
         raise ValueError("tolerances must be positive")
     eigs = np.asarray(eigs, dtype=complex)
     order = np.lexsort((-eigs.imag, -eigs.real))
     eigs = eigs[order]
-    if N is None:
-        N = (len(eigs) - 2) // 2
     band = resolved_band(N)
 
     real_mask = is_real(eigs, tol_im)
@@ -538,10 +541,11 @@ class ConvergenceStudy:
 
     The rows are compared inside the stable zone |Re| <= N^2/8. Against a
     dense row every eigenvalue there must persist (relative drift below
-    drift_tol) and keep its classification. Against a certified row every
-    eigenvalue there must lie in a disc and be real exactly when that disc is
-    disc 0, and the anchor's worst-case drift, its distance to the disc-0
-    center plus the radius, must stay below drift_tol.
+    drift_tol, the DRIFT_TOL the study ran with) and keep its classification.
+    Against a certified row every eigenvalue there must lie in a disc and be
+    real exactly when that disc is disc 0, and the anchor's worst-case drift,
+    its distance to the disc-0 center plus the radius, must stay below
+    drift_tol.
     """
 
     point_label: str
@@ -552,8 +556,8 @@ class ConvergenceStudy:
 
 
 def convergence_study(point_label: str, params: ModelParams,
-                      tol_im: float = TOL_IM_DEFAULT, tol_re: float = TOL_RE_DEFAULT,
-                      drift_tol: float = 1e-6) -> ConvergenceStudy:
+                      tol_im: float = TOL_IM_DEFAULT,
+                      tol_re: float = TOL_RE_DEFAULT) -> ConvergenceStudy:
     """Classify T(u) at the truncations N = params.layout.N and 2N and flag
     instability under that refinement."""
     N = params.layout.N
@@ -568,12 +572,12 @@ def convergence_study(point_label: str, params: ModelParams,
         check = _disc_pair_check(in_zone, rep_a.real_eigs_in_band, rep_b, tol_im)
     else:
         check = _dense_pair_check(in_zone, rep_b.eigenvalues, tol_im)
-    ok = (check["max_drift"] <= drift_tol and check["classification_flips"] == 0
+    ok = (check["max_drift"] <= DRIFT_TOL and check["classification_flips"] == 0
           and check.get("outside_discs", 0) == 0
           and rep_a.l_count_in_band == rep_b.l_count_in_band)
     pair_check = {"N_pair": (N, 2 * N), "stable_zone": zone, **check,
                   "l_in_band_pair": (rep_a.l_count_in_band, rep_b.l_count_in_band), "ok": ok}
-    return ConvergenceStudy(point_label, [row_a, row_b], [pair_check], drift_tol, not ok)
+    return ConvergenceStudy(point_label, [row_a, row_b], [pair_check], DRIFT_TOL, not ok)
 
 
 def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_im: float,
@@ -658,8 +662,7 @@ def eps0_threshold_scan(params: ModelParams, eps0_list: list[float],
     return Eps0ScanReport(rows, max(singles) if singles else None)
 
 
-def gap_check(theta: float, n_max: int, k: float | None = None,
-              L: float | None = None) -> GapReport:
+def gap_check(theta: float, n_max: int) -> GapReport:
     """Sparseness quotients of the eigenvalue ladder 1+n^2 of A.
 
     With theta = 1/2 the quotients approach 1 from below (the sparseness
@@ -678,7 +681,6 @@ def gap_check(theta: float, n_max: int, k: float | None = None,
     jump_ratio = jump_gap / (powers[1:] + powers[:-1])
     ratios = np.zeros(len(lambda_seq) - 1)
     ratios[::2] = jump_ratio
-    kL = None if k is None or L is None else float(k * L)
     return GapReport(
         theta=theta,
         n_max=n_max,
@@ -690,6 +692,4 @@ def gap_check(theta: float, n_max: int, k: float | None = None,
         jump_ratio=jump_ratio,
         running_max_gap=np.maximum.accumulate(jump_gap),
         sup_estimate=float(jump_ratio.max()),
-        kL=kL,
-        condition_2_1_holds=None if kL is None else bool(np.any(jump_ratio > kL)),
     )

@@ -55,8 +55,9 @@ from .basis import BasisLayout
 from .model import ModelParams
 from .operators import EpsilonSequence
 from .semiflow import stationary_residual
-from .spectra import (ConvergenceStudy, GapReport, SpectrumReport, convergence_study,
-                      gap_check, match_blocks_u0, stationary_state)
+from .spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, ConvergenceStudy, GapReport,
+                      SpectrumReport, convergence_study, gap_check, match_blocks_u0,
+                      stationary_state)
 
 __all__ = [
     "RunConfig",
@@ -77,29 +78,28 @@ OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+STATIONARITY_TOL = 1e-10
 BLOCK_MATCH_TOL = 1e-10
 ANCHOR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration; JSON files use exactly these key names."""
+    """Flat run configuration; JSON files use exactly these key names. The
+    model defaults are those of ModelParams and EpsilonSequence, the
+    tolerance defaults those of `spectra`."""
 
-    kappa: float = 1.25
-    eps0: float = 0.05
-    rho: float = 0.5
-    theta: float = 0.875
+    kappa: float = ModelParams.kappa
+    eps0: float = EpsilonSequence.eps0
+    rho: float = EpsilonSequence.rho
+    theta: float = ModelParams.theta
     N: int = 128
-    dt: float = 1e-3
-    T_final: float = 50.0
-    tol_im: float = 1e-8
-    tol_re: float = 1e-10
+    dt: float = ModelParams.dt
+    T_final: float = ModelParams.T_final
+    tol_im: float = TOL_IM_DEFAULT
+    tol_re: float = TOL_RE_DEFAULT
     seeds: tuple = tuple(range(10))
     outdir: str = "out"
-    stationarity_tol: float = 1e-10
-    convergence_tol: float = 1e-6
-    cfl_bound: float = 2.0
-    allow_theta_override: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -128,8 +128,7 @@ class RunConfig:
     def model_params(self) -> ModelParams:
         return ModelParams(layout=BasisLayout(self.N), kappa=self.kappa,
                            eps=EpsilonSequence(self.eps0, self.rho),
-                           theta=self.theta, dt=self.dt, T_final=self.T_final,
-                           allow_theta_override=self.allow_theta_override)
+                           theta=self.theta, dt=self.dt, T_final=self.T_final)
 
     def to_dict(self) -> dict:
         return {k: (list(getattr(self, k)) if k == "seeds" else getattr(self, k))
@@ -139,14 +138,14 @@ class RunConfig:
 CONFIG_KEYS = tuple(fl.name for fl in fields(RunConfig))
 
 _KIND_NAMES = {"int": "an integer", "float": "a real number", "tuple": "a list of integers",
-               "str": "a string", "bool": "true or false"}
+               "str": "a string"}
 
 
 def _fits(kind: str, value) -> bool:
-    """Whether a JSON value fits a RunConfig field annotated kind; a bool is
-    never a number, and seeds (the one tuple field) is a list of integers."""
-    if kind == "bool" or isinstance(value, bool):
-        return kind == "bool" and isinstance(value, bool)
+    """Whether a JSON value fits a RunConfig field annotated kind; a bool fits
+    none, and seeds (the one tuple field) is a list of integers."""
+    if isinstance(value, bool):
+        return False
     if kind == "tuple":
         return isinstance(value, list) and all(_fits("int", s) for s in value)
     return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
@@ -212,8 +211,6 @@ def _gap_dict(gap: GapReport, head: int = 64) -> dict:
         "n_max": gap.n_max,
         "sup_estimate": gap.sup_estimate,
         "max_running_gap": float(gap.running_max_gap[-1]),
-        "kL": gap.kL,
-        "condition_2_1_holds": gap.condition_2_1_holds,
         "head": [{"n": int(gap.jump_n[i]), "lambda_n": float(gap.jump_lambda[i]),
                   "gap": float(gap.jump_gap[i]), "ratio": float(gap.jump_ratio[i])}
                  for i in range(take)],
@@ -252,15 +249,14 @@ def run_verify(config: RunConfig) -> VerdictReport:
     stationarity = {
         "residual_u0": res0,
         "residual_u1": res1,
-        "tol": config.stationarity_tol,
-        "ok_u0": bool(res0 <= config.stationarity_tol),
-        "ok_u1": bool(res1 <= config.stationarity_tol),
+        "tol": STATIONARITY_TOL,
+        "ok_u0": bool(res0 <= STATIONARITY_TOL),
+        "ok_u1": bool(res1 <= STATIONARITY_TOL),
     }
     stages.append(("stationarity", stationarity["ok_u0"] and stationarity["ok_u1"]))
 
     # The N-level rows of the convergence studies are the verdict spectra.
-    conv_u0, conv_u1 = (convergence_study(label, params, config.tol_im, config.tol_re,
-                                          drift_tol=config.convergence_tol)
+    conv_u0, conv_u1 = (convergence_study(label, params, config.tol_im, config.tol_re)
                         for label in ("u0", "u1"))
     rep0 = conv_u0.rows[0]["report"]
     rep1 = conv_u1.rows[0]["report"]
@@ -308,7 +304,7 @@ def run_verify(config: RunConfig) -> VerdictReport:
     # a certified last row knows its anchor to within the disc-0 radius
     radius = conv_u1.rows[-1]["evidence"].get("anchor_radius", 0.0)
     anchor_drift_ok = (None not in anchors
-                       and abs(anchors[0] - anchors[-1]) + radius <= config.convergence_tol)
+                       and abs(anchors[0] - anchors[-1]) + radius <= conv_u1.drift_tol)
     conv_ok = not conv_u0.flagged and not conv_u1.flagged and anchor_drift_ok
     stages.append(("convergence", conv_ok))
 

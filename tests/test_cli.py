@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,30 @@ class TestParsing:
         assert main(["spectrum"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, required, reads, unread", [
+        ("verify", [], "--N --kappa --eps0 --rho --theta --tol-im --tol-re --outdir", "--dt"),
+        ("spectrum", ["--at", "u0"], "--N --kappa --eps0 --rho --tol-im --tol-re --outdir",
+         "--theta"),
+        ("simulate", ["--seed-spec", "u1"],
+         "--N --kappa --eps0 --rho --theta --dt --t-final --outdir", "--tol-im"),
+        ("gap-check", [], "--theta --nmax --outdir", "--N"),
+        ("scan-eps0", ["--list", "0.1"], "--N --kappa --rho --tol-im --tol-re --outdir",
+         "--eps0"),
+        ("probe-dissipativity", [],
+         "--r-in --C --delta --N --kappa --eps0 --rho --theta --dt --t-final --outdir", "--T"),
+    ])
+    def test_subcommand_takes_exactly_the_flags_it_reads(self, capsys, command, required,
+                                                         reads, unread):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == set(reads.split()) | set(required[::2])
+        argv = [command, *required]
+        for flag in reads.split():
+            argv += [flag, "3"]
+        assert build_parser().parse_args(argv).command == command
+        assert main([command, *required, unread, "3"]) == 1
+        assert f"unrecognized arguments: {unread} 3" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -126,7 +151,7 @@ class TestConfigHandling:
         # nulls and values of the wrong type are rejected, naming the key
         path = tmp_path / "bad.json"
         for key, value in [("kappa", None), ("N", 16.5), ("N", "16"), ("kappa", "1.25"),
-                           ("seeds", 3), ("tol_im", [1])]:
+                           ("seeds", 3), ("tol_im", [1]), ("N", True), ("tol_im", False)]:
             path.write_text(json.dumps({key: value}), encoding="utf-8")
             assert main(["--config", str(path), "spectrum", "--at", "u0"]) == 1, key
             err = capsys.readouterr().err
@@ -183,7 +208,7 @@ class TestSpectrumCommand:
 class TestSimulateCommand:
     def test_writes_trajectory_csv(self, make_config, tmp_path, capsys):
         rc = main(["--config", make_config(), "simulate",
-                   "--seed-spec", "u1+const:0.125", "--T", "0.05"])
+                   "--seed-spec", "u1+const:0.125", "--t-final", "0.05"])
         assert rc == 0
         assert "wrote" in capsys.readouterr().out
         header, rows = read_csv(tmp_path / "out" / "trajectory.csv")
@@ -203,7 +228,7 @@ class TestSimulateCommand:
 
     def test_random_seed_starts_at_requested_norm(self, make_config, tmp_path):
         rc = main(["--config", make_config(), "simulate",
-                   "--seed-spec", "random:0", "--T", "0.01"])
+                   "--seed-spec", "random:0", "--t-final", "0.01"])
         assert rc == 0
         _, rows = read_csv(tmp_path / "out" / "trajectory.csv")
         assert float(rows[0][1]) == pytest.approx(10.0, rel=1e-12)
@@ -215,16 +240,16 @@ class TestSimulateCommand:
 
     def test_cfl_violation_is_error(self, make_config, capsys):
         rc = main(["--config", make_config(), "simulate",
-                   "--seed-spec", "u1", "--T", "1.0", "--dt", "0.1"])
+                   "--seed-spec", "u1", "--t-final", "1.0", "--dt", "0.1"])
         assert rc == 1
         assert "CFL" in capsys.readouterr().err
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])
     def test_horizon_without_a_step_is_error(self, make_config, tmp_path, capsys, horizon):
         rc = main(["--config", make_config(), "simulate",
-                   "--seed-spec", "random:1", "--T", horizon])
+                   "--seed-spec", "random:1", "--t-final", horizon])
         assert rc == 1
-        assert "at least one" in capsys.readouterr().err
+        assert "T_final must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
@@ -284,7 +309,7 @@ class TestScanCommand:
 class TestProbeCommand:
     def test_three_seeds_all_finite(self, make_config, tmp_path, capsys):
         rc = main(["--config", make_config(), "probe-dissipativity",
-                   "--T", "0.5", "--r-in", "5.0"])
+                   "--t-final", "0.5", "--r-in", "5.0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "a_emp=" in out and out.count("seed random:") == 3
@@ -300,7 +325,7 @@ class TestProbeCommand:
         # probe must report that as failure (exit 2), not success
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["--config", make_config(), "probe-dissipativity",
-                       "--T", "0.01", "--r-in", "inf"])
+                       "--t-final", "0.01", "--r-in", "inf"])
         assert rc == 2
         capsys.readouterr()
 
@@ -309,7 +334,7 @@ class TestProbeCommand:
         # tail is measured (far outside the ball), not reported as failed, and
         # the probe fails because no seed entered the ball
         rc = main(["--config", make_config(), "probe-dissipativity",
-                   "--T", "0.01", "--r-in", "1e200"])
+                   "--t-final", "0.01", "--r-in", "1e200"])
         assert rc == 2
         assert ": failed" not in capsys.readouterr().out
         with open(tmp_path / "out" / "dissipativity.json", encoding="utf-8") as fh:
@@ -322,7 +347,7 @@ class TestProbeCommand:
         # written as null, never as the NaN that strict JSON parsers reject
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["--config", make_config(), "probe-dissipativity",
-                       "--T", "0.01", "--r-in", "inf"])
+                       "--t-final", "0.01", "--r-in", "inf"])
         assert rc == 2
         out = capsys.readouterr().out
         assert out.count(": failed") == 3 and "a_emp=nan" in out
@@ -339,28 +364,17 @@ class TestProbeCommand:
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])
     def test_horizon_without_a_step_is_error(self, make_config, tmp_path, capsys, horizon):
-        rc = main(["--config", make_config(), "probe-dissipativity", "--T", horizon])
+        rc = main(["--config", make_config(), "probe-dissipativity", "--t-final", horizon])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "at least one" in captured.err and "entered" not in captured.out
+        assert "T_final must be positive" in captured.err and "entered" not in captured.out
         assert not (tmp_path / "out" / "dissipativity.json").exists()
 
     def test_fewer_than_three_seeds_is_error(self, make_config, capsys):
         cfg = make_config(seeds=[0, 1])
-        rc = main(["--config", cfg, "probe-dissipativity", "--T", "0.01"])
+        rc = main(["--config", cfg, "probe-dissipativity", "--t-final", "0.01"])
         assert rc == 1
         assert "at least 3 seeds" in capsys.readouterr().err
-
-    def test_cfl_bound_from_config_is_honoured(self, make_config, tmp_path, capsys):
-        from nldlab.semiflow import cfl_number
-        # dt = 0.06 at N = 16 lies above the default guard of 2 and below 3
-        cfg = make_config(dt=0.06, cfl_bound=3.0)
-        assert 2.0 < cfl_number(RunConfig(N=16, dt=0.06).model_params()) < 3.0
-        rc = main(["--config", cfg, "probe-dissipativity", "--T", "0.6", "--r-in", "5.0"])
-        assert rc == 0
-        assert "CFL" not in capsys.readouterr().err
-        with open(tmp_path / "out" / "dissipativity.json", encoding="utf-8") as fh:
-            assert json.load(fh)["failed"] == []
 
 
 class TestVerifyCommand:
@@ -376,7 +390,7 @@ class TestVerifyCommand:
             assert json.load(fh)["verdict"] == "OBSTRUCTED"
 
     def test_overflowing_discs_write_strict_json(self, make_config, tmp_path, capsys):
-        # at kappa = 1e20 the disc margins are -inf: written as null, never as
+        # at kappa = 1e20 the 2N disc margin is -inf: written as null, never as
         # the -Infinity that strict JSON parsers reject
         assert main(["--config", make_config(), "verify", "--kappa", "1e20"]) == 2
         capsys.readouterr()
@@ -387,8 +401,7 @@ class TestVerifyCommand:
         with open(tmp_path / "out" / "verdict.json", encoding="utf-8") as fh:
             payload = json.load(fh, parse_constant=reject)
         assert payload["e_membership"]["u1"]["evidence"]["margin"] is None
-        assert [row["evidence"]["margin"] for row in payload["convergence"]["u1"]["rows"]] \
-            == [None, None]
+        assert payload["convergence"]["u1"]["rows"][1]["evidence"]["margin"] is None
 
     def test_inconclusive_exits_two(self, make_config, capsys):
         cfg = make_config(N=32)

@@ -1,7 +1,5 @@
 """Nonlinearity f and the assembled right-hand side F."""
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -33,10 +31,6 @@ class TestModelParams:
     def test_theta_range_gate(self, layout32):
         with pytest.raises(ValueError):
             ModelParams(layout32, theta=0.5)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            ModelParams(layout32, theta=0.5, allow_theta_override=True)
-        assert len(rec) == 1 and "theta" in str(rec[0].message)
 
 
 class TestNonlinearity:

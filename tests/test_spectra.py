@@ -391,9 +391,9 @@ class TestClassification:
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
-            classify_and_count(np.array([1.0]), tol_im=0.0)
+            classify_and_count(np.array([1.0]), tol_im=0.0, N=64)
         with pytest.raises(ValueError):
-            classify_and_count(np.array([1.0]), tol_re=-1.0)
+            classify_and_count(np.array([1.0]), tol_re=-1.0, N=64)
 
     def test_band_restriction(self):
         eigs = np.array([0.05, -5000.0])
@@ -418,10 +418,11 @@ class TestConvergence:
         assert not study.flagged
         assert study.pair_checks[0]["l_in_band_pair"] == (1, 1)
 
-    def test_impossible_drift_tolerance_flags(self):
-        params = ModelParams(BasisLayout(16))
-        study = convergence_study("u1", params, drift_tol=1e-30)
-        assert study.flagged
+    def test_impossible_drift_tolerance_flags(self, monkeypatch):
+        import nldlab.spectra
+        monkeypatch.setattr(nldlab.spectra, "DRIFT_TOL", 1e-30)
+        study = convergence_study("u1", ModelParams(BasisLayout(16)))
+        assert study.flagged and study.drift_tol == 1e-30
 
     def test_u1_double_truncation_is_certified_by_discs(self, monkeypatch):
         import nldlab.spectra
@@ -555,31 +556,32 @@ class TestDiscCertificate:
     def test_rounded_radii_bound_the_exact_discs(self):
         # exact arithmetic (mpmath, 50 digits) on V^-1 T V with the same float
         # V: every float disc must contain the exact disc, and the slack stays
-        # round-off sized
+        # round-off sized. At kappa = 3 the pair vectors are scaled by 2^-1.
         mpmath = pytest.importorskip("mpmath")
-        kappa, N = 1.25, 8
-        T = _u1_matrix(N, kappa)
-        cert = disc_certificate(T, kappa)
-        dim = len(T)
-        d = np.sqrt(kappa * kappa - 1.0)
-        v = (kappa, complex(1.0, d))
-        V = np.zeros((dim, dim), dtype=complex)
-        V[0, 0] = 2.0**27
-        V[-1, -1] = 1.0
-        for n in range(1, N + 1):
-            c, s = n, N + n
-            V[c, c], V[s, c] = v
-            V[c, s], V[s, s] = np.conj(v[0]), np.conj(v[1])
-        with mpmath.workdps(50):
-            Vm = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in V])
-            Tm = mpmath.matrix([[mpmath.mpf(float(z)) for z in row] for row in T])
-            A = mpmath.inverse(Vm) * Tm * Vm
-            for i in range(dim):
-                exact_r = mpmath.fsum(abs(A[i, j]) for j in range(dim) if j != i)
-                c = cert.centers[i]
-                reach = abs(A[i, i] - mpmath.mpc(c.real, c.imag)) + exact_r
-                assert reach <= cert.radii[i]
-                assert cert.radii[i] - reach <= 1e-11 * (1 + abs(c))
+        N = 8
+        for kappa, scale in ((1.25, 1.0), (3.0, 0.5)):
+            T = _u1_matrix(N, kappa)
+            cert = disc_certificate(T, kappa)
+            dim = len(T)
+            d = np.sqrt(kappa * kappa - 1.0)
+            v = (scale * kappa, scale * complex(1.0, d))
+            V = np.zeros((dim, dim), dtype=complex)
+            V[0, 0] = 2.0**27
+            V[-1, -1] = 1.0
+            for n in range(1, N + 1):
+                c, s = n, N + n
+                V[c, c], V[s, c] = v
+                V[c, s], V[s, s] = np.conj(v[0]), np.conj(v[1])
+            with mpmath.workdps(50):
+                Vm = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in V])
+                Tm = mpmath.matrix([[mpmath.mpf(float(z)) for z in row] for row in T])
+                A = mpmath.inverse(Vm) * Tm * Vm
+                for i in range(dim):
+                    exact_r = mpmath.fsum(abs(A[i, j]) for j in range(dim) if j != i)
+                    c = cert.centers[i]
+                    reach = abs(A[i, i] - mpmath.mpc(c.real, c.imag)) + exact_r
+                    assert reach <= cert.radii[i]
+                    assert cert.radii[i] - reach <= 1e-11 * (1 + abs(c))
 
     def test_two_real_eigenvalues_in_band_are_never_certified(self):
         # cut the drift coupling of the n = 1 pair: that block turns real
@@ -591,6 +593,15 @@ class TestDiscCertificate:
         in_band = reals[(reals.imag == 0) & (np.abs(reals.real) <= resolved_band(N))]
         assert len(in_band) >= 2
         cert = disc_certificate(T, 1.25)
+        assert not cert.certified and cert.l_count_in_band == 0
+
+    def test_nan_radius_reaches_the_band_and_never_certifies(self):
+        # a NaN row sum gives its disc a NaN radius: the disc counts as
+        # reaching the band, so the margin is NaN instead of a perfect 1.0
+        T = _u1_matrix(16)
+        T[1, 5] = np.nan
+        cert = disc_certificate(T, 1.25)
+        assert np.isnan(cert.radii[1]) and np.isnan(cert.margin)
         assert not cert.certified and cert.l_count_in_band == 0
 
     def test_wrong_kappa_does_not_certify(self):
@@ -746,11 +757,6 @@ class TestGapCheck:
         rep = gap_check(0.875, 500)
         assert rep.sup_estimate < 0.6
         assert rep.jump_ratio[-1] < 0.01
-
-    def test_condition_flag(self):
-        assert gap_check(0.5, 100, k=2.0, L=0.4).condition_2_1_holds is True
-        assert gap_check(0.5, 100, k=2.0, L=1.0).condition_2_1_holds is False
-        assert gap_check(0.5, 100).condition_2_1_holds is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ the parity to the opposite verdict.
 """
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,23 +222,43 @@ class TestSoundness:
         assert rep.verdict == INCONCLUSIVE
         assert rep.failed_stage == "e_membership_u1"
 
-    def test_unattainable_stationarity_tolerance(self):
-        rep = run_verify(RunConfig(N=32, stationarity_tol=1e-30))
+    def test_unattainable_stationarity_tolerance(self, monkeypatch):
+        import nldlab.verdict
+        monkeypatch.setattr(nldlab.verdict, "STATIONARITY_TOL", 1e-30)
+        rep = run_verify(CFG32)
         assert rep.verdict == INCONCLUSIVE
         assert rep.failed_stage == "stationarity"
 
-    def test_unattainable_convergence_tolerance(self):
-        rep = run_verify(RunConfig(N=32, convergence_tol=1e-30))
+    def test_unattainable_convergence_tolerance(self, monkeypatch):
+        import nldlab.spectra
+        monkeypatch.setattr(nldlab.spectra, "DRIFT_TOL", 1e-30)
+        rep = run_verify(CFG32)
         assert rep.verdict == INCONCLUSIVE
         assert rep.failed_stage == "convergence"
 
-    def test_never_not_obstructed_under_any_single_flip(self):
+    def test_never_not_obstructed_under_any_single_flip(self, monkeypatch):
+        import nldlab.spectra
+        import nldlab.verdict
         for cfg in (RunConfig(N=32, eps0=0.0),
                     RunConfig(N=32, tol_im=1e3),
-                    RunConfig(N=32, tol_re=1e3),
-                    RunConfig(N=32, stationarity_tol=1e-30),
-                    RunConfig(N=32, convergence_tol=1e-30)):
+                    RunConfig(N=32, tol_re=1e3)):
             assert run_verify(cfg).verdict != NOT_OBSTRUCTED
+        for module, constant in ((nldlab.verdict, "STATIONARITY_TOL"),
+                                 (nldlab.spectra, "DRIFT_TOL")):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, constant, 1e-30)
+                assert run_verify(CFG32).verdict != NOT_OBSTRUCTED
+
+    def test_extreme_kappa_warns_nothing_and_records_no_nan(self):
+        # kappa^2 and |v| would overflow in the disc certificate; its scaled
+        # eigenvectors keep every margin and gap a number (-inf counts as one)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_verify(RunConfig(N=16, kappa=1e200))
+        evidence = [rep.e_membership["u1"]["evidence"]]
+        evidence += [row["evidence"] for row in rep.convergence["u1"]["rows"]]
+        values = [v for e in evidence for v in e.values() if isinstance(v, float)]
+        assert len(values) == 6 and not any(math.isnan(v) for v in values)
 
     @pytest.mark.parametrize("overrides", [
         {"eps0": 0.3}, {"eps0": 0.5}, {"eps0": 0.9}, {"kappa": 1.01}, {"kappa": 1.05},
@@ -286,8 +308,8 @@ class TestEmission:
 
     def test_u1_csv_has_exactly_one_true_real(self, report32, tmp_path):
         paths = emit_reports(report32, str(tmp_path / "out"))
-        rows = [line.split(",") for line in
-                open(paths["spectrum_u1"]).read().strip().splitlines()[1:]]
+        with open(paths["spectrum_u1"], encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
         true_rows = [r for r in rows if r[2] == "true"]
         assert len(true_rows) == 1
         assert float(true_rows[0][0]) == pytest.approx(0.05, abs=1e-8)
@@ -295,7 +317,8 @@ class TestEmission:
 
     def test_u0_csv_blocks_and_stability(self, report32, tmp_path):
         paths = emit_reports(report32, str(tmp_path / "out"))
-        lines = open(paths["spectrum_u0"]).read().strip().splitlines()
+        with open(paths["spectrum_u0"], encoding="utf-8") as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "re,im,is_real,block_index"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 2 * 32 + 2
@@ -306,7 +329,8 @@ class TestEmission:
 
     def test_gap_csv_shape(self, report32, tmp_path):
         paths = emit_reports(report32, str(tmp_path / "out"))
-        lines = open(paths["gap"]).read().strip().splitlines()
+        with open(paths["gap"], encoding="utf-8") as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "n,lambda_n,ratio"
         assert len(lines) == 1 + 1024
         first = lines[1].split(",")
@@ -314,7 +338,8 @@ class TestEmission:
 
     def test_svg_structure(self, report32, tmp_path):
         paths = emit_reports(report32, str(tmp_path / "out"))
-        svg = open(paths["svg"]).read()
+        with open(paths["svg"], encoding="utf-8") as fh:
+            svg = fh.read()
         assert svg.startswith("<svg")
         assert "Im = 0" in svg
         assert "spectrum at u0" in svg and "spectrum at u1" in svg
