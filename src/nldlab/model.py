@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cutoffs as ct
 from .basis import BasisLayout
-from .operators import EpsilonSequence, _require_supercritical, mode_map
+from .operators import EpsilonSequence, _drift_offset, _require_supercritical, mode_map
 
 __all__ = ["ModelParams", "f", "f_s", "f_p", "explicit_part", "evaluate_F"]
 
@@ -63,7 +63,7 @@ class ModelParams:
     @property
     def d(self) -> float:
         """Imaginary offset sqrt(kappa^2 - 1) of the Q_kappa eigenvalues."""
-        return float(np.sqrt(self.kappa**2 - 1.0))
+        return _drift_offset(self.kappa)
 
 
 def _core(x, s, w_p, params: ModelParams, work=None):

@@ -32,23 +32,29 @@ close under it, which is the point of the block-aligned truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisLayout
 
 __all__ = [
     "EpsilonSequence",
     "mode_map",
-    "multiplier_from_samples",
+    "multiplier",
     "assemble",
     "l2_operator_norm",
 ]
 
 B_CONSTANT_VALUE = -2.0 * np.log(2.0)
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -175,14 +181,24 @@ def _require_supercritical(kappa: float):
         raise ValueError(f"|kappa| must exceed 1, got {kappa}")
 
 
-def multiplier_from_samples(layout: BasisLayout, g: np.ndarray) -> np.ndarray:
-    """P diag(g) S for grid samples g (length M), the matrix of h -> g*h with the
-    product analyzed on the grid, built from one real FFT of g.
+def _drift_offset(kappa: float) -> float:
+    """sqrt(kappa^2 - 1), the imaginary offset of the Q_kappa eigenvalues, for any
+    finite kappa: computed on kappa and 1 scaled by the power of two that brings
+    |kappa| into [1, 2), which is exact wherever the unscaled formula does not overflow."""
+    e = max(math.frexp(kappa)[1] - 1, 0)
+    k, one = math.ldexp(kappa, -e), math.ldexp(1.0, -e)
+    return math.ldexp(math.sqrt(k * k - one * one), e)
+
+
+@dataclass(frozen=True)
+class Multiplier:
+    """The operator h -> g*h of grid samples g (length M), with the product
+    analyzed on the grid (P diag(g) S), held as the grid moments of g.
 
     The moments C_k = (1/M) sum_j g_j cos kx_j and S_k = (1/M) sum_j g_j sin kx_j
     are C_k = (-1)^k Re R_k / M and S_k = -(-1)^k Im R_k / M with R = rfft(g)
     (the grid offset x_j = -pi + 2 pi j/M is the phase (-1)^k). The
-    product-to-sum identities give Toeplitz-plus-Hankel blocks:
+    product-to-sum identities give Toeplitz-plus-Hankel entries:
 
         cos n  <- cos n'   w_n (C_{n-n'} + C_{n+n'})    (w_0 = 1/2, else 1)
         sin m  <- sin m'   C_{m-m'} - C_{m+m'}
@@ -190,34 +206,46 @@ def multiplier_from_samples(layout: BasisLayout, g: np.ndarray) -> np.ndarray:
         sin m  <- cos n'   S_{m+n'} + S_{m-n'}
 
     This holds for any samples, band-limited or not: every |k| <= 2N+2 < M/2,
-    so no index wraps. Each block is a strided view of the moments (no index
-    arrays), summed straight into the one (dim, dim) result. Zero samples give
-    an exactly zero matrix.
+    so no index wraps. table holds C_k, S_k and -C_k at column 2N+2+k, so
+    that every entry is one sum of two table values.
+
+    q is the chop degree: the last k whose |C_k| + |S_k| exceeds gamma_M max|g|,
+    the worst-case rounding error of an M-term moment sum, so that the
+    moments above q are indistinguishable from rounding (a chop at rounding
+    level, after Aurentz & Trefethen, ACM TOMS 43, 2017). tail is
+    sum_{q < k <= 2N+2} |C_k| + |S_k|, as computed.
     """
+
+    layout: BasisLayout
+    table: np.ndarray
+    q: int
+    tail: float
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The matrix entries at the layout slots (rows[i], cols[i])."""
+        N = self.layout.N
+        top = 2 * N + 2
+        cos_row, cos_col = np.asarray(rows) <= N, np.asarray(cols) <= N
+        n = np.where(cos_row, rows, rows - N)   # frequencies
+        n2 = np.where(cos_col, cols, cols - N)
+        same = cos_row == cos_col
+        plus = np.where(same, np.where(cos_row, 0, 2), 1)   # C, -C or S at n + n'
+        minus = np.where(cos_row & ~cos_col, n2 - n, n - n2)
+        out = self.table[plus, top + n + n2] + self.table[np.where(same, 0, 1), top + minus]
+        return np.where(rows == 0, 0.5 * out, out)   # w_0
+
+
+def multiplier(layout: BasisLayout, g: np.ndarray) -> Multiplier:
+    """The `Multiplier` of the samples g, from one real FFT."""
     top = 2 * layout.N + 2
     k = np.arange(-top, top + 1)
     moments = np.fft.rfft(g)[np.abs(k)] * (np.where(k % 2 == 0, 1.0, -1.0) / layout.M)
-    L = layout.N + 1   # cos orders 0..N and sin orders 1..N+1, so each block is L x L
-    # windows[r, q] = moments[r + q] of C_k (even in k) and of S_k (odd in k)
-    C = sliding_window_view(moments.real, L)
-    S = sliding_window_view(-np.sign(k) * moments.imag, L)
-
-    def plus(W, a):    # [i, j] -> moment a + i + j
-        return W[top + a:top + a + L]
-
-    def minus(W, a):   # [i, j] -> moment a + i - j
-        return W[top + a - L + 1:top + a + 1, ::-1]
-
-    def flip(W, a):    # [i, j] -> moment a - i + j
-        return W[top + a - L + 1:top + a + 1][::-1]
-
-    out = np.empty((2 * L, 2 * L))
-    np.add(minus(C, 0), plus(C, 0), out=out[:L, :L])       # i = n, j = n'
-    np.add(plus(S, 1), flip(S, 1), out=out[:L, L:])        # i = n, j = m' - 1
-    out[0] *= 0.5                                          # w_0
-    np.add(plus(S, 1), minus(S, 1), out=out[L:, :L])       # i = m - 1, j = n'
-    np.subtract(minus(C, 0), plus(C, 2), out=out[L:, L:])  # i = m - 1, j = m' - 1
-    return out
+    C = moments.real
+    table = np.array([C, -np.sign(k) * moments.imag, -C])
+    size = np.abs(C[top:]) + np.abs(table[1, top:])   # |C_k| + |S_k|, k = 0..top
+    above = np.flatnonzero(size > _gamma(layout.M) * np.max(np.abs(g)))
+    q = int(above[-1]) if len(above) else 0
+    return Multiplier(layout, table, q, float(np.sum(size[q + 1:])))
 
 
 def assemble(layout: BasisLayout, opname: str, *, eps: EpsilonSequence | None = None,

@@ -5,18 +5,18 @@ The linearization at a frozen state u is
     T(u) h = h_xx + J h_x + f_s(x,u,u_x) h + f_p(x,u,u_x) h_x + K h
            = Q h + M_{f_s} h + M_{f_p} h_x + K h,
 
-assembled as a dense matrix. Each multiplication operator is built from the
-grid moments of its samples (one real FFT, Toeplitz-plus-Hankel blocks) and
-M_{f_p} D is added along the two runs of the D mode map; all-zero samples add
-nothing, so at u = 0 the matrix is exactly Q + K, block 2x2 with closed-form
-eigenvalues -(n^2+n) +- i eps_n. The same code path serves every u.
-
-Spectra are solved on the layout's structure: a matrix whose nonzero entries
-(exact zeros only, no tolerance) all lie in the 2x2 blocks of the pairs
-{cos nx, sin (n+1)x}, the K mode map's pairing, is solved as one batch of
-N + 1 2x2 blocks. Q + K is such a matrix. T(u1), given its Gershgorin
-discs, is solved from small windows (below); any other matrix takes one
-dense eigensolve (LAPACK geev through numpy).
+assembled in pair order (the constant, then (cos nx, sin nx) for n = 1..N,
+then the top sine) as a band (`BandedT`): each multiplication operator is held
+as the grid moments of its samples (one real FFT), chopped at rounding level,
+and its Toeplitz-plus-Hankel entries are written into the band; what the band
+drops is bounded by the moment tail, and every certificate charges it. T(u1)
+has half-bandwidth 3. All-zero samples add nothing, so at u = 0 the band is
+exactly Q + K, block 2x2 on the pairs {cos nx, sin (n+1)x} with closed-form
+eigenvalues -(n^2+n) +- i eps_n, and is solved as one batch of N + 1 2x2
+blocks. The same code path serves every u. T(u1), given its Gershgorin discs,
+is solved from small windows of the band (below); any other T takes one dense
+eigensolve (LAPACK geev through numpy) of `BandedT.dense`, which verify at the
+defaults never builds.
 
 Evidence, by state and truncation:
 
@@ -36,7 +36,8 @@ Evidence, by state and truncation:
       certificate (`disc_certificate`) on V^-1 T V, where V diagonalizes the
       drift part Q_kappa in closed form. When its discs prove exactly one
       in-band real eigenvalue, and where it lies, no eigensolve is made;
-      otherwise the row falls back to the dense spectrum, labelled "dense".
+      otherwise the row falls back to the dense spectrum, labelled "dense",
+      whose drifts are charged the tails both rows' bands drop.
 
 Verdict-grade real sets are restricted to the resolved band |Re| <= N^2/4:
 the layout's dropped top-sine image plants one strongly negative real
@@ -53,11 +54,12 @@ import numpy as np
 
 from .basis import BasisLayout
 from .model import ModelParams, f_p, f_s
-from .operators import (EpsilonSequence, _require_supercritical, mode_map,
-                        multiplier_from_samples)
+from .operators import (EpsilonSequence, _drift_offset, _gamma, _require_supercritical,
+                        mode_map, multiplier)
 
 __all__ = [
     "SpectrumReport",
+    "BandedT",
     "GapReport",
     "ConvergenceStudy",
     "DiscCertificate",
@@ -177,58 +179,141 @@ def _row_chunks(n: int):
     return (slice(lo, lo + _ROWS_PER_CHUNK) for lo in range(0, n, _ROWS_PER_CHUNK))
 
 
-def assemble_T(u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Dense (dim, dim) matrix of T(u) = Q + M_{f_s} + M_{f_p} D + K in the layout.
+def _pair_slots(N: int) -> np.ndarray:
+    """The layout slot at each pair-order position: the constant, then cos nx
+    and sin nx for n = 1..N, then the top sine."""
+    slot = np.arange(2 * N + 2)
+    slot[1:-1] = slot[1:-1].reshape(2, N).T.ravel()
+    return slot
 
-    Q and K are written from their mode maps into one zeroed matrix (their
-    supports are disjoint), u and u_x are sampled by one inverse FFT
-    (`BasisLayout.fft_synthesis_with_derivative`), and each multiplier is built
-    from the moments of its samples. M_{f_p} D is added along the two runs of
-    the D mode map: the multiplier's columns of a run are scaled in place by
-    its values, then added to the run's image columns. A multiplier whose
-    samples are all zero is skipped, which leaves every entry unchanged. No
-    dense S, P or D is formed, and no temporary as large as T but the one
-    multiplier being added.
+
+def _band_cells(dim: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column (pair positions) of the cells of half-bandwidth b that lie
+    inside the dim x dim matrix, row by row."""
+    rows = np.repeat(np.arange(dim), 2 * b + 1)
+    cols = rows + np.tile(np.arange(-b, b + 1), dim)
+    keep = (cols >= 0) & (cols < dim)
+    return rows[keep], cols[keep]
+
+
+@dataclass(frozen=True)
+class BandedT:
+    """T(u) in pair order: diagonals[p, b + o] = T[p, p + o] for |o| <= b (cells
+    outside the matrix hold 0), column0 = T[:, 0] whole (the similarity of
+    `disc_certificate` weighs it by 2^27), and tail, a bound on the absolute
+    sum of each row's other entries outside the band, which are dropped.
+    pair_blocks: T is Q + K alone, nonzero only on the pairs {cos nx, sin (n+1)x}.
+    """
+
+    N: int
+    diagonals: np.ndarray
+    column0: np.ndarray
+    tail: float
+    pair_blocks: bool
+
+    @property
+    def b(self) -> int:
+        """Half-bandwidth."""
+        return self.diagonals.shape[1] // 2
+
+    def __len__(self) -> int:
+        return len(self.diagonals)
+
+    def dense(self) -> np.ndarray:
+        """The (dim, dim) matrix in layout order, dropped entries zero."""
+        slot = _pair_slots(self.N)
+        rows, cols = _band_cells(len(self), self.b)
+        out = np.zeros((len(self), len(self)))
+        out[slot[rows], slot[cols]] = self.diagonals[rows, cols - rows + self.b]
+        out[slot, 0] = self.column0
+        return out
+
+
+def assemble_T(u: np.ndarray, params: ModelParams) -> BandedT:
+    """T(u) = Q + M_{f_s} + M_{f_p} D + K in pair order, as a `BandedT`.
+
+    u and u_x are sampled by one inverse FFT, and each multiplier is held as the
+    moments of its samples (`operators.multiplier`), chopped at degree q; one
+    whose samples are all zero is skipped, so T(u0) is exactly Q + K, tail 0.
+    The half-bandwidth is b = max(2q + 1, 3) (the K pairs lie 3 apart), at most
+    dim - 1. Q and K are written from their mode maps, then the entries of
+    M_{f_s}, then those of M_{f_p} D (column c is column c' of M_{f_p} times
+    D[c', c]), in the order a dense assembly adds them: every band entry is
+    the dense T's, bit for bit.
+
+    Dropped part. Frequency n sits at pair positions 2n - 1 and 2n (the
+    constant at 0, the top sine at 2N + 1), so a cell more than 2q + 1 off the
+    diagonal couples frequencies with |n - n'| > q, and both moments of its
+    entry have degree > q. Along a row, outside column 0, |n - n'| and n + n'
+    take each degree at most twice between them (a third time only at column
+    0, kept whole), so the row's dropped entries of M_{f_s} sum to at most
+    2 tau_s, tau the moment tail sum_{k > q} |C_k| + |S_k|. D pairs the columns
+    one to one within a frequency and |D| <= N, so M_{f_p} D drops at most
+    2 N tau_p. With at most three roundings per entry and 2N + 3 terms per tail,
+
+        tail = 2 (tau_s + N tau_p) (1 + gamma_{4N+12})   (0 when b = dim - 1).
     """
     lay = params.layout
+    N, dim = lay.N, lay.dim
     us, uxs = lay.fft_synthesis_with_derivative(u[None])
-    fs_samp = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
-    fp_samp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
-    entries = np.zeros((lay.dim, lay.dim))
+    m_s, m_p = (multiplier(lay, np.broadcast_to(g, (lay.M,))) if np.any(g) else None
+                for g in (fn(lay.grid, us, uxs, params) for fn in (f_s, f_p)))
+    kept = [m for m in (m_s, m_p) if m is not None]
+    b = min(max([2 * m.q + 1 for m in kept] + [3]), dim - 1)
+    slot = _pair_slots(N)
+    pos = np.argsort(slot)   # the pair position of each layout slot
+    rows, cols = _band_cells(dim, b)
+    r, c, offset = slot[rows], slot[cols], cols - rows + b
+    band = np.zeros((dim, 2 * b + 1))
     for op in (mode_map(lay, "Q"), mode_map(lay, "K", eps=params.eps)):
-        entries[op.rows, op.cols] += op.values
-    if np.any(fs_samp):
-        entries += multiplier_from_samples(lay, fs_samp)
-    if np.any(fp_samp):
-        fp_mult = multiplier_from_samples(lay, fp_samp)
-        for rows, cols, values in mode_map(lay, "D").runs:   # D[rows, cols] = values
-            fp_mult[:, rows] *= values
-            entries[:, cols] += fp_mult[:, rows]
-    return entries
+        band[pos[op.rows], pos[op.cols] - pos[op.rows] + b] += op.values
+    column0 = np.zeros(dim)
+    if m_s is not None:
+        band[rows, offset] += m_s.entries(r, c)
+        column0[b + 1:] += m_s.entries(slot[b + 1:], 0)
+    if m_p is not None:
+        d = mode_map(lay, "D")
+        source, scale = np.zeros(dim, dtype=int), np.zeros(dim)
+        source[d.cols], scale[d.cols] = d.rows, d.values   # D[source[c], c] = scale[c]
+        hit = scale[c] != 0.0
+        band[rows[hit], offset[hit]] += m_p.entries(r[hit], source[c[hit]]) * scale[c[hit]]
+    column0[:b + 1] = band[np.arange(b + 1), b - np.arange(b + 1)]
+    tau = sum(m.tail * w for m, w in ((m_s, 1), (m_p, N)) if m is not None) if b < dim - 1 else 0
+    return BandedT(N, band, column0, 2.0 * tau * (1.0 + _gamma(4 * N + 12)), not kept)
 
 
-def eigenvalues(m: np.ndarray, discs: DiscCertificate | None = None,
+def eigenvalues(m: BandedT | np.ndarray, discs: DiscCertificate | None = None,
                 evidence: dict | None = None) -> np.ndarray:
-    """All eigenvalues of the dense square matrix m, sorted by Re then Im, descending.
+    """All eigenvalues of m, a `BandedT` or a dense square matrix, sorted by Re
+    then Im, descending.
 
     With `discs`, the `disc_certificate` of m = T(u1), the spectrum is first
-    taken from small windows (`_window_eigenvalues`); when the discs do not
-    prove it, m takes the paths below unchanged.
-
-    When every nonzero entry lies in the 2x2 blocks of the slot pairs
-    (n, dim/2 + n), the layout's pairs {cos nx, sin (n+1)x}, the blocks carry
-    the whole spectrum and are solved as one (dim/2, 2, 2) batch; the blocks
-    partition the index set, so equal nonzero counts prove it. Any other
-    matrix takes one dense eigensolve. `evidence["kind"]`, when given, records
-    the path: "windows", "blocks" or "dense".
+    taken from small windows of the band (`_window_eigenvalues`); when the
+    discs do not prove it, m takes the paths below unchanged. A band of Q + K
+    alone is solved on its pair blocks {cos nx, sin (n+1)x}, read by index, as
+    one (N + 1, 2, 2) batch, and any other band by one dense eigensolve of
+    `BandedT.dense`. A dense matrix is solved on the 2x2 blocks of the slot
+    pairs (n, dim/2 + n) when its nonzero entries all lie in them (the blocks
+    partition the index set, so equal nonzero counts prove it), otherwise by
+    one dense eigensolve. `evidence["kind"]`, when given, records the path:
+    "windows", "blocks" or "dense".
     """
-    if not np.all(np.isfinite(m)):
+    band = m if isinstance(m, BandedT) else None
+    entries = (m,) if band is None else (band.diagonals, band.column0)
+    if not all(np.all(np.isfinite(a)) for a in entries):
         raise ValueError("matrix has non-finite entries")
-    eigs = None if discs is None else _window_eigenvalues(m, discs)
+    eigs = None if discs is None else _window_eigenvalues(band, discs)
     kind = "windows"
     if eigs is None:
-        solve, kind = m, "dense"
-        if len(m) % 2 == 0:
+        if band is not None and band.pair_blocks:
+            pos = np.argsort(_pair_slots(band.N))
+            n = np.arange(band.N + 1)
+            pair = np.array([pos[n], pos[band.N + 1 + n]])   # cos nx, sin (n+1)x
+            rows, cols = pair[:, None], pair[None, :]
+            solve, kind = band.diagonals[rows, cols - rows + band.b].transpose(2, 0, 1), "blocks"
+        else:
+            solve, kind = (m, "dense") if band is None else (band.dense(), "dense")
+        if band is None and len(m) % 2 == 0:
             half = len(m) // 2
             blocks = np.diagonal(m.reshape(2, half, 2, half), axis1=1, axis2=3).transpose(2, 0, 1)
             if np.count_nonzero(blocks) == np.count_nonzero(m):
@@ -236,7 +321,7 @@ def eigenvalues(m: np.ndarray, discs: DiscCertificate | None = None,
         try:
             eigs = np.linalg.eigvals(solve).astype(complex).ravel()
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            cond = np.linalg.cond(m)
+            cond = np.max(np.linalg.cond(solve))
             raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     if evidence is not None:
         evidence["kind"] = kind
@@ -244,13 +329,7 @@ def eigenvalues(m: np.ndarray, discs: DiscCertificate | None = None,
     return eigs[order]
 
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SLOT0_SCALE = 2.0**-27
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -281,9 +360,9 @@ class DiscCertificate:
         return self.centers[:1].real
 
 
-def disc_certificate(T: np.ndarray, kappa: float,
+def disc_certificate(T: BandedT, kappa: float,
                      tol_re: float = TOL_RE_DEFAULT) -> DiscCertificate:
-    """Gershgorin certificate for the in-band real spectrum of T = T(u1), in O(dim^2).
+    """Gershgorin certificate for the in-band real spectrum of T = T(u1), in O(dim b).
 
     On each pair {cos nx, sin nx} the drift part Q_kappa is -n^2 I + n W with
     W = [[-1, kappa], [-kappa, 1]], whose eigenvector for +i d, d = sqrt(kappa^2 - 1),
@@ -296,10 +375,14 @@ def disc_certificate(T: np.ndarray, kappa: float,
     diagonal similarity, which leaves the centers unchanged and moves only the
     entries that couple a pair to the constant or the top sine.
 
-    F = X T V, X the computed inverse of V, is formed by mixing row pairs and
-    then column pairs, 64 rows at a time; only its diagonal and absolute row
-    sums are kept. T is real and X, V hold conjugate pairs, so the sin-slot
-    discs are the conjugates of the cos-slot ones and only those are formed.
+    F = X T V, X the computed inverse of V, is formed from the band: each row
+    pair is mixed, then the column pairs its band reaches, and column 0 is
+    read from `BandedT.column0`; only the diagonal and absolute row sums are
+    kept. T is real and X, V hold conjugate pairs, so the sin-slot discs are
+    the conjugates of the cos-slot ones and only those are formed. The dropped
+    part E of T adds at most (|X| |E| |V|)_i <= (|x_i1| + |x_i2|) tail max_j w_j
+    to row i, w_j the absolute row sums of V outside column 0; that charge
+    joins S_i and t_i below, so the certificate is sound for any chop.
 
     Outward rounding (Rump, Acta Numerica 19, 2010), with u = 2^-53 and
     gamma_k = k u / (1 - k u) (Higham, ch. 3): every computed entry obeys
@@ -320,8 +403,7 @@ def disc_certificate(T: np.ndarray, kappa: float,
     in-band real eigenvalue would lie in a disc that reaches the band and meets
     the real axis, which a positive margin excludes.
     """
-    dim = len(T)
-    L = (dim - 2) // 2
+    dim, L = len(T), T.N
     s = _SLOT0_SCALE
     e = max(math.frexp(kappa)[1] - 1, 0)
     k, one = math.ldexp(kappa, -e), math.ldexp(1.0, -e)
@@ -332,29 +414,37 @@ def disc_certificate(T: np.ndarray, kappa: float,
                                 + _gamma(4) * (np.abs(Xn) @ np.abs(Vn)), axis=1)))
     eta = delta / (1.0 - delta) if delta < 1.0 else np.inf
 
-    # formed rows: the constant, the cos slot of every pair, the top sine; row
-    # slots[i] of F mixes a[i] * T[slots[i]] + b[i] * T[partner[i]]
-    slots = np.concatenate([[0], np.arange(1, L + 1), [dim - 1]])
-    partner = np.concatenate([[0], np.arange(L + 1, dim - 1), [dim - 1]])
-    a = np.concatenate([[s], np.full(L, x[0]), [1.0]])
-    b = np.concatenate([[0.0], np.full(L, x[1]), [0.0]])
-    w = np.concatenate([[1.0 / s], np.full(L, 2.0 * abs(v[0])), np.full(L, 2.0 * abs(v[1])),
-                        [1.0]])   # absolute row sums of V
-    cos, sin = slice(1, L + 1), slice(L + 1, dim - 1)
-    centers = np.empty(L + 2, dtype=complex)
-    S = np.empty(L + 2)
-    t = np.empty(L + 2)
-    for k in _row_chunks(L + 2):
-        Ta, Tb = T[slots[k]], T[partner[k]]
-        G = a[k, None] * Ta + b[k, None] * Tb
-        H = np.empty_like(G)
-        H[:, 0] = G[:, 0] / s
-        H[:, -1] = G[:, -1]
-        H[:, cos] = v[0] * G[:, cos] + v[1] * G[:, sin]
-        H[:, sin] = np.conj(v[0]) * G[:, cos] + np.conj(v[1]) * G[:, sin]
-        centers[k] = H[np.arange(len(G)), slots[k]]
-        S[k] = np.abs(H).sum(axis=1)
-        t[k] = np.abs(a[k]) * (np.abs(Ta) @ w) + np.abs(b[k]) * (np.abs(Tb) @ w)
+    # pair n = 0..L+1 is the pair-order rows (2n - 1, 2n), padded with a zero
+    # row at -1 and at dim: pair 0 is (none, the constant), pair L + 1 (the top
+    # sine, none). Its formed row is a[n] * first + b[n] * second, and it
+    # reaches the column pairs n - h .. n + h (b is odd).
+    h = (T.b + 1) // 2
+    band = np.zeros((dim + 2, 2 * T.b + 1))
+    band[1:-1] = T.diagonals
+    col0 = np.concatenate([[0.0], T.column0, [0.0]])
+    a = np.concatenate([[0.0], np.full(L, x[0]), [1.0]])
+    b = np.concatenate([[s], np.full(L, x[1]), [0.0]])
+    # G frame column f of pair n is pair-order column 2(n - h) - 1 + f
+    G = np.zeros((L + 2, 4 * h + 2), dtype=complex)
+    G[:, 1:-2] = a[:, None] * band[0::2]
+    G[:, 2:-1] += b[:, None] * band[1::2]
+    Gc, Gs = G[:, 0::2], G[:, 1::2]
+    m = np.arange(L + 2)[:, None] - h + np.arange(2 * h + 1)   # column pair of each frame pair
+    # the constant's column is read from col0 (below), the top sine's keeps G
+    H1 = np.where(m == 0, 0.0, np.where(m == L + 1, Gc, v[0] * Gc + v[1] * Gs))
+    H2 = np.where((m == 0) | (m == L + 1), 0.0, np.conj(v[0]) * Gc + np.conj(v[1]) * Gs)
+    H0 = (a * col0[0::2] + b * col0[1::2]) / s
+    centers = np.concatenate([H0[:1], H1[1:, h]])
+    # absolute row sums of F, of |X| |T| |V| (w: absolute row sums of V by
+    # pair-order column, the constant's taken from col0) and of the tail's |X| |E| |V|
+    S = np.abs(H1).sum(axis=1) + np.abs(H2).sum(axis=1) + np.abs(H0)
+    w = np.concatenate([[0.0], np.tile([2.0 * abs(v[0]), 2.0 * abs(v[1])], L), [1.0]])
+    rows, cols = _band_cells(dim, T.b)
+    Tw = np.bincount(rows, np.abs(T.diagonals[rows, cols - rows + T.b]) * w[cols], dim)
+    Tw = np.concatenate([[0.0], Tw + np.abs(T.column0) / s, [0.0]])
+    t = np.abs(a) * Tw[0::2] + np.abs(b) * Tw[1::2]
+    tail = (np.abs(a) + np.abs(b)) * (T.tail * max(2.0 * abs(v[0]), 2.0 * abs(v[1]), 1.0))
+    S, t = S + tail, t + tail
     radii = S - np.abs(centers) + 2.0 * (_gamma(dim + 16) + eta) * (S + t)
 
     c0, r0 = centers[0].real, radii[0]
@@ -407,9 +497,9 @@ def discs_disjoint(centers: np.ndarray, radii: np.ndarray) -> bool:
 _WINDOW_PAIRS = 3   # a window holds the pairs n - 3 .. n + 3
 
 
-def _window_eigenvalues(T: np.ndarray, discs: DiscCertificate) -> np.ndarray | None:
+def _window_eigenvalues(T: BandedT, discs: DiscCertificate) -> np.ndarray | None:
     """The spectrum of T = T(u1), one eigenvalue per disc, from small windows of
-    T, or None when the discs do not prove it.
+    its band, or None when the discs do not prove it.
 
     Mutually disjoint discs hold one eigenvalue each (Gershgorin's union
     theorem). In pair order (the constant, then (cos nx, sin nx) for n = 1..N,
@@ -417,25 +507,26 @@ def _window_eigenvalues(T: np.ndarray, discs: DiscCertificate) -> np.ndarray | N
     decay exponentially away from their slot (Demko, Moss & Smith, Math. Comp.
     43, 1984; Benzi & Golub, BIT 39, 1999), and the principal submatrix of the
     pairs n - w .. n + w, shifted inward at the edges, carries the eigenvalue of
-    pair n. The N windows, gathered from T by index, are solved as one
-    (N, 2(2w + 1), 2(2w + 1)) batch. The cos slot of pair n takes the window
+    pair n. The N windows, gathered from the band (zero off it), are solved as
+    one (N, 2(2w + 1), 2(2w + 1)) batch. The cos slot of pair n takes the window
     eigenvalue nearest its disc center and the sin slot its conjugate; the
     constant and the top sine take theirs from the first and last windows. The
     set is returned only if every value lies in its own disc.
     """
-    dim = len(T)
+    dim, b = len(T), T.b
     if len(discs.centers) != dim:
         raise ValueError(f"{len(discs.centers)} discs for a matrix of dimension {dim}")
     size = 2 * (2 * _WINDOW_PAIRS + 1)
     if dim < size or not discs_disjoint(discs.centers, discs.radii):
         return None
-    L = (dim - 2) // 2
-    pair_order = np.arange(dim)
-    pair_order[1:-1] = pair_order[1:-1].reshape(2, L).T.ravel()   # cos 1, sin 1, cos 2, ...
+    L = T.N
     starts = np.clip(2 * np.arange(1, L + 1) - 1 - 2 * _WINDOW_PAIRS, 0, dim - size)
-    index = pair_order[starts[:, None] + np.arange(size)]
+    offset = np.arange(size) - np.arange(size)[:, None]   # column minus row
+    gathered = T.diagonals[starts[:, None, None] + np.arange(size)[:, None],
+                           b + np.clip(offset, -b, b)]
+    windows = np.where(np.abs(offset) <= b, gathered, 0.0)
     try:
-        vals = np.linalg.eigvals(T[index[:, :, None], index[:, None, :]]).astype(complex)
+        vals = np.linalg.eigvals(windows).astype(complex)
     except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
         return None
     rows = vals[np.r_[np.arange(L), 0, L - 1]]
@@ -483,7 +574,7 @@ def qkappa_spectrum(n: int, kappa: float) -> tuple[complex, complex]:
     if n < 1:
         raise ValueError("Y_n blocks exist for n >= 1")
     _require_supercritical(kappa)
-    d = np.sqrt(kappa * kappa - 1.0)
+    d = _drift_offset(kappa)
     return complex(-n * n, n * d), complex(-n * n, -n * d)
 
 
@@ -504,12 +595,15 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
     real_eigs = eigs.real[real_mask]
     real_in_band = eigs.real[real_mask & band_mask]
 
+    # when the nonreal values are their own conjugates as a multiset (equal
+    # sorted arrays), every nearest-conjugate distance is exactly 0
     nonreal = eigs[~real_mask]
     mismatch = 0.0
-    for rows in _row_chunks(len(nonreal)):
-        conj = np.conj(nonreal[rows])
-        mismatch = max(mismatch, float(np.max(np.min(np.abs(conj[:, None] - nonreal[None, :]),
-                                                     axis=1))))
+    if not np.array_equal(np.sort(nonreal), np.sort(np.conj(nonreal))):
+        for rows in _row_chunks(len(nonreal)):
+            conj = np.conj(nonreal[rows])
+            mismatch = max(mismatch, float(np.max(np.min(np.abs(conj[:, None] - nonreal[None, :]),
+                                                         axis=1))))
 
     return SpectrumReport(
         point_label=point_label,
@@ -537,11 +631,13 @@ class ConvergenceStudy:
     DiscCertificate, no eigensolve). Its "evidence" records the kind, "blocks",
     "dense", "windows" (see `eigenvalues`) or "gershgorin", and, for every u1
     row, the certificate's margin and isolation gap (and for a certified row
-    the anchor disc radius); "lowest" holds the 8 values nearest Re = 0.
+    the anchor disc radius); "lowest" holds the 8 values nearest Re = 0, and
+    "tail" the `BandedT.tail` of the row's T.
 
     The rows are compared inside the stable zone |Re| <= N^2/8. Against a
-    dense row every eigenvalue there must persist (relative drift below
-    drift_tol, the DRIFT_TOL the study ran with) and keep its classification.
+    dense row every eigenvalue there must persist (relative drift, charged
+    both rows' `BandedT.tail`, below drift_tol, the DRIFT_TOL the study ran
+    with) and keep its classification.
     Against a certified row every eigenvalue there must lie in a disc and be
     real exactly when that disc is disc 0, and the anchor's worst-case drift,
     its distance to the disc-0 center plus the radius, must stay below
@@ -571,7 +667,8 @@ def convergence_study(point_label: str, params: ModelParams,
     if isinstance(rep_b, DiscCertificate):
         check = _disc_pair_check(in_zone, rep_a.real_eigs_in_band, rep_b, tol_im)
     else:
-        check = _dense_pair_check(in_zone, rep_b.eigenvalues, tol_im)
+        check = _dense_pair_check(in_zone, rep_b.eigenvalues, tol_im,
+                                  row_a["tail"] + row_b["tail"])
     ok = (check["max_drift"] <= DRIFT_TOL and check["classification_flips"] == 0
           and check.get("outside_discs", 0) == 0
           and rep_a.l_count_in_band == rep_b.l_count_in_band)
@@ -599,21 +696,27 @@ def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_
             evidence.update(kind="gershgorin", anchor_radius=float(cert.radii[0]))
             order = np.argsort(np.abs(cert.centers.real), kind="stable")
             return {"N": N, "evidence": evidence, "report": cert,
-                    "lowest": cert.centers[order][:8]}
+                    "lowest": cert.centers[order][:8], "tail": T.tail}
     report = classify_and_count(eigenvalues(T, cert, evidence), tol_im, tol_re,
                                 point_label=point_label, N=N)
     eigs = report.eigenvalues
     return {"N": N, "evidence": evidence, "report": report,
-            "lowest": eigs[np.argsort(np.abs(eigs.real))][:8]}
+            "lowest": eigs[np.argsort(np.abs(eigs.real))][:8], "tail": T.tail}
 
 
-def _dense_pair_check(in_zone: np.ndarray, eigs_b: np.ndarray, tol_im: float) -> dict:
+def _dense_pair_check(in_zone: np.ndarray, eigs_b: np.ndarray, tol_im: float,
+                      tail: float) -> dict:
     """Relative drift of each in-zone eigenvalue to its nearest neighbour in
-    eigs_b, and the classification flips between the two."""
+    eigs_b, and the classification flips between the two.
+
+    Each row's spectrum is that of its band alone, and the dropped part, of
+    infinity-norm at most the row's `BandedT.tail`, moves a well-conditioned
+    eigenvalue by at most as much; so every distance is charged tail, the sum
+    of both rows' tails (0 at u0)."""
     matched = np.empty_like(in_zone)
     for rows in _row_chunks(len(in_zone)):
         matched[rows] = eigs_b[np.argmin(np.abs(in_zone[rows, None] - eigs_b), axis=1)]
-    drift = np.abs(in_zone - matched) / (1.0 + np.abs(in_zone))
+    drift = (np.abs(in_zone - matched) + tail) / (1.0 + np.abs(in_zone))
     return {"max_drift": float(drift.max()) if len(drift) else 0.0,
             "classification_flips": int(np.sum(is_real(in_zone, tol_im)
                                                != is_real(matched, tol_im)))}
@@ -627,13 +730,35 @@ def _disc_pair_check(in_zone: np.ndarray, reals_a: np.ndarray, cert: DiscCertifi
     in disc 0), and those outside every disc."""
     c0, r0 = cert.centers[0].real, cert.radii[0]
     in_disc0 = np.abs(in_zone - cert.centers[0]) <= r0
-    outside = 0
-    for rows in _row_chunks(len(in_zone)):
-        inside = np.abs(in_zone[rows, None] - cert.centers) <= cert.radii
-        outside += int(np.sum(~inside.any(axis=1)))
     return {"max_drift": float(np.min(np.abs(reals_a - c0)) + r0) if len(reals_a) else np.inf,
             "classification_flips": int(np.sum(is_real(in_zone, tol_im) != in_disc0)),
-            "outside_discs": outside}
+            "outside_discs": int(np.sum(~_in_some_disc(in_zone, cert.centers, cert.radii)))}
+
+
+def _in_some_disc(z: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Per value: whether |z - c_j| <= r_j for some disc j.
+
+    A disc can hold z only if |Re z - Re c_j| <= max r, so with the discs
+    sorted by Re c only those within that reach (widened by 8 ulps) are
+    tested, one offset into the sorted window at a time. A radius that is not
+    finite takes the full scan."""
+    inside = np.zeros(len(z), dtype=bool)
+    if not np.all(np.isfinite(radii)):
+        for rows in _row_chunks(len(z)):
+            inside[rows] = (np.abs(z[rows, None] - centers) <= radii).any(axis=1)
+        return inside
+    order = np.argsort(centers.real, kind="stable")
+    c, r = centers[order], radii[order]
+    reach = float(np.max(r, initial=0.0))
+    reach = reach + 4.0 * np.finfo(float).eps * (np.abs(z.real) + reach)
+    lo = np.searchsorted(c.real, z.real - reach, side="left")
+    hi = np.searchsorted(c.real, z.real + reach, side="right")
+    i = np.arange(len(z))
+    for k in range(int(np.max(hi - lo, initial=0))):
+        i = i[lo[i] + k < hi[i]]
+        j = lo[i] + k
+        inside[i] |= np.abs(z[i] - c[j]) <= r[j]
+    return inside
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def test_criterion_02_block_spectrum_at_zero_state(defaults):
     for n in range(N + 1):
         pair = (n, N + 1 + n)
         mask[np.ix_(pair, pair)] = True
-    assert not T[~mask].any()
+    assert not T.dense()[~mask].any()
     eigs = eigenvalues(T)
     dist, _ = match_blocks_u0(eigs, defaults.eps, N)
     assert dist <= 1e-10
@@ -100,7 +100,7 @@ def test_criterion_04_single_real_eigenvalue_at_unit_state():
         params = RunConfig(N=N).model_params()
         T = assemble_T(stationary_state("u1", params.layout), params)
         one = stationary_state("u1", params.layout)
-        np.testing.assert_allclose(T @ one, params.eps.eps0 * one,
+        np.testing.assert_allclose(T.dense() @ one, params.eps.eps0 * one,
                                    atol=1e-15)
         rep = classify_and_count(eigenvalues(T), point_label="u1", N=N)
         assert len(rep.real_eigs_in_band) == 1

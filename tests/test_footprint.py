@@ -1,6 +1,7 @@
-"""What a fresh process pays for nldlab: the modules it loads and the pages its
-march faults. Each check runs in its own interpreter, so that nothing the
-test session imported (scipy among it) hides the cost."""
+"""What a fresh process pays for nldlab: the modules it loads, the pages its
+march faults and the memory verify holds. Each check runs in its own
+interpreter, so that nothing the test session imported (scipy among it) hides
+the cost."""
 
 import json
 import os
@@ -60,3 +61,18 @@ print(json.dumps({"faults_per_step": faults / 50, "finite": bool(np.isfinite(C).
 """)
     assert result["finite"]
     assert result["faults_per_step"] <= 5.0
+
+
+def test_verify_holds_no_dense_linearization():
+    # a dense T(u1) at 2N = 2048 alone is 134 MB; the banded verify path holds
+    # a few MB, so this fails if a dim x dim matrix comes back
+    result = run_fresh("""
+import json, tracemalloc
+from nldlab import RunConfig, run_verify
+tracemalloc.start()
+report = run_verify(RunConfig(N=1024, rho=0.7))
+print(json.dumps({"verdict": report.verdict,
+                  "peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}))
+""")
+    assert result["verdict"] == "OBSTRUCTED"
+    assert result["peak_mb"] <= 60.0

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from modes import cos_mode, sin_mode
-from nldlab import BasisLayout, EpsilonSequence, ModelParams, evaluate_F, f, f_p, f_s, mode_map
+from nldlab import (BasisLayout, EpsilonSequence, ModelParams, evaluate_F, f, f_p, f_s, mode_map,
+                    qkappa_spectrum)
 
 
 class TestModelParams:
@@ -21,6 +22,21 @@ class TestModelParams:
             with pytest.raises(ValueError):
                 ModelParams(layout32, kappa=bad)
         assert ModelParams(layout32, kappa=-1.5).d == pytest.approx(np.sqrt(1.25))
+
+    def test_d_is_finite_for_huge_kappa(self):
+        mpmath = pytest.importorskip("mpmath")
+        for kappa in (1e200, -1e200, 1.7e308):
+            d = ModelParams(BasisLayout(4), kappa=kappa).d
+            with mpmath.workdps(40):
+                exact = mpmath.sqrt(mpmath.mpf(kappa) ** 2 - 1)
+            assert np.isfinite(d) and abs(d - float(exact)) <= 1e-15 * float(exact)
+            lo, hi = qkappa_spectrum(1, kappa)
+            assert lo == complex(-1.0, d) and hi == complex(-1.0, -d)
+
+    def test_d_keeps_the_unscaled_value(self):
+        # at moderate kappa the power-of-two scaling is exact
+        for kappa in (1.25, 1.01, 3.0, -2.5, 1e100):
+            assert ModelParams(BasisLayout(4), kappa=kappa).d == np.sqrt(kappa * kappa - 1.0)
 
     def test_positive_time_parameters(self, layout32):
         with pytest.raises(ValueError):

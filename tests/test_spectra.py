@@ -19,14 +19,17 @@ from nldlab import (
     eigenvalues,
     eps0_threshold_scan,
     gap_check,
-    multiplier_from_samples,
     qkappa_spectrum,
+    random_state,
     resolved_band,
     stationary_state,
 )
-from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, disc_certificate, discs_disjoint,
+from nldlab.operators import multiplier
+from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _band_cells, _in_some_disc,
+                            _pair_slots, disc_certificate, discs_disjoint, is_real,
                             match_blocks_u0)
 from nldlab.verdict import BLOCK_MATCH_TOL
+from oracles import dense_T, multiplier_from_samples
 
 EPS = EpsilonSequence()
 
@@ -172,7 +175,8 @@ class TestEigenvalueDispatch:
     @pytest.mark.parametrize("kind", ["u1", "stray entry", "odd dimension"])
     def test_other_patterns_take_one_dense_solve(self, kind, layout16, rng, eigvals_shapes):
         if kind == "u1":
-            m = assemble_T(stationary_state("u1", layout16), ModelParams(layout16))
+            band = assemble_T(stationary_state("u1", layout16), ModelParams(layout16))
+            m = band.dense()
         elif kind == "stray entry":   # slot 5 is outside the pair (0, 17)
             m = _pair_block_matrix(rng, layout16.N + 1)
             m[0, 5] = 1.0
@@ -180,7 +184,7 @@ class TestEigenvalueDispatch:
             m = _pair_block_matrix(rng, layout16.N + 1)[:-1, :-1]
         dense = eigvals(m)
         expected = dense[np.lexsort((-dense.imag, -dense.real))]
-        got = eigenvalues(m)
+        got = eigenvalues(band if kind == "u1" else m)
         assert eigvals_shapes == [m.shape]
         assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
 
@@ -207,7 +211,7 @@ class TestScipyOracles:
         lay = BasisLayout(256)
         T = assemble_T(stationary_state("u1", lay), ModelParams(lay))
         got = eigenvalues(T)
-        dense = eigvals(T)
+        dense = eigvals(T.dense())
         expected = dense[np.lexsort((-dense.imag, -dense.real))]
         assert np.all(np.abs(got - expected) <= 1e-9 * np.abs(expected))
 
@@ -215,7 +219,7 @@ class TestScipyOracles:
 class TestLinearizationAtZero:
     def test_matrix_is_exactly_Q_plus_K(self, layout16):
         params = ModelParams(layout16)
-        t = assemble_T(stationary_state("u0", layout16), params)
+        t = assemble_T(stationary_state("u0", layout16), params).dense()
         qk = assemble(layout16, "Q") + assemble(layout16, "K", eps=EPS)
         np.testing.assert_array_equal(t, qk)
 
@@ -225,15 +229,15 @@ class TestLinearizationAtZero:
         import nldlab.spectra
         params = ModelParams(layout16)
         u0 = stationary_state("u0", layout16)
-        lazy = assemble_T(u0, params)
+        lazy = assemble_T(u0, params).dense()
         zero = np.zeros((layout16.dim, layout16.dim))
         d = nldlab.spectra.mode_map(layout16, "D")
         eager = lazy + zero
         eager[:, d.cols] += zero[:, d.rows] * d.values
         assert lazy.tobytes() == eager.tobytes()
         built = []
-        monkeypatch.setattr(nldlab.spectra, "multiplier_from_samples",
-                            lambda *args: built.append(args) or multiplier_from_samples(*args))
+        monkeypatch.setattr(nldlab.spectra, "multiplier",
+                            lambda *args: built.append(args) or multiplier(*args))
         assemble_T(u0, params)
         assert built == []
         assemble_T(stationary_state("u1", layout16), params)
@@ -288,7 +292,7 @@ class TestLinearizationAtOne:
         # T(u1) = Q + K + kappa*D + eps0 * mult(1 - sin x): the multiplier
         # samples are degree-one trig data, exact on the grid
         params = ModelParams(layout32)
-        t = assemble_T(stationary_state("u1", layout32), params)
+        t = assemble_T(stationary_state("u1", layout32), params).dense()
         g = 1.0 - np.sin(layout32.grid)
         manual = (assemble(layout32, "Q")
                   + assemble(layout32, "K", eps=EPS)
@@ -298,7 +302,7 @@ class TestLinearizationAtOne:
 
     def test_constant_direction_is_exact_eigenvector(self, layout32):
         params = ModelParams(layout32)
-        t = assemble_T(stationary_state("u1", layout32), params)
+        t = assemble_T(stationary_state("u1", layout32), params).dense()
         one = stationary_state("u1", layout32)
         np.testing.assert_allclose(t @ one, EPS.eps0 * one, atol=1e-15)
 
@@ -326,6 +330,111 @@ class TestLinearizationAtOne:
         eigs = eigenvalues(assemble_T(stationary_state("u1", layout32), params))
         report = classify_and_count(eigs, N=layout32.N)
         assert report.max_conjugate_mismatch < 1e-9
+
+
+def _state(kind, params):
+    """u0, u1, a white random state, or 1/2 plus a random state whose
+    coefficients decay as 0.1^n (its multiplier moments reach rounding level
+    inside the layout, so the band drops a nonzero tail)."""
+    lay = params.layout
+    if kind in ("u0", "u1"):
+        return stationary_state(kind, lay)
+    if kind == "random":
+        return random_state(lay, seed=3, alpha=params.theta, norm=2.0)
+    rough = np.random.default_rng(2).standard_normal(lay.dim) * 0.1 ** lay.mode_orders
+    return 0.5 * stationary_state("u1", lay) + 0.1 * rough
+
+
+def _pair_order_dense(T, params, u):
+    """The dense oracle of T(u) permuted to pair order, and the band's cells."""
+    slot = _pair_slots(T.N)
+    rows, cols = _band_cells(len(T), T.b)
+    return dense_T(u, params)[np.ix_(slot, slot)], rows, cols
+
+
+class TestBandedT:
+    """The band of T(u) in pair order against the dense oracle."""
+
+    CASES = ([(kind, N) for kind in ("u0", "u1") for N in (4, 16, 128)]
+             + [("random", 16), ("random", 32), ("decaying", 16), ("decaying", 128)])
+
+    @pytest.mark.parametrize("kind, N", CASES)
+    def test_band_is_the_dense_matrix_and_the_tail_bounds_the_rest(self, kind, N):
+        params = ModelParams(BasisLayout(N))
+        u = _state(kind, params)
+        T = assemble_T(u, params)
+        dense, rows, cols = _pair_order_dense(T, params, u)
+        band = T.diagonals[rows, cols - rows + T.b]
+        assert band.tobytes() == dense[rows, cols].tobytes()
+        assert T.column0.tobytes() == dense[:, 0].tobytes()
+        dropped = dense.copy()
+        dropped[rows, cols] = 0.0
+        dropped[:, 0] = 0.0
+        assert np.all(np.abs(dropped).sum(axis=1) <= T.tail)
+        off_band = np.ones(T.diagonals.shape, dtype=bool)
+        off_band[rows, cols - rows + T.b] = False
+        assert not T.diagonals[off_band].any()   # cells outside the matrix
+        assert T.pair_blocks == (kind == "u0")
+        if kind == "u0":
+            assert T.tail == 0.0 and T.b == 3
+        if kind == "u1":   # f_s = eps0 (1 - sin x) and f_p = kappa: chopped at degree 1
+            assert T.b == 3 and T.tail <= 1e-12
+        if kind == "decaying":
+            assert 3 < T.b < len(T) - 1 and T.tail > 0.0
+
+    @pytest.mark.parametrize("kind", ["u1", "decaying"])
+    def test_band_discs_contain_the_dense_discs(self, kind):
+        # exact arithmetic (mpmath, 40 digits) on V^-1 T V with the dense
+        # oracle T, every dropped entry included; the discs of the decaying
+        # state need not certify anything, but Gershgorin's theorem holds for
+        # any matrix, so its band discs must still contain the dense ones
+        mpmath = pytest.importorskip("mpmath")
+        N, kappa = 16, 1.25
+        params = ModelParams(BasisLayout(N))
+        u = _state(kind, params)
+        T = assemble_T(u, params)
+        assert T.tail > 0.0 and T.b < len(T) - 1
+        dense = dense_T(u, params)
+        cert = disc_certificate(T, kappa)
+        d = np.sqrt(kappa * kappa - 1.0)
+        v = (kappa, complex(1.0, d))
+        dim = len(T)
+        V = np.zeros((dim, dim), dtype=complex)
+        V[0, 0] = 2.0**27
+        V[-1, -1] = 1.0
+        for n in range(1, N + 1):
+            c, s = n, N + n
+            V[c, c], V[s, c] = v
+            V[c, s], V[s, s] = np.conj(v[0]), np.conj(v[1])
+        with mpmath.workdps(40):
+            Vm = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in V])
+            Tm = mpmath.matrix([[mpmath.mpf(float(z)) for z in row] for row in dense])
+            A = mpmath.inverse(Vm) * Tm * Vm
+            for i in range(dim):
+                exact_r = mpmath.fsum(abs(A[i, j]) for j in range(dim) if j != i)
+                c = cert.centers[i]
+                assert abs(A[i, i] - mpmath.mpc(c.real, c.imag)) + exact_r <= cert.radii[i]
+
+    @pytest.mark.parametrize("N", [16, 128, 256, 512])
+    def test_u0_spectrum_is_the_dense_block_solve_bit_for_bit(self, N, eigvals_shapes):
+        params = ModelParams(BasisLayout(N))
+        u0 = stationary_state("u0", params.layout)
+        evidence = {}
+        eigs = eigenvalues(assemble_T(u0, params), evidence=evidence)
+        assert evidence == {"kind": "blocks"} and eigvals_shapes == [(N + 1, 2, 2)]
+        assert eigs.tobytes() == eigenvalues(dense_T(u0, params)).tobytes()
+
+    def test_verify_rows_build_no_dense_matrix(self, monkeypatch):
+        import nldlab.spectra
+
+        def refuse(self):
+            raise AssertionError("dense T built on the verify path")
+
+        monkeypatch.setattr(nldlab.spectra.BandedT, "dense", refuse)
+        params = ModelParams(BasisLayout(16))
+        kinds = [[row["evidence"]["kind"] for row in convergence_study(label, params).rows]
+                 for label in ("u0", "u1")]
+        assert kinds == [["blocks", "blocks"], ["windows", "gershgorin"]]
 
 
 class TestQkappaBlocks:
@@ -388,6 +497,20 @@ class TestClassification:
     def test_unpaired_nonreal_is_flagged(self):
         report = classify_and_count(np.array([1.0 + 1.0j]), N=64)
         assert report.max_conjugate_mismatch == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conjugate_mismatch_is_the_full_search(self, seed):
+        # conjugate-closed sets take the sorted shortcut, others the search
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        for eigs in (np.concatenate([z, np.conj(z)]),
+                     np.concatenate([z, np.conj(z[:-3]) + 1e-3]), z):
+            report = classify_and_count(eigs, N=64)
+            nonreal = report.eigenvalues[~is_real(report.eigenvalues, report.tol_im)]
+            full = np.abs(np.conj(nonreal)[:, None] - nonreal[None, :]).min(axis=1).max()
+            assert report.max_conjugate_mismatch == full
+        assert classify_and_count(np.concatenate([z, np.conj(z)]),
+                                  N=64).max_conjugate_mismatch == 0.0
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
@@ -493,9 +616,25 @@ class TestConvergence:
         assert [row["N"] for row in study.rows] == [16, 32]
 
 
+def _u1_params(N, kappa=1.25, eps0=0.05):
+    return ModelParams(BasisLayout(N), kappa=kappa, eps=EpsilonSequence(eps0, 0.5))
+
+
 def _u1_matrix(N, kappa=1.25, eps0=0.05):
-    params = ModelParams(BasisLayout(N), kappa=kappa, eps=EpsilonSequence(eps0, 0.5))
+    params = _u1_params(N, kappa, eps0)
     return assemble_T(stationary_state("u1", params.layout), params)
+
+
+def _u1_dense(N, kappa=1.25, eps0=0.05):
+    """The dense oracle of T(u1), every round-off entry kept."""
+    params = _u1_params(N, kappa, eps0)
+    return dense_T(stationary_state("u1", params.layout), params)
+
+
+def _set_entry(T, i, j, value):
+    """Write value into the band of T at the layout slots (i, j)."""
+    pos = np.argsort(_pair_slots(T.N))
+    T.diagonals[pos[i], pos[j] - pos[i] + T.b] = value
 
 
 def _disc_component(centers, radii, start=0):
@@ -518,9 +657,8 @@ class TestDiscCertificate:
     @pytest.mark.parametrize("kappa", [1.05, 1.25, 2.0])
     @pytest.mark.parametrize("eps0", [0.05, 0.3])
     def test_discs_cover_the_dense_spectrum(self, N, kappa, eps0):
-        T = _u1_matrix(2 * N, kappa, eps0)
-        cert = disc_certificate(T, kappa)
-        eigs = eigvals(T)
+        cert = disc_certificate(_u1_matrix(2 * N, kappa, eps0), kappa)
+        eigs = eigvals(_u1_dense(2 * N, kappa, eps0))
         inside = np.abs(eigs[:, None] - cert.centers[None, :]) <= cert.radii[None, :]
         assert inside.any(axis=1).all()
         # a union of k discs apart from the others holds exactly k eigenvalues
@@ -560,8 +698,8 @@ class TestDiscCertificate:
         mpmath = pytest.importorskip("mpmath")
         N = 8
         for kappa, scale in ((1.25, 1.0), (3.0, 0.5)):
-            T = _u1_matrix(N, kappa)
-            cert = disc_certificate(T, kappa)
+            T = _u1_dense(N, kappa)
+            cert = disc_certificate(_u1_matrix(N, kappa), kappa)
             dim = len(T)
             d = np.sqrt(kappa * kappa - 1.0)
             v = (scale * kappa, scale * complex(1.0, d))
@@ -588,8 +726,9 @@ class TestDiscCertificate:
         # (about -2 and 0), so the band holds three real eigenvalues
         N = 16
         T = _u1_matrix(N)
-        T[1, N + 1] = T[N + 1, 1] = 0.0
-        reals = eigvals(T)
+        _set_entry(T, 1, N + 1, 0.0)
+        _set_entry(T, N + 1, 1, 0.0)
+        reals = eigvals(T.dense())
         in_band = reals[(reals.imag == 0) & (np.abs(reals.real) <= resolved_band(N))]
         assert len(in_band) >= 2
         cert = disc_certificate(T, 1.25)
@@ -599,7 +738,7 @@ class TestDiscCertificate:
         # a NaN row sum gives its disc a NaN radius: the disc counts as
         # reaching the band, so the margin is NaN instead of a perfect 1.0
         T = _u1_matrix(16)
-        T[1, 5] = np.nan
+        _set_entry(T, 1, 2, np.nan)
         cert = disc_certificate(T, 1.25)
         assert np.isnan(cert.radii[1]) and np.isnan(cert.margin)
         assert not cert.certified and cert.l_count_in_band == 0
@@ -706,6 +845,23 @@ class TestDiscsDisjoint:
         assert discs_disjoint(np.array([0.0, 10.0]), np.array([1.0, 1.0]))
         assert not discs_disjoint(np.array([0.0, 10.0]), np.array([1.0, np.nan]))
         assert not discs_disjoint(np.array([0.0, 10.0]), np.array([1.0, np.inf]))
+
+
+_point = st.tuples(_grid, _grid) | st.tuples(st.floats(-60, 60), st.floats(-60, 60))
+
+
+class TestDiscMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(discs=st.lists(_disc, min_size=1, max_size=12), points=st.lists(_point, max_size=12),
+           broken=st.sampled_from([None, np.inf, np.nan]))
+    def test_sorted_scan_agrees_with_brute_force(self, discs, points, broken):
+        centers = np.array([complex(x, y) for x, y, _ in discs])
+        radii = np.array([r for _, _, r in discs], dtype=float)
+        if broken is not None:   # a radius that is not finite takes the full scan
+            radii[0] = broken
+        z = np.array([complex(x, y) for x, y in points], dtype=complex)
+        brute = (np.abs(z[:, None] - centers[None, :]) <= radii[None, :]).any(axis=1)
+        np.testing.assert_array_equal(_in_some_disc(z, centers, radii), brute)
 
 
 class TestEps0Scan:

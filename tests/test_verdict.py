@@ -260,6 +260,19 @@ class TestSoundness:
         values = [v for e in evidence for v in e.values() if isinstance(v, float)]
         assert len(values) == 6 and not any(math.isnan(v) for v in values)
 
+    @pytest.mark.parametrize("kappa", [1e20, 1e200, -1e200])
+    def test_unresolvable_drift_is_inconclusive(self, kappa):
+        # the FFT round-off of the f_p samples (about kappa u) is dropped from
+        # the band into its tail; a dense 2N row is charged that tail as drift,
+        # so a spectrum float64 cannot resolve ends INCONCLUSIVE
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = run_verify(RunConfig(N=16, kappa=kappa))
+        assert rep.verdict == INCONCLUSIVE and rep.failed_stage == "convergence"
+        check = rep.convergence["u1"]["pair_checks"][0]
+        assert rep.convergence["u1"]["rows"][1]["evidence"]["kind"] == "dense"
+        assert check["max_drift"] > 1e3 and not check["ok"]
+
     @pytest.mark.parametrize("overrides", [
         {"eps0": 0.3}, {"eps0": 0.5}, {"eps0": 0.9}, {"kappa": 1.01}, {"kappa": 1.05},
         {"kappa": 2.0, "eps0": 0.9}])
