@@ -658,6 +658,9 @@ def convergence_study(point_label: str, params: ModelParams,
     instability under that refinement."""
     N = params.layout.N
     params.eps.values(2 * N + 1)   # an eps_n underflow fails before any spectrum
+    # and so does a kappa whose f_p FFT at 2N (M samples of about kappa) overflows
+    if not math.isfinite(abs(params.kappa) * 2 * BasisLayout(2 * N).M):   # 2x for rounding
+        raise ValueError(f"kappa = {params.kappa} overflows the f_p FFT of T at 2N = {2 * N}")
     row_a, row_b = (_study_row(point_label, replace(params, layout=BasisLayout(n)), n > N,
                                tol_im, tol_re)
                     for n in (N, 2 * N))

@@ -193,10 +193,10 @@ def _spectrum_dict(rep: SpectrumReport) -> dict:
         "tol_im": rep.tol_im,
         "tol_re": rep.tol_re,
         "band": rep.band,
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in rep.eigenvalues],
-        "real_eigs": [float(v) for v in rep.real_eigs],
+        "eigenvalues": np.column_stack((rep.eigenvalues.real, rep.eigenvalues.imag)).tolist(),
+        "real_eigs": rep.real_eigs.tolist(),
         "l_count": rep.l_count,
-        "real_eigs_in_band": [float(v) for v in rep.real_eigs_in_band],
+        "real_eigs_in_band": rep.real_eigs_in_band.tolist(),
         "l_count_in_band": rep.l_count_in_band,
         "min_abs_re": rep.min_abs_re,
         "min_abs_lambda": rep.min_abs_lambda,
@@ -226,8 +226,8 @@ def _convergence_dict(study: ConvergenceStudy) -> dict:
             "N": row["N"],
             "evidence": row["evidence"],
             "l_count_in_band": row["report"].l_count_in_band,
-            "real_eigs_in_band": [float(v) for v in row["report"].real_eigs_in_band],
-            "lowest": [[float(z.real), float(z.imag)] for z in row["lowest"]],
+            "real_eigs_in_band": row["report"].real_eigs_in_band.tolist(),
+            "lowest": np.column_stack((row["lowest"].real, row["lowest"].imag)).tolist(),
         } for row in study.rows],
         "pair_checks": [{**pc, "N_pair": list(pc["N_pair"]),
                          "l_in_band_pair": list(pc["l_in_band_pair"])}
@@ -346,8 +346,9 @@ def write_csv(path: str, header: list, rows) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    """One JSON report, indented, with each non-finite float at any depth of its
-    dicts, lists and tuples written as null: NaN and Infinity are not JSON."""
+    """One JSON report, compact and strict (no indent, so `json.dumps` is the C
+    encoder). Only a payload holding NaN or Infinity, not JSON, is dumped again
+    after `nulled` writes each, at any depth of dicts, lists and tuples, as null."""
 
     def nulled(value):
         if isinstance(value, dict):
@@ -356,26 +357,29 @@ def write_json(path: str, payload: dict) -> None:
             return [nulled(v) for v in value]
         return None if isinstance(value, float) and not math.isfinite(value) else value
 
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        text = json.dumps(nulled(payload), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(nulled(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_spectrum_csv(path: str, rep: SpectrumReport,
                        block_index: np.ndarray | None = None):
     """spectrum_*.csv: columns re, im, is_real (in band), block_index."""
-    real = rep.real_in_band_mask()
+    z = rep.eigenvalues
     write_csv(path, ["re", "im", "is_real", "block_index"],
-              ([repr(float(z.real)), repr(float(z.imag)), str(bool(real[i])).lower(),
-                "" if block_index is None else int(block_index[i])]
-               for i, z in enumerate(rep.eigenvalues)))
+              zip(map(repr, z.real.tolist()), map(repr, z.imag.tolist()),
+                  np.where(rep.real_in_band_mask(), "true", "false").tolist(),
+                  [""] * len(z) if block_index is None else block_index.tolist()))
 
 
 def write_gap_csv(path: str, gap: GapReport):
     """gap.csv: columns n, lambda_n, ratio."""
     write_csv(path, ["n", "lambda_n", "ratio"],
-              ([int(n), repr(float(lam)), repr(float(ratio))]
-               for n, lam, ratio in zip(gap.jump_n, gap.jump_lambda, gap.jump_ratio)))
+              zip(gap.jump_n.tolist(), map(repr, gap.jump_lambda.tolist()),
+                  map(repr, gap.jump_ratio.tolist())))
 
 
 def _symlog(x: np.ndarray) -> np.ndarray:
@@ -419,9 +423,9 @@ def _write_spectrum_svg(path: str, rep0: SpectrumReport, rep1: SpectrumReport):
         f'transform="rotate(-90 14 {height / 2})" text-anchor="middle">Im</text>',
     ]
     for rep, color in ((rep0, "#1f77b4"), (rep1, "#ff7f0e")):
-        for z in rep.eigenvalues:
-            parts.append(f'<circle cx="{px(_symlog(np.array(z.real))):.2f}" '
-                         f'cy="{py(z.imag):.2f}" r="3" fill="{color}" opacity="0.7"/>')
+        parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" opacity="0.7"/>'
+                     for x, y in zip(px(_symlog(rep.eigenvalues.real)).tolist(),
+                                     py(rep.eigenvalues.imag).tolist()))
     parts.append(f'<circle cx="{width - 190}" cy="24" r="4" fill="#1f77b4"/>')
     parts.append(f'<text x="{width - 180}" y="28" font-size="12">spectrum at u0</text>')
     parts.append(f'<circle cx="{width - 190}" cy="44" r="4" fill="#ff7f0e"/>')

@@ -1,11 +1,13 @@
 """Dense oracles for the banded linearization: the Toeplitz-plus-Hankel
 multiplier and T(u) assembled as full (dim, dim) matrices in layout order,
-adding the same terms in the same order as the band assembly does."""
+adding the same terms in the same order as the band assembly does. Then the
+report writers formatting one eigenvalue at a time, from numpy scalars."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from nldlab import f_p, f_s, mode_map
+from nldlab.verdict import write_csv
 
 
 def multiplier_from_samples(layout, g):
@@ -56,3 +58,44 @@ def dense_T(u, params):
             fp_mult[:, rows] *= values
             entries[:, cols] += fp_mult[:, rows]
     return entries
+
+
+def write_spectrum_csv(path, rep, block_index=None):
+    """spectrum_*.csv, one row per eigenvalue."""
+    real = rep.real_in_band_mask()
+    write_csv(path, ["re", "im", "is_real", "block_index"],
+              ([repr(float(z.real)), repr(float(z.imag)), str(bool(real[i])).lower(),
+                "" if block_index is None else int(block_index[i])]
+               for i, z in enumerate(rep.eigenvalues)))
+
+
+def write_gap_csv(path, gap):
+    """gap.csv, one row per jump."""
+    write_csv(path, ["n", "lambda_n", "ratio"],
+              ([int(n), repr(float(lam)), repr(float(ratio))]
+               for n, lam, ratio in zip(gap.jump_n, gap.jump_lambda, gap.jump_ratio)))
+
+
+def spectrum_svg_circles(rep0, rep1):
+    """The eigenvalue circles of spectrum.svg, each placed on its own."""
+    width, height, margin = 900, 480, 50
+
+    def symlog(x):
+        return np.sign(x) * np.log10(1.0 + np.abs(x))
+
+    xs = symlog(np.concatenate([rep0.eigenvalues.real, rep1.eigenvalues.real]))
+    ys = np.concatenate([rep0.eigenvalues.imag, rep1.eigenvalues.imag])
+    x_lo, x_hi = float(xs.min()) - 0.3, float(xs.max()) + 0.3
+    y_pad = 0.1 * max(float(np.abs(ys).max()), 1e-3)
+    y_lo, y_hi = float(ys.min()) - y_pad, float(ys.max()) + y_pad
+
+    def px(x):
+        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+
+    def py(y):
+        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+
+    return [f'<circle cx="{px(symlog(np.array(z.real))):.2f}" '
+            f'cy="{py(z.imag):.2f}" r="3" fill="{color}" opacity="0.7"/>'
+            for rep, color in ((rep0, "#1f77b4"), (rep1, "#ff7f0e"))
+            for z in rep.eigenvalues]

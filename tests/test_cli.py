@@ -164,6 +164,14 @@ class TestConfigHandling:
         assert err.startswith("error: eps_n underflowed to zero")
         assert "Traceback" not in err
 
+    def test_kappa_overflow_is_an_error(self, make_config, capsys):
+        # under the suite's filterwarnings = error an FFT overflow warning
+        # would surface as an exception before the message
+        assert main(["--config", make_config(), "verify", "--kappa", "1.7e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kappa = 1.7e+308 overflows the f_p FFT of T at 2N = 32")
+        assert "Traceback" not in err
+
     def test_flag_overrides_file_value(self, make_config, capsys):
         # config says N=16 but the flag wins
         rc = main(["--config", make_config(), "spectrum", "--at", "u0", "--N", "8"])

@@ -23,6 +23,8 @@ from nldlab import (
     reports_equal,
     run_verify,
 )
+from nldlab.verdict import write_json
+import oracles
 
 CFG32 = RunConfig(N=32)
 
@@ -194,6 +196,22 @@ class TestPipeline:
             run_verify(RunConfig(N=100, rho=0.01))
         assert solved == []
 
+    @pytest.mark.parametrize("kappa", [1.7e308, -1.7e308, 2e306])
+    def test_kappa_overflow_fails_before_any_spectrum(self, kappa, monkeypatch):
+        # the f_p samples of T(u1) are about kappa, and its FFT at 2N = 32 sums
+        # M = 136 of them: at 2e306 that overflows although kappa * 2N does not
+        import nldlab.spectra
+        assembled = []
+        monkeypatch.setattr(nldlab.spectra, "assemble_T",
+                            lambda *args: assembled.append(args))
+        with pytest.raises(ValueError, match=r"kappa = .* overflows the f_p FFT of T at 2N = 32"):
+            run_verify(RunConfig(N=16, kappa=kappa))
+        assert assembled == []
+
+    def test_kappa_below_the_overflow_guard_runs(self):
+        rep = run_verify(RunConfig(N=16, kappa=6e305))
+        assert rep.verdict == INCONCLUSIVE and rep.failed_stage == "convergence"
+
 
 class TestSoundness:
     """Each broken threshold must yield INCONCLUSIVE, never a flipped verdict."""
@@ -311,7 +329,25 @@ class TestEmission:
         # nulling non-finite values changes nothing in a report that has none
         paths = emit_reports(report32, str(tmp_path / "out"))
         with open(paths["verdict"], encoding="utf-8") as fh:
-            assert fh.read() == json.dumps(report32.to_dict(), indent=2) + "\n"
+            assert fh.read() == json.dumps(report32.to_dict()) + "\n"
+
+    @pytest.mark.parametrize("overrides", [{}, {"kappa": 1.01, "eps0": 0.5}],
+                             ids=["defaults", "dense"])
+    def test_writers_match_the_per_eigenvalue_oracle(self, overrides, tmp_path):
+        rep = run_verify(RunConfig(N=32, **overrides))
+        kinds = {row["evidence"]["kind"] for row in rep.convergence["u1"]["rows"]}
+        assert kinds == ({"dense"} if overrides else {"windows", "gershgorin"})
+        paths = emit_reports(rep, str(tmp_path / "out"))
+        oracles.write_spectrum_csv(tmp_path / "u0.csv", rep.spectrum_u0, rep.block_index_u0)
+        oracles.write_spectrum_csv(tmp_path / "u1.csv", rep.spectrum_u1)
+        oracles.write_gap_csv(tmp_path / "gap.csv", rep.gap_summary)
+        for key, name in (("spectrum_u0", "u0.csv"), ("spectrum_u1", "u1.csv"),
+                          ("gap", "gap.csv")):
+            with open(paths[key], "rb") as fh:
+                assert fh.read() == (tmp_path / name).read_bytes(), key
+        with open(paths["svg"], encoding="utf-8") as fh:
+            circles = [line for line in fh.read().split("\n") if ' r="3" ' in line]
+        assert circles == oracles.spectrum_svg_circles(rep.spectrum_u0, rep.spectrum_u1)
 
     def test_report_key_order(self, report32):
         assert list(report32.to_dict().keys()) == [
@@ -373,3 +409,32 @@ class TestEmission:
         d3 = dict(d1)
         d3["parity"] = 0
         assert not reports_equal(d1, d3)
+
+
+class TestWriteJson:
+    def test_non_finite_values_are_null_at_any_depth(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(str(path), {"a": math.nan, "b": [1.0, math.inf, {"c": -math.inf}],
+                               "d": (math.nan, 2, (-math.inf,))})
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh, parse_constant=reject)
+        assert loaded == {"a": None, "b": [1.0, None, {"c": None}], "d": [None, 2, [None]]}
+
+    def test_finite_payload_is_the_plain_dump(self, tmp_path):
+        payload = {"x": [1.5, (2, 3e-300)], "y": {"z": "s", "w": None, "v": True},
+                   "u": np.float64(0.1)}
+        path = tmp_path / "report.json"
+        write_json(str(path), payload)
+        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
+    @pytest.mark.parametrize("payload", [{"a": object()}, {"a": math.nan, "b": {1, 2}}],
+                             ids=["finite", "non-finite"])
+    def test_unserializable_payload_raises_type_error(self, payload, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            write_json(str(path), payload)
+        assert not path.exists()
