@@ -85,10 +85,13 @@ class BasisLayout:
         return w
 
     @cached_property
-    def _fft_phase(self) -> np.ndarray:
-        """(-1)^k for the frequencies k = 0..N+1 of the layout: the phase e^(-ik pi)
-        of the grid offset x_j = -pi + 2 pi j / M."""
-        return np.where(np.arange(self.N + 2) % 2 == 0, 1.0, -1.0)
+    def _fft_factors(self) -> tuple:
+        """The spectrum packing's factors, from the phase (-1)^k of the grid offset:
+        (-1)^k / 2 (k = 0..N) and its negation (k = 1..N+1), k and -k (k = 1..N),
+        2 (-1)^k / M (k = 0..N) and its negation (k = 1..N+1)."""
+        phase = np.where(np.arange(self.N + 2) % 2 == 0, 1.0, -1.0)
+        half, scale, k = 0.5 * phase, (2.0 / self.M) * phase, np.arange(1.0, self.N + 1)
+        return half[:-1], -half[1:], k, -k, scale[:-1], -scale[1:]
 
     def _half_spectrum(self, c: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Write the half spectrum of the coefficient rows c into the zeroed X and
@@ -96,10 +99,10 @@ class BasisLayout:
         grid, so X_0 = a_0, X_k = (-1)^k (a_k - i b_k) / 2, summed by an unscaled
         inverse real FFT of length M."""
         n1 = self.N + 1
-        half = 0.5 * self._fft_phase
-        X.real[..., :n1] = half[:n1] * c[..., :n1]
+        half, neg_half = self._fft_factors[:2]
+        np.multiply(half, c[..., :n1], out=X.real[..., :n1])
         X.real[..., 0] = c[..., 0]
-        X.imag[..., 1:n1 + 1] = -half[1:] * c[..., n1:]
+        np.multiply(neg_half, c[..., n1:], out=X.imag[..., 1:n1 + 1])
         return X
 
     def fft_synthesis(self, c: np.ndarray) -> np.ndarray:
@@ -119,9 +122,9 @@ class BasisLayout:
         if spectrum is None:
             spectrum = np.zeros((2 * width, self.M // 2 + 1), dtype=complex)
         half = self._half_spectrum(c, spectrum[:width])
-        k = np.arange(1.0, n1)
-        spectrum.real[width:, 1:n1] = -k * half.imag[:, 1:n1]
-        spectrum.imag[width:, 1:n1] = k * half.real[:, 1:n1]
+        k, neg_k = self._fft_factors[2:4]
+        np.multiply(neg_k, half.imag[:, 1:n1], out=spectrum.real[width:, 1:n1])
+        np.multiply(k, half.real[:, 1:n1], out=spectrum.imag[width:, 1:n1])
         return np.fft.irfft(spectrum, n=self.M, norm="forward", out=out)
 
     def fft_analysis(self, g: np.ndarray, out=None, spectrum=None) -> np.ndarray:
@@ -140,13 +143,13 @@ class BasisLayout:
         if g.shape[-1] != self.M:
             raise ValueError(f"{g.shape[-1]} samples do not match the grid size M={self.M}")
         n1 = self.N + 1
-        scale = (2.0 / self.M) * self._fft_phase
+        scale, neg_scale = self._fft_factors[4:]
         Y = np.fft.rfft(g, out=spectrum)[..., : n1 + 1]
         if out is None:
             out = np.empty(g.shape[:-1] + (self.dim,))
-        np.multiply(scale[:n1], Y.real[..., :n1], out=out[..., :n1])
+        np.multiply(scale, Y.real[..., :n1], out=out[..., :n1])
         out[..., 0] = Y.real[..., 0] / self.M
-        np.multiply(-scale[1:], Y.imag[..., 1:], out=out[..., n1:])
+        np.multiply(neg_scale, Y.imag[..., 1:], out=out[..., n1:])
         return out
 
     def synthesis_matrix(self) -> np.ndarray:

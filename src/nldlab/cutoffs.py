@@ -77,7 +77,7 @@ def psi_prime(t):
 
 # Polynomial core p and its derivative p' of each shape chi(s) * p(s), read off a Blend b.
 _CORES = {
-    "omega": (lambda b: b.s, lambda b: 1.0),
+    "omega": (lambda b: np.clip(b.s, -2.0, 2.0), lambda b: 1.0),   # 0, not NaN, at s = +-inf
     "gamma": (lambda b: 2.0 * b.s**3 - 3.0 * b.s**2, lambda b: 6.0 * b.s**2 - 6.0 * b.s),
     "eta": (lambda b: 2.0 * b.s**2 - b.s**3, lambda b: 4.0 * b.s - 3.0 * b.s**2),
 }
@@ -95,12 +95,14 @@ class Blend:
     chi' only when a slope is. On the band chi = up / (up + down).
     """
 
-    def __init__(self, s, out=None):
-        """out, a float array of the shape of s, receives chi; by default chi
-        gets an array of its own."""
+    def __init__(self, s, out=None, masks=None):
+        """out (float, the shape of s) receives chi, and masks (bool, (2,) + that
+        shape) the band mask and a scratch one; each is allocated when not given."""
         self.s = np.asarray(s, dtype=float)
         az = np.abs(self.s, out=np.empty_like(self.s) if out is None else out)
-        self._band = (az > 1.0) & (az < 2.0)
+        masks = np.empty((2,) + az.shape, dtype=bool) if masks is None else masks
+        self._band = np.greater(az, 1.0, out=masks[0, ...])
+        self._band &= np.less(az, 2.0, out=masks[1, ...])
         in_band = self._band.any()
         if in_band:
             self._az = az[self._band]

@@ -66,12 +66,12 @@ class ModelParams:
         return _drift_offset(self.kappa)
 
 
-def _core(x, s, w_p, params: ModelParams, work=None):
+def _core(x, s, w_p, params: ModelParams, work=None, sin_x=None):
     """kappa*s*w_p + eps0*s^2*((s - 1) + (s - 2) sin x), the sum of the chi-blended
     shapes omega, gamma and eta (each with its coefficient) divided by chi(s).
 
     Evaluated in that rounding order into work[0], with work[1] and work[2] as
-    scratch: three arrays of the broadcast shape, allocated when not given."""
+    scratch (allocated when not given), and sin x taken from sin_x when given."""
     if work is None:
         shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(w_p))
         work = [np.empty(shape) for _ in range(3)]
@@ -79,7 +79,7 @@ def _core(x, s, w_p, params: ModelParams, work=None):
     np.multiply(params.kappa, s, out=out)
     out *= w_p
     np.subtract(s, 2.0, out=cubic)
-    cubic *= np.sin(x)
+    cubic *= np.sin(x) if sin_x is None else sin_x
     np.subtract(s, 1.0, out=bracket)
     bracket += cubic
     np.multiply(s, s, out=cubic)
@@ -89,23 +89,31 @@ def _core(x, s, w_p, params: ModelParams, work=None):
     return out
 
 
-def f(x, s, p, params: ModelParams, work=None):
-    """The nonlinearity, vectorized over broadcastable x, s, p. The core is read at
-    s clipped to [-2, 2], so it cannot overflow where chi(s) = 0.
+def _on_plateau(z) -> bool:
+    """Whether every sample of z lies in [-1, 1], where chi is 1 (NaN does not)."""
+    return bool(np.minimum.reduce(z, None) >= -1.0 and np.maximum.reduce(z, None) <= 1.0)
 
-    work, a float array of shape (6,) + the broadcast shape, holds every
-    intermediate and the value (work[0], which is returned): a march that
-    passes the same work each step allocates nothing of the samples' size.
-    Without it f allocates its own."""
+
+def f(x, s, p, params: ModelParams, work=None, sin_x=None, masks=None):
+    """The nonlinearity, vectorized over broadcastable x, s, p: the core alone, bit
+    for bit, when every s and p is on the plateau [-1, 1] (chi(s) = chi(p) = 1);
+    else with the core read at s, and w at p, clipped to [-2, 2], so neither
+    overflows nor meets an infinity where chi = 0. work (float, (6,) + the
+    broadcast shape) holds every intermediate and the value (work[0], returned),
+    masks (bool, (2,) + that shape) the cutoff bands, sin_x is np.sin(x): a march
+    passing the same ones each step allocates nothing of the samples' size."""
     shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(p))
     if work is None:
         work = np.empty((6,) + shape)
     value, chi, w_p, clipped, bracket, cubic = (work[i, ...] for i in range(6))
+    if _on_plateau(s) and _on_plateau(p):
+        return _core(x, s, p, params, (value, bracket, cubic), sin_x)[()]
     s = np.broadcast_to(np.asarray(s, dtype=float), shape)
     p = np.broadcast_to(np.asarray(p, dtype=float), shape)
-    chi = ct.Blend(s, out=chi).chi
-    w_p = np.multiply(ct.Blend(p, out=w_p).chi, p, out=w_p)   # w(p) = chi(p) p
-    _core(x, np.clip(s, -2.0, 2.0, out=clipped), w_p, params, (value, bracket, cubic))
+    chi = ct.Blend(s, out=chi, masks=masks).chi
+    w_p = ct.Blend(p, out=w_p, masks=masks).chi
+    w_p *= np.clip(p, -2.0, 2.0, out=clipped)   # w(p) = chi(p) p
+    _core(x, np.clip(s, -2.0, 2.0, out=clipped), w_p, params, (value, bracket, cubic), sin_x)
     value *= chi
     chi = np.subtract(1.0, chi, out=chi)
     chi *= s
@@ -131,13 +139,13 @@ def f_p(x, s, p, params: ModelParams):
 def explicit_part(params: ModelParams):
     """The map C -> P f(x, S C, S DC) + KC on a (seeds, dim) block of coefficient
     rows, with S and P applied as the layout's FFT pair and C, DC sampled by one
-    inverse FFT (`BasisLayout.fft_synthesis_with_derivative`). The spectrum, the
-    samples, f's work arrays, the forward FFT and the coefficients are buffers
-    allocated once per block height, so a step allocates nothing of the
-    samples' size: with fresh arrays each step the C heap shrank and grew back,
-    100-150 page faults per step at N = 1024 with three seeds (`getrusage`)."""
+    inverse FFT (`BasisLayout.fft_synthesis_with_derivative`). sin x is taken once, and
+    the spectrum, samples, f's work and masks, forward FFT and coefficients are allocated
+    once per block height (fresh arrays cost 100-150 page faults per step at N = 1024).
+    KC is added into the coefficients, which are returned and overwritten by the next call."""
     lay = params.layout
     x = lay.grid
+    sin_x = np.sin(x)
     K = mode_map(lay, "K", eps=params.eps)
     buffers = {}
 
@@ -147,13 +155,13 @@ def explicit_part(params: ModelParams):
             bins = lay.M // 2 + 1
             buffers[width] = (np.zeros((2 * width, bins), dtype=complex),
                               np.empty((2 * width, lay.M)), np.empty((6, width, lay.M)),
-                              np.empty((width, bins), dtype=complex),
-                              np.empty((width, lay.dim)))
-        X, samples, work, Y, coefficients = buffers[width]
+                              np.empty((2, width, lay.M), dtype=bool),
+                              np.empty((width, bins), dtype=complex), np.empty((width, lay.dim)))
+        X, samples, work, masks, Y, coefficients = buffers[width]
         lay.fft_synthesis_with_derivative(C, X, samples)
-        out = lay.fft_analysis(f(x, samples[:width], samples[width:], params, work),
+        out = lay.fft_analysis(f(x, samples[:width], samples[width:], params, work, sin_x, masks),
                                coefficients, Y)
-        return out + K(C)
+        return K(C, into=out)
 
     return explicit
 

@@ -109,10 +109,10 @@ class _ModeMap:
                  slice(self.cols[a], self.cols[b - 1] + 1), self.values[a:b])
                 for a, b in zip(np.r_[0, cut], np.r_[cut, len(self.rows)])]
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
-        """Image of the coefficient vector c, or of each row of a (seeds, dim) block,
-        one slice product per run; a recurring row sums its terms in table order."""
-        out = np.zeros(np.shape(c))
+    def __call__(self, c: np.ndarray, into=None) -> np.ndarray:
+        """Image of the coefficient vector c, or of each row of a (seeds, dim) block, one slice
+        product per run (added in place to into when given); a recurring row sums in table order."""
+        out = np.zeros(np.shape(c)) if into is None else into
         for rows, cols, values in self.runs:
             out[..., rows] += values * c[..., cols]
         return out

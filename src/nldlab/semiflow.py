@@ -87,8 +87,12 @@ def _imex_step(params: ModelParams):
     one state per row."""
     explicit = explicit_part(params)
     inv_implicit = 1.0 / (1.0 - params.dt * mode_map(params.layout, "Q").values)
-    dt = params.dt
-    return lambda C: (C + dt * explicit(C)) * inv_implicit
+
+    def step(C):
+        E = explicit(C)   # explicit's own buffer, scaled and summed in place
+        return np.add(np.multiply(E, params.dt, out=E), C, out=E) * inv_implicit
+
+    return step
 
 
 def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int):
@@ -127,12 +131,12 @@ def cfl_number(params: ModelParams) -> float:
     return params.dt * (params.layout.N + 1) * (abs(params.kappa) * ct.sup_abs_w() + 1.0)
 
 
-def _march_plan(states: list, params: ModelParams,
-                T: float | None) -> tuple[float, float, int]:
+def _march_plan(states: list, params: ModelParams, T: float | None,
+                record_every: int = 100) -> tuple[float, float, int]:
     """(CFL number, horizon, step count) of a march of states to T (default
-    params.T_final). ValueError if a state is not a coefficient vector of the
-    params layout, if the CFL number exceeds CFL_BOUND, or if the horizon is
-    not finite or rounds to no step."""
+    params.T_final). ValueError if a state is not a coefficient vector of the params
+    layout, if the CFL number exceeds CFL_BOUND, if the horizon is not finite or
+    rounds to no step, or if record_every is below 1."""
     for u in states:
         if np.shape(u) != (params.layout.dim,):
             raise ValueError(f"initial state has shape {np.shape(u)}, "
@@ -146,6 +150,8 @@ def _march_plan(states: list, params: ModelParams,
     if not math.isfinite(horizon) or round(horizon / params.dt) < 1:
         raise ValueError(f"horizon T = {horizon:g} must be finite and take at least one "
                          f"step of dt = {params.dt:g}")
+    if record_every < 1:
+        raise ValueError(f"record_every = {record_every} must be at least 1")
     return number, horizon, int(round(horizon / params.dt))
 
 
@@ -153,10 +159,10 @@ def integrate(u0: np.ndarray, params: ModelParams, T: float | None = None,
               record_every: int = 100) -> Trajectory:
     """March to T (default params.T_final), recording every record_every steps.
 
-    ValueError if T is not finite or rounds to no step; aborts with a
-    stability diagnostic if the state stops being finite.
+    ValueError if T is not finite or rounds to no step or record_every is below 1;
+    aborts with a stability diagnostic if the state stops being finite.
     """
-    number, _, n_steps = _march_plan([u0], params, T)
+    number, _, n_steps = _march_plan([u0], params, T, record_every)
     alpha = params.theta
 
     times, states, norms = [], [], []

@@ -1,12 +1,16 @@
 """Dense oracles for the banded linearization: the Toeplitz-plus-Hankel
 multiplier and T(u) assembled as full (dim, dim) matrices in layout order,
 adding the same terms in the same order as the band assembly does. Then the
-report writers formatting one eigenvalue at a time, from numpy scalars."""
+report writers formatting one eigenvalue at a time, from numpy scalars, and
+the IMEX step as written before the march's buffers: f blended through two
+`Blend`s with sin x taken on every call, the spectra packed through
+temporaries, and KC built from zeros and added to the analysis."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from nldlab import f_p, f_s, mode_map
+from nldlab.cutoffs import Blend
 from nldlab.verdict import write_csv
 
 
@@ -99,3 +103,43 @@ def spectrum_svg_circles(rep0, rep1):
             f'cy="{py(z.imag):.2f}" r="3" fill="{color}" opacity="0.7"/>'
             for rep, color in ((rep0, "#1f77b4"), (rep1, "#ff7f0e"))
             for z in rep.eigenvalues]
+
+
+def blended_f(x, s, p, params):
+    """f = chi(s) core - (1 - chi(s)) s with w(p) = chi(p) p, every chi read off a
+    Blend and the core at s clipped to [-2, 2], in f's rounding order."""
+    chi = Blend(s).chi
+    w_p = Blend(p).chi * p
+    c = np.clip(s, -2.0, 2.0)
+    core = params.kappa * c * w_p + c * c * params.eps.eps0 * ((c - 1.0) + (c - 2.0) * np.sin(x))
+    return core * chi - (1.0 - chi) * s
+
+
+def blended_step(params):
+    """The map C -> (I - dt Q)^(-1) (C + dt (P f(x, S C, S DC) + KC)) on a (seeds, dim)
+    block, with the half spectra of C and DC packed into fresh arrays."""
+    lay, dt = params.layout, params.dt
+    n1, bins = lay.N + 1, lay.M // 2 + 1
+    phase = np.where(np.arange(lay.N + 2) % 2 == 0, 1.0, -1.0)
+    half, scale = 0.5 * phase, (2.0 / lay.M) * phase
+    K = mode_map(lay, "K", eps=params.eps)
+    inv_implicit = 1.0 / (1.0 - dt * mode_map(lay, "Q").values)
+
+    def step(C):
+        width = len(C)
+        X = np.zeros((2 * width, bins), dtype=complex)
+        X.real[:width, :n1] = half[:n1] * C[:, :n1]
+        X.real[:width, 0] = C[:, 0]
+        X.imag[:width, 1:n1 + 1] = -half[1:] * C[:, n1:]
+        k = np.arange(1.0, n1)
+        X.real[width:, 1:n1] = -k * X.imag[:width, 1:n1]
+        X.imag[width:, 1:n1] = k * X.real[:width, 1:n1]
+        samples = np.fft.irfft(X, n=lay.M, norm="forward")
+        Y = np.fft.rfft(blended_f(lay.grid, samples[:width], samples[width:], params))
+        out = np.empty((width, lay.dim))
+        out[:, :n1] = scale[:n1] * Y.real[:, :n1]
+        out[:, 0] = Y.real[:, 0] / lay.M
+        out[:, n1:] = -scale[1:] * Y.imag[:, 1:n1 + 1]
+        return (C + dt * (out + K(C))) * inv_implicit
+
+    return step

@@ -63,6 +63,27 @@ print(json.dumps({"faults_per_step": faults / 50, "finite": bool(np.isfinite(C).
     assert result["faults_per_step"] <= 5.0
 
 
+def test_warm_block_step_allocates_little_beyond_its_result():
+    # the new state is one block; the step's buffers, sin x and masks are
+    # reused, so the rest of the peak is small temporaries
+    result = run_fresh("""
+import json, tracemalloc
+import numpy as np
+from nldlab import BasisLayout, ModelParams, random_state
+from nldlab.semiflow import _imex_step
+params = ModelParams(BasisLayout(1024), dt=5e-4)
+C = np.array([random_state(params.layout, s, params.theta, 10.0) for s in range(3)])
+step = _imex_step(params)
+C = step(C)   # warm-up: allocates the buffers of this block height
+tracemalloc.start()
+C = step(C)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({"ratio": peak / C.nbytes, "finite": bool(np.isfinite(C).all())}))
+""")
+    assert result["finite"]
+    assert result["ratio"] <= 2.5
+
+
 def test_verify_holds_no_dense_linearization():
     # a dense T(u1) at 2N = 2048 alone is 134 MB; the banded verify path holds
     # a few MB, so this fails if a dim x dim matrix comes back

@@ -238,3 +238,36 @@ class TestFarFieldOverflow:
         chi = ct.Blend(s).chi
         unclipped = chi * _core(x, s, ct.Blend(p).shape("w"), params32) - (1.0 - chi) * s
         np.testing.assert_array_equal(f(x, s, p, params32), unclipped)
+
+
+class TestPlateauAndInfinity:
+    """f at the plateau's edges, in the band, on its far side and at non-finite
+    arguments, against the Blend-based oracle: w vanishes for |p| >= 2, so an
+    infinite p reads as p = +-2."""
+
+    EDGES = np.array([1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 2.0, -2.0,
+                      np.nan, np.inf, -np.inf])
+
+    def test_f_at_the_edges_matches_the_oracle(self, params32):
+        from oracles import blended_f
+        x = np.array([-np.pi, -1.0, 0.0, 0.5, 2.0])[:, None, None]
+        s, p = self.EDGES[None, :, None], self.EDGES[None, None, :]
+        expected = blended_f(x, s, np.clip(p, -2.0, 2.0), params32)
+        np.testing.assert_array_equal(f(x, s, p, params32), expected)
+        finite = np.isfinite(self.EDGES)
+        np.testing.assert_array_equal(expected[..., finite],
+                                      blended_f(x, s, p[..., finite], params32))
+        for i, si in enumerate(self.EDGES):   # one pair at a time takes the plateau path
+            for j, pj in enumerate(self.EDGES):
+                np.testing.assert_array_equal(f(x[:, 0, 0], si, pj, params32),
+                                              expected[:, i, j])
+
+    def test_infinite_p_is_the_far_field(self, params32):
+        from nldlab.cutoffs import w, w_prime
+        x, s = 0.4, np.array([-3.0, -1.5, 0.0, 0.5, 1.2, 3.0])
+        for p in (np.inf, -np.inf):
+            far = np.copysign(2.0, p)
+            assert w(p) == 0.0 and w_prime(p) == 0.0
+            np.testing.assert_array_equal(f(x, s, p, params32), f(x, s, far, params32))
+            np.testing.assert_array_equal(f_s(x, s, p, params32), f_s(x, s, far, params32))
+            np.testing.assert_array_equal(f_p(x, s, p, params32), np.zeros_like(s))

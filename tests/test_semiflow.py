@@ -108,6 +108,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="at least one"):
             integrate(np.zeros(params32.layout.dim), params32, T=T)
 
+    @pytest.mark.parametrize("record_every", [0, -1])
+    def test_record_every_below_one_is_error(self, params32, record_every):
+        with pytest.raises(ValueError, match="record_every"):
+            integrate(np.zeros(params32.layout.dim), params32, T=0.01,
+                      record_every=record_every)
+
     def test_cfl_number_formula(self, layout32):
         from nldlab.cutoffs import sup_abs_w
         params = ModelParams(layout32)
@@ -357,7 +363,7 @@ class TestSeedMajorMarch:
         assert np.all(C[:, -1] != 0.0)   # the top sine, whose image d/dx drops
         seen = []
 
-        def capture(x, s, p, params, work=None):
+        def capture(x, s, p, params, work=None, sin_x=None, masks=None):
             seen.append((s.copy(), p.copy()))
             return np.zeros_like(s)
 
@@ -412,3 +418,27 @@ class TestSeedMajorMarch:
         assert rep.M_scan.hex() == m_scan
         assert rep.a_emp.hex() == a_emp
         assert [t.hex() for t in rep.tail_norms] == tails
+
+
+class TestStepOracle:
+    """The march's step, with its buffers, plateau path and in-place updates, is
+    byte-equal to the step written out with temporaries (`oracles.blended_step`)."""
+
+    @pytest.mark.parametrize("start", [10.0, 1e3, 1e10, "unit"])
+    @pytest.mark.parametrize("N", [8, 128, 1024])
+    def test_200_steps_are_byte_equal(self, N, start):
+        from oracles import blended_step
+
+        from nldlab.semiflow import _imex_step
+        params = ModelParams(BasisLayout(N), dt=5e-4 if N == 1024 else 1e-3)
+        lay = params.layout
+        if start == "unit":   # (1 + 1e-6) * 1 lies in the cutoff band
+            C = np.zeros((1, lay.dim))
+            C[0, 0] = 1.0 + 1e-6
+        else:
+            C = np.array([random_state(lay, s, params.theta, start) for s in range(3)])
+        step, reference = _imex_step(params), blended_step(params)
+        ours = C
+        for _ in range(200):
+            ours, C = step(ours), reference(C)
+            assert ours.tobytes() == C.tobytes()
