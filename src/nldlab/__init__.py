@@ -10,10 +10,9 @@ from .operators import (B_CONSTANT_VALUE, EpsilonSequence, assemble, l2_operator
 from .semiflow import (DissipativityReport, Trajectory, absorbing_radius,
                        dissipativity_probe, instability_growth_rate, integrate,
                        stationary_residual, step_imex)
-from .spectra import (BandedT, GapReport, SpectrumReport, assemble_T, block_spectrum_u0,
-                      classify_and_count, convergence_study, eigenvalues,
-                      eps0_threshold_scan, gap_check, qkappa_spectrum, resolved_band,
-                      stationary_state)
+from .spectra import (BandedT, GapReport, SpectrumReport, assemble_T, classify_and_count,
+                      convergence_study, eigenvalues, eps0_threshold_scan, gap_check,
+                      qkappa_spectrum, resolved_band, stationary_state)
 from .verdict import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, RunConfig,
                       VerdictReport, emit_reports, reports_equal, run_verify)
 

@@ -75,11 +75,13 @@ def psi_prime(t):
     return _value(out)
 
 
-# Polynomial core p and its derivative p' of each shape chi(s) * p(s), read off a Blend b.
+# Polynomial core p and its derivative p' of each shape chi(s) * p(s), read at s clipped to
+# [-4, 4]: chi and chi' vanish for |s| >= 2 and every root of p and p' lies in [-2, 2], so
+# no bit changes (signed zeros included) and no power overflows.
 _CORES = {
-    "omega": (lambda b: np.clip(b.s, -2.0, 2.0), lambda b: 1.0),   # 0, not NaN, at s = +-inf
-    "gamma": (lambda b: 2.0 * b.s**3 - 3.0 * b.s**2, lambda b: 6.0 * b.s**2 - 6.0 * b.s),
-    "eta": (lambda b: 2.0 * b.s**2 - b.s**3, lambda b: 4.0 * b.s - 3.0 * b.s**2),
+    "omega": (lambda s: s, lambda s: 1.0),
+    "gamma": (lambda s: 2.0 * s**3 - 3.0 * s**2, lambda s: 6.0 * s**2 - 6.0 * s),
+    "eta": (lambda s: 2.0 * s**2 - s**3, lambda s: 4.0 * s - 3.0 * s**2),
 }
 _CORES["w"] = _CORES["omega"]
 
@@ -126,14 +128,14 @@ class Blend:
     def shape(self, name: str):
         if name == "mu":
             return -(1.0 - self.chi) * self.s
-        return self.chi * _CORES[name][0](self)
+        return self.chi * _CORES[name][0](np.clip(self.s, -4.0, 4.0))
 
     def slope(self, name: str):
         """Derivative of shape(name) in s."""
         if name == "mu":
             return self.slope("omega") - 1.0
-        core, core_prime = _CORES[name]
-        return self.chi_prime * core(self) + self.chi * core_prime(self)
+        (core, core_prime), s = _CORES[name], np.clip(self.s, -4.0, 4.0)
+        return self.chi_prime * core(s) + self.chi * core_prime(s)
 
 
 def chi(z):

@@ -75,9 +75,6 @@ class EpsilonSequence:
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
 
-    def value(self, n: int) -> float:
-        return self.eps0 * self.rho**n
-
     def values(self, count: int) -> np.ndarray:
         out = self.eps0 * self.rho ** np.arange(count, dtype=float)
         if self.eps0 > 0.0 and np.any(out == 0.0):
@@ -181,12 +178,16 @@ def _require_supercritical(kappa: float):
         raise ValueError(f"|kappa| must exceed 1, got {kappa}")
 
 
+def _scaled_kappa(kappa: float) -> tuple[float, float, int]:
+    """(kappa 2^-e, 2^-e, e), 2^e >= 1 the power of two that brings |kappa| into [1, 2)."""
+    e = max(math.frexp(kappa)[1] - 1, 0)
+    return math.ldexp(kappa, -e), math.ldexp(1.0, -e), e
+
+
 def _drift_offset(kappa: float) -> float:
     """sqrt(kappa^2 - 1), the imaginary offset of the Q_kappa eigenvalues, for any
-    finite kappa: computed on kappa and 1 scaled by the power of two that brings
-    |kappa| into [1, 2), which is exact wherever the unscaled formula does not overflow."""
-    e = max(math.frexp(kappa)[1] - 1, 0)
-    k, one = math.ldexp(kappa, -e), math.ldexp(1.0, -e)
+    finite kappa: from `_scaled_kappa`, exact wherever the unscaled formula does not overflow."""
+    k, one, e = _scaled_kappa(kappa)
     return math.ldexp(math.sqrt(k * k - one * one), e)
 
 

@@ -20,10 +20,11 @@ defaults never builds.
 
 Evidence, by state and truncation:
 
-  u0: exact blocks ("blocks"). The block spectrum is paired with the closed
-      form in (Re, Im) order; any bijection within tolerance certifies it,
-      and with every eps_n nonzero no eigenvalue is real, whatever any
-      threshold says (eps_n decays below any fixed threshold).
+  u0: exact blocks ("blocks"). Sorted by (Re desc, Im desc), block n sits at
+      positions 2n and 2n + 1 of every row, so the spectrum is paired by
+      block index, in O(N), with the closed form and with the 2N row; any
+      bijection within tolerance certifies it, and with every eps_n nonzero
+      no eigenvalue is real, whatever any threshold says.
   u1 at N: threshold classification, |Im| < tol_im * (1 + |lambda|), of the
       spectrum (the reports list it). `disc_certificate` runs here too; when
       its discs are mutually disjoint, each holds exactly one eigenvalue, and
@@ -55,7 +56,7 @@ import numpy as np
 from .basis import BasisLayout
 from .model import ModelParams, f_p, f_s
 from .operators import (EpsilonSequence, _drift_offset, _gamma, _require_supercritical,
-                        mode_map, multiplier)
+                        _scaled_kappa, mode_map, multiplier)
 
 __all__ = [
     "SpectrumReport",
@@ -73,7 +74,6 @@ __all__ = [
     "eigenvalues",
     "disc_certificate",
     "discs_disjoint",
-    "block_spectrum_u0",
     "match_blocks_u0",
     "qkappa_spectrum",
     "classify_and_count",
@@ -405,8 +405,7 @@ def disc_certificate(T: BandedT, kappa: float,
     """
     dim, L = len(T), T.N
     s = _SLOT0_SCALE
-    e = max(math.frexp(kappa)[1] - 1, 0)
-    k, one = math.ldexp(kappa, -e), math.ldexp(1.0, -e)
+    k, one, _ = _scaled_kappa(kappa)
     v = np.array([k, complex(one, np.sqrt(k * k - one * one))])
     x = np.array([np.conj(v[1]), -np.conj(v[0])]) / (2j * (v[0] * np.conj(v[1])).imag)
     Xn, Vn = np.array([x, np.conj(x)]), np.array([v, np.conj(v)]).T
@@ -539,17 +538,10 @@ def _window_eigenvalues(T: BandedT, discs: DiscCertificate) -> np.ndarray | None
     return eigs
 
 
-def block_spectrum_u0(n: int, eps: EpsilonSequence) -> tuple[complex, complex]:
-    """Closed-form eigenvalues -(n^2+n) +- i*eps_n of the n-th 2x2 block."""
-    if n < 0:
-        raise ValueError("block index must be >= 0")
-    re = -(n * n + n)
-    return complex(re, eps.value(n)), complex(re, -eps.value(n))
-
-
 def match_blocks_u0(eigs: np.ndarray, eps: EpsilonSequence, N: int):
-    """Pair a computed spectrum with the closed-form blocks, both in (Re desc,
-    Im desc) order.
+    """Pair a computed spectrum with the closed-form blocks -(n^2+n) +- i eps_n,
+    n = 0..N, both in (Re desc, Im desc) order, which for the blocks is block
+    order: eigenvalue position p is paired with block p // 2.
 
     Returns (max_distance, block_index) where block_index[i] is the block n
     paired with eigs[i]. Any bijection whose max_distance is small certifies
@@ -558,14 +550,16 @@ def match_blocks_u0(eigs: np.ndarray, eps: EpsilonSequence, N: int):
     in Re and a real 2x2 block's computed eigenvalues are exact conjugates, so
     on these spectra the ordered pairing is the one an optimal assignment finds.
     """
-    targets = np.concatenate([block_spectrum_u0(n, eps) for n in range(N + 1)])
-    if len(eigs) != len(targets):
-        raise ValueError(f"{len(eigs)} eigenvalues for {len(targets)} block eigenvalues")
+    n = np.arange(N + 1, dtype=float)
+    targets = np.empty((N + 1, 2), dtype=complex)
+    targets.real = -(n * n + n)[:, None]
+    targets.imag = eps.values(N + 1)[:, None] * [1.0, -1.0]
+    if len(eigs) != targets.size:
+        raise ValueError(f"{len(eigs)} eigenvalues for {targets.size} block eigenvalues")
     rows = np.lexsort((-eigs.imag, -eigs.real))
-    cols = np.lexsort((-targets.imag, -targets.real))
-    dist = float(np.abs(eigs[rows] - targets[cols]).max())
+    dist = float(np.abs(eigs[rows] - targets.ravel()).max())
     block_index = np.empty(len(eigs), dtype=int)
-    block_index[rows] = cols // 2
+    block_index[rows] = np.arange(len(eigs)) // 2
     return dist, block_index
 
 
@@ -600,10 +594,8 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
     nonreal = eigs[~real_mask]
     mismatch = 0.0
     if not np.array_equal(np.sort(nonreal), np.sort(np.conj(nonreal))):
-        for rows in _row_chunks(len(nonreal)):
-            conj = np.conj(nonreal[rows])
-            mismatch = max(mismatch, float(np.max(np.min(np.abs(conj[:, None] - nonreal[None, :]),
-                                                         axis=1))))
+        conj = np.conj(nonreal)
+        mismatch = float(np.max(np.abs(conj - _nearest(conj, nonreal))))
 
     return SpectrumReport(
         point_label=point_label,
@@ -634,10 +626,12 @@ class ConvergenceStudy:
     the anchor disc radius); "lowest" holds the 8 values nearest Re = 0, and
     "tail" the `BandedT.tail` of the row's T.
 
-    The rows are compared inside the stable zone |Re| <= N^2/8. Against a
-    dense row every eigenvalue there must persist (relative drift, charged
-    both rows' `BandedT.tail`, below drift_tol, the DRIFT_TOL the study ran
-    with) and keep its classification.
+    The rows are compared inside the stable zone |Re| <= N^2/8. Against a 2N
+    spectrum every eigenvalue there must persist (relative drift to its
+    partner, charged both rows' `BandedT.tail`, below drift_tol, the DRIFT_TOL
+    the study ran with) and keep its classification. A u0 value's partner is
+    the 2N value at its position (paired by block index, in O(N)), a u1
+    value's its nearest neighbour in the 2N row.
     Against a certified row every eigenvalue there must lie in a disc and be
     real exactly when that disc is disc 0, and the anchor's worst-case drift,
     its distance to the disc-0 center plus the radius, must stay below
@@ -666,12 +660,14 @@ def convergence_study(point_label: str, params: ModelParams,
                     for n in (N, 2 * N))
     rep_a, rep_b = row_a["report"], row_b["report"]
     zone = N**2 / 8.0
-    in_zone = rep_a.eigenvalues[np.abs(rep_a.eigenvalues.real) <= zone]
+    at = np.flatnonzero(np.abs(rep_a.eigenvalues.real) <= zone)
+    in_zone = rep_a.eigenvalues[at]
     if isinstance(rep_b, DiscCertificate):
         check = _disc_pair_check(in_zone, rep_a.real_eigs_in_band, rep_b, tol_im)
-    else:
-        check = _dense_pair_check(in_zone, rep_b.eigenvalues, tol_im,
-                                  row_a["tail"] + row_b["tail"])
+    else:   # u0: block n sits at positions 2n and 2n + 1 of both rows
+        partners = (rep_b.eigenvalues[at] if point_label == "u0"
+                    else _nearest(in_zone, rep_b.eigenvalues))
+        check = _drift_check(in_zone, partners, tol_im, row_a["tail"] + row_b["tail"])
     ok = (check["max_drift"] <= DRIFT_TOL and check["classification_flips"] == 0
           and check.get("outside_discs", 0) == 0
           and rep_a.l_count_in_band == rep_b.l_count_in_band)
@@ -707,22 +703,23 @@ def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_
             "lowest": eigs[np.argsort(np.abs(eigs.real))][:8], "tail": T.tail}
 
 
-def _dense_pair_check(in_zone: np.ndarray, eigs_b: np.ndarray, tol_im: float,
-                      tail: float) -> dict:
-    """Relative drift of each in-zone eigenvalue to its nearest neighbour in
-    eigs_b, and the classification flips between the two.
+def _nearest(z: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """The nearest neighbour in eigs of each value of z: a quadratic search."""
+    matched = np.empty_like(z)
+    for rows in _row_chunks(len(z)):
+        matched[rows] = eigs[np.argmin(np.abs(z[rows, None] - eigs), axis=1)]
+    return matched
 
-    Each row's spectrum is that of its band alone, and the dropped part, of
-    infinity-norm at most the row's `BandedT.tail`, moves a well-conditioned
-    eigenvalue by at most as much; so every distance is charged tail, the sum
-    of both rows' tails (0 at u0)."""
-    matched = np.empty_like(in_zone)
-    for rows in _row_chunks(len(in_zone)):
-        matched[rows] = eigs_b[np.argmin(np.abs(in_zone[rows, None] - eigs_b), axis=1)]
-    drift = (np.abs(in_zone - matched) + tail) / (1.0 + np.abs(in_zone))
+
+def _drift_check(in_zone: np.ndarray, partners: np.ndarray, tol_im: float, tail: float) -> dict:
+    """Relative drift of each in-zone eigenvalue to its partner in the 2N row, and
+    the classification flips. A band drops a part of infinity-norm at most its
+    `BandedT.tail`, which moves a well-conditioned eigenvalue by at most as much,
+    so each distance is charged tail, both rows' tails summed (0 at u0)."""
+    drift = (np.abs(in_zone - partners) + tail) / (1.0 + np.abs(in_zone))
     return {"max_drift": float(drift.max()) if len(drift) else 0.0,
             "classification_flips": int(np.sum(is_real(in_zone, tol_im)
-                                               != is_real(matched, tol_im)))}
+                                               != is_real(partners, tol_im)))}
 
 
 def _disc_pair_check(in_zone: np.ndarray, reals_a: np.ndarray, cert: DiscCertificate,

@@ -1,6 +1,7 @@
 """Dense oracles for the banded linearization: the Toeplitz-plus-Hankel
 multiplier and T(u) assembled as full (dim, dim) matrices in layout order,
-adding the same terms in the same order as the band assembly does. Then the
+adding the same terms in the same order as the band assembly does. The
+closed-form eigenvalues of the 2x2 blocks of T(u0), one block at a time. The
 report writers formatting one eigenvalue at a time, from numpy scalars, and
 the IMEX step as written before the march's buffers: f blended through two
 `Blend`s with sin x taken on every call, the spectra packed through
@@ -12,6 +13,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from nldlab import f_p, f_s, mode_map
 from nldlab.cutoffs import Blend
 from nldlab.verdict import write_csv
+
+
+def block_spectrum_u0(n, eps):
+    """Closed-form eigenvalues -(n^2+n) +- i*eps_n of the n-th 2x2 block."""
+    if n < 0:
+        raise ValueError("block index must be >= 0")
+    re, im = -(n * n + n), eps.values(n + 1)[n]
+    return complex(re, im), complex(re, -im)
 
 
 def multiplier_from_samples(layout, g):

@@ -64,7 +64,7 @@ def test_criterion_02_block_spectrum_at_zero_state(defaults):
     eigs = eigenvalues(T)
     dist, _ = match_blocks_u0(eigs, defaults.eps, N)
     assert dist <= 1e-10
-    assert np.abs(eigs.imag).min() >= defaults.eps.value(N) - 1e-10
+    assert np.abs(eigs.imag).min() >= defaults.eps.values(N + 1)[N] - 1e-10
     # no positive real eigenvalue, raw or band-restricted (deep blocks have
     # imaginary parts below any fixed threshold, but their real parts are
     # strictly negative, which is what the count tracks)

@@ -105,6 +105,18 @@ class TestShapes:
         np.testing.assert_array_equal(mu(s), -s)
         assert np.all(mu_prime(s) == -1.0)
 
+    def test_extreme_arguments_do_not_overflow(self):
+        # every shape and slope but mu's is a zero there, signed as at the finite
+        # far-field points +-5, and NaN stays NaN; an overflow warning is an error
+        s = np.array([np.inf, -np.inf, 1e200, -1e200, np.nan])
+        far = np.array([5.0, -5.0, 5.0, -5.0])
+        for fn in (omega, omega_prime, gamma, gamma_prime, eta, eta_prime):
+            out = fn(s)
+            assert np.all(out[:4] == 0.0) and np.isnan(out[4])
+            np.testing.assert_array_equal(np.signbit(out[:4]), np.signbit(fn(far)))
+        np.testing.assert_array_equal(mu(s), -s)
+        np.testing.assert_array_equal(mu_prime(s[:4]), -1.0)
+
     def test_linearization_anchors(self):
         # the values the fixed-point linearizations rely on, all exact
         assert w(0.0) == 0.0 and w_prime(0.0) == 1.0

@@ -129,7 +129,7 @@ class TestKernelOracles:
 class TestEpsilonSequence:
     def test_defaults_and_values(self):
         assert EPS.eps0 == 0.05 and EPS.rho == 0.5
-        assert EPS.value(3) == pytest.approx(0.00625, rel=1e-15)
+        assert EPS.values(4)[3] == pytest.approx(0.00625, rel=1e-15)
         np.testing.assert_allclose(EPS.values(4), [0.05, 0.025, 0.0125, 0.00625], rtol=1e-15)
         assert not EPS.degenerate
 
@@ -211,12 +211,12 @@ class TestModeActions:
         out = apply(layout16, "K", sin_mode(layout16, 1))
         np.testing.assert_array_equal(out, cos_mode(layout16, 0, -0.05))
         out = apply(layout16, "K", cos_mode(layout16, 3))
-        np.testing.assert_array_equal(out, sin_mode(layout16, 4, EPS.value(3)))
+        np.testing.assert_array_equal(out, sin_mode(layout16, 4, EPS.values(4)[3]))
 
     def test_K_squared_is_minus_eps_squared_blockwise(self, layout16):
         for n in (0, 2, 7):
             kk = apply(layout16, "K", apply(layout16, "K", cos_mode(layout16, n)))
-            np.testing.assert_allclose(kk, cos_mode(layout16, n, -EPS.value(n) ** 2),
+            np.testing.assert_allclose(kk, cos_mode(layout16, n, -EPS.values(n + 1)[n] ** 2),
                                        rtol=1e-15)
 
     def test_Q(self, layout16):

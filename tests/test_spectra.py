@@ -13,7 +13,6 @@ from nldlab import (
     ModelParams,
     assemble,
     assemble_T,
-    block_spectrum_u0,
     classify_and_count,
     convergence_study,
     eigenvalues,
@@ -25,11 +24,11 @@ from nldlab import (
     stationary_state,
 )
 from nldlab.operators import multiplier
-from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _band_cells, _in_some_disc,
-                            _pair_slots, disc_certificate, discs_disjoint, is_real,
-                            match_blocks_u0)
+from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _band_cells, _drift_check,
+                            _in_some_disc, _nearest, _pair_slots, disc_certificate,
+                            discs_disjoint, is_real, match_blocks_u0)
 from nldlab.verdict import BLOCK_MATCH_TOL
-from oracles import dense_T, multiplier_from_samples
+from oracles import block_spectrum_u0, dense_T, multiplier_from_samples
 
 EPS = EpsilonSequence()
 
@@ -273,7 +272,7 @@ class TestLinearizationAtZero:
         if len(report.real_eigs_in_band):
             assert np.all(report.real_eigs_in_band < -1.0)
         # every eigenvalue genuinely leaves the axis, down to the deepest block
-        assert np.min(np.abs(eigs.imag)) >= EPS.value(layout32.N) - 1e-10
+        assert np.min(np.abs(eigs.imag)) >= EPS.values(layout32.N + 1)[layout32.N] - 1e-10
 
     def test_deep_blocks_defeat_any_fixed_threshold(self):
         # at N = 64 the coupling eps_64 ~ 1e-21 sits far below the relative
@@ -609,6 +608,46 @@ class TestConvergence:
         assert len(study.rows[1]["report"].eigenvalues) == 66
         assert not study.flagged
         assert "outside_discs" not in study.pair_checks[0]
+
+    @pytest.mark.parametrize("N", [16, 32, 64, 128, 256, 512])
+    def test_u0_pairing_by_block_index_is_the_nearest_neighbour(self, N):
+        study = convergence_study("u0", ModelParams(BasisLayout(N)))
+        rep_a, rep_b = (row["report"] for row in study.rows)
+        in_zone = rep_a.eigenvalues[np.abs(rep_a.eigenvalues.real) <= N**2 / 8.0]
+        nearest = _drift_check(in_zone, _nearest(in_zone, rep_b.eigenvalues), TOL_IM_DEFAULT, 0.0)
+        check = study.pair_checks[0]
+        assert (check["max_drift"], check["classification_flips"]) == (0.0, 0)
+        assert (nearest["max_drift"], nearest["classification_flips"]) == (0.0, 0)
+
+    def test_u0_study_makes_no_nearest_neighbour_search(self, monkeypatch):
+        import nldlab.spectra
+
+        def refuse(*args):
+            raise AssertionError("nearest-neighbour search on u0")
+
+        monkeypatch.setattr(nldlab.spectra, "_nearest", refuse)
+        study = convergence_study("u0", ModelParams(BasisLayout(64)))
+        assert not study.flagged and study.pair_checks[0]["max_drift"] == 0.0
+
+    def test_moved_u0_value_at_2N_flags_the_study(self, monkeypatch):
+        import dataclasses
+        import nldlab.spectra
+        original = nldlab.spectra._study_row
+
+        def moved(label, params, *args):
+            row = original(label, params, *args)
+            if params.layout.N == 32:   # the 2N row: shift block 2's upper value
+                eigs = row["report"].eigenvalues.copy()
+                eigs[4] += 1e-3
+                row["report"] = dataclasses.replace(row["report"], eigenvalues=eigs)
+            return row
+
+        monkeypatch.setattr(nldlab.spectra, "_study_row", moved)
+        study = convergence_study("u0", ModelParams(BasisLayout(16)))
+        check = study.pair_checks[0]
+        assert study.flagged and not check["ok"]
+        assert check["max_drift"] == pytest.approx(1e-3 / (1.0 + abs(study.rows[0]["report"]
+                                                                     .eigenvalues[4])))
 
     def test_u0_rows_are_solved_on_pair_blocks(self):
         study = convergence_study("u0", ModelParams(BasisLayout(16)))
