@@ -11,20 +11,23 @@ Every operator is defined once, by its exact action on basis modes:
     K            cos nx -> eps_n sin (n+1)x,  sin (n+1)x -> -eps_n cos nx
     Q            cos nx -> -(n^2+n) cos nx,  sin mx -> -(m^2-m) sin mx
     Q_kappa      Q + kappa * d/dx
+    sin          1 -> sin x,  cos nx -> (sin (n+1)x - sin (n-1)x)/2,
+                 sin mx -> (cos (m-1)x - cos (m+1)x)/2   (multiplication by sin x)
     A - J d/dx   cos nx -> (1+n+n^2) cos nx,  sin mx -> (1-m+m^2) sin mx
 
 `mode_map` holds this table as sparse (row, col, value) maps; a map is applied
 by calling it on a coefficient vector or a (seeds, dim) block of state rows,
 run by run as slice products along the last axis, and `assemble` gives its
 dense (dim, dim) matrix. The IMEX stepper's Q diagonal and K map and the
-Q, K, D of the linearization are read from the same table.
+Q, K, D and sin x of the linearization are read from the same table.
 
 Q and A - J d/dx are given by these closed-form diagonals rather than by
 composing matrices: the matrix composition loses the top sine mode (the
 differentiation image cos (N+1)x is outside the layout) and would corrupt the
 diagonal there. Where an operator's true image leaves the layout (J, G, d/dx on
-the top sine) the overflow is dropped; its L2 size, |c[-1]| sqrt(pi) for J and
-G and (N+1) |c[-1]| sqrt(pi) for d/dx, can be read off the state c.
+the top sine, sin x on the top two sines) the overflow is dropped; its L2 size,
+|c[-1]| sqrt(pi) for J and G and (N+1) |c[-1]| sqrt(pi) for d/dx, can be read
+off the state c.
 
 K is exact on the layout by construction: the block pairs {cos nx, sin (n+1)x}
 close under it, which is the point of the block-aligned truncation.
@@ -43,7 +46,6 @@ from .basis import BasisLayout
 __all__ = [
     "EpsilonSequence",
     "mode_map",
-    "multiplier",
     "assemble",
     "l2_operator_norm",
 ]
@@ -169,6 +171,12 @@ def mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = No
         q, d = mode_map(layout, "Q"), mode_map(layout, "D")
         return _ModeMap(np.concatenate([q.rows, d.rows]), np.concatenate([q.cols, d.cols]),
                         np.concatenate([q.values, kappa * d.values]))
+    if name == "sin":   # the images cos (N+1)x and cos (N+2)x of the top two sines are dropped
+        up, down = np.arange(N + 1), np.arange(2, N + 1)   # slots of cos nx, n = 0..N and 2..N
+        half = np.full(N, 0.5)
+        return _ModeMap(np.concatenate([N + 1 + up, N - 1 + down, up, down]),
+                        np.concatenate([up, down, N + 1 + up, N - 1 + down]),
+                        np.concatenate([[1.0], half, -half[1:], [0.5], half, -half[1:]]))
     raise ValueError(f"unknown operator name {name!r}")
 
 
@@ -189,64 +197,6 @@ def _drift_offset(kappa: float) -> float:
     finite kappa: from `_scaled_kappa`, exact wherever the unscaled formula does not overflow."""
     k, one, e = _scaled_kappa(kappa)
     return math.ldexp(math.sqrt(k * k - one * one), e)
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    """The operator h -> g*h of grid samples g (length M), with the product
-    analyzed on the grid (P diag(g) S), held as the grid moments of g.
-
-    The moments C_k = (1/M) sum_j g_j cos kx_j and S_k = (1/M) sum_j g_j sin kx_j
-    are C_k = (-1)^k Re R_k / M and S_k = -(-1)^k Im R_k / M with R = rfft(g)
-    (the grid offset x_j = -pi + 2 pi j/M is the phase (-1)^k). The
-    product-to-sum identities give Toeplitz-plus-Hankel entries:
-
-        cos n  <- cos n'   w_n (C_{n-n'} + C_{n+n'})    (w_0 = 1/2, else 1)
-        sin m  <- sin m'   C_{m-m'} - C_{m+m'}
-        cos n  <- sin m'   w_n (S_{m'+n} + S_{m'-n})
-        sin m  <- cos n'   S_{m+n'} + S_{m-n'}
-
-    This holds for any samples, band-limited or not: every |k| <= 2N+2 < M/2,
-    so no index wraps. table holds C_k, S_k and -C_k at column 2N+2+k, so
-    that every entry is one sum of two table values.
-
-    q is the chop degree: the last k whose |C_k| + |S_k| exceeds gamma_M max|g|,
-    the worst-case rounding error of an M-term moment sum, so that the
-    moments above q are indistinguishable from rounding (a chop at rounding
-    level, after Aurentz & Trefethen, ACM TOMS 43, 2017). tail is
-    sum_{q < k <= 2N+2} |C_k| + |S_k|, as computed.
-    """
-
-    layout: BasisLayout
-    table: np.ndarray
-    q: int
-    tail: float
-
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The matrix entries at the layout slots (rows[i], cols[i])."""
-        N = self.layout.N
-        top = 2 * N + 2
-        cos_row, cos_col = np.asarray(rows) <= N, np.asarray(cols) <= N
-        n = np.where(cos_row, rows, rows - N)   # frequencies
-        n2 = np.where(cos_col, cols, cols - N)
-        same = cos_row == cos_col
-        plus = np.where(same, np.where(cos_row, 0, 2), 1)   # C, -C or S at n + n'
-        minus = np.where(cos_row & ~cos_col, n2 - n, n - n2)
-        out = self.table[plus, top + n + n2] + self.table[np.where(same, 0, 1), top + minus]
-        return np.where(rows == 0, 0.5 * out, out)   # w_0
-
-
-def multiplier(layout: BasisLayout, g: np.ndarray) -> Multiplier:
-    """The `Multiplier` of the samples g, from one real FFT."""
-    top = 2 * layout.N + 2
-    k = np.arange(-top, top + 1)
-    moments = np.fft.rfft(g)[np.abs(k)] * (np.where(k % 2 == 0, 1.0, -1.0) / layout.M)
-    C = moments.real
-    table = np.array([C, -np.sign(k) * moments.imag, -C])
-    size = np.abs(C[top:]) + np.abs(table[1, top:])   # |C_k| + |S_k|, k = 0..top
-    above = np.flatnonzero(size > _gamma(layout.M) * np.max(np.abs(g)))
-    q = int(above[-1]) if len(above) else 0
-    return Multiplier(layout, table, q, float(np.sum(size[q + 1:])))
 
 
 def assemble(layout: BasisLayout, opname: str, *, eps: EpsilonSequence | None = None,

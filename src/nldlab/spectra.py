@@ -3,20 +3,19 @@
 The linearization at a frozen state u is
 
     T(u) h = h_xx + J h_x + f_s(x,u,u_x) h + f_p(x,u,u_x) h_x + K h
-           = Q h + M_{f_s} h + M_{f_p} h_x + K h,
+           = Q h + M_{f_s} h + M_{f_p} h_x + K h.
 
-assembled in pair order (the constant, then (cos nx, sin nx) for n = 1..N,
-then the top sine) as a band (`BandedT`): each multiplication operator is held
-as the grid moments of its samples (one real FFT), chopped at rounding level,
-and its Toeplitz-plus-Hankel entries are written into the band; what the band
-drops is bounded by the moment tail, and every certificate charges it. T(u1)
-has half-bandwidth 3. All-zero samples add nothing, so at u = 0 the band is
-exactly Q + K, block 2x2 on the pairs {cos nx, sin (n+1)x} with closed-form
-eigenvalues -(n^2+n) +- i eps_n, and is solved as one batch of N + 1 2x2
-blocks. The same code path serves every u. T(u1), given its Gershgorin discs,
-is solved from small windows of the band (below); any other T takes one dense
-eigensolve (LAPACK geev through numpy) of `BandedT.dense`, which verify at the
-defaults never builds.
+At the two stationary states the multipliers are closed forms (`assemble_T`):
+at u0 = 0 both vanish, so T(u0) = Q + K, block 2x2 on the pairs
+{cos nx, sin (n+1)x} with closed-form eigenvalues -(n^2+n) +- i eps_n, and is
+solved as one batch of N + 1 2x2 blocks; at u1 = 1 they are eps0 (1 - sin x)
+and kappa, so T(u1) = Q_kappa + eps0 (I - M_{sin x}) + K. Each is written from
+the mode-map table into a band of half-bandwidth 3 in pair order (the
+constant, then (cos nx, sin nx) for n = 1..N, then the top sine), a `BandedT`
+that drops no entry. T(u1), given its Gershgorin discs, is solved from small
+windows of the band (below); otherwise it takes one dense eigensolve (LAPACK
+geev through numpy) of `BandedT.dense`, which verify at the defaults never
+builds.
 
 Evidence, by state and truncation:
 
@@ -38,7 +37,7 @@ Evidence, by state and truncation:
       drift part Q_kappa in closed form. When its discs prove exactly one
       in-band real eigenvalue, and where it lies, no eigensolve is made;
       otherwise the row falls back to the dense spectrum, labelled "dense",
-      whose drifts are charged the tails both rows' bands drop.
+      paired with the N row by nearest neighbour.
 
 Verdict-grade real sets are restricted to the resolved band |Re| <= N^2/4:
 the layout's dropped top-sine image plants one strongly negative real
@@ -54,9 +53,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisLayout
-from .model import ModelParams, f_p, f_s
+from .model import ModelParams
 from .operators import (EpsilonSequence, _drift_offset, _gamma, _require_supercritical,
-                        _scaled_kappa, mode_map, multiplier)
+                        _scaled_kappa, mode_map)
 
 __all__ = [
     "SpectrumReport",
@@ -199,16 +198,12 @@ def _band_cells(dim: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class BandedT:
     """T(u) in pair order: diagonals[p, b + o] = T[p, p + o] for |o| <= b (cells
-    outside the matrix hold 0), column0 = T[:, 0] whole (the similarity of
-    `disc_certificate` weighs it by 2^27), and tail, a bound on the absolute
-    sum of each row's other entries outside the band, which are dropped.
-    pair_blocks: T is Q + K alone, nonzero only on the pairs {cos nx, sin (n+1)x}.
+    outside the matrix hold 0), every other entry zero. pair_blocks: T is Q + K
+    alone, nonzero only on the pairs {cos nx, sin (n+1)x}.
     """
 
     N: int
     diagonals: np.ndarray
-    column0: np.ndarray
-    tail: float
     pair_blocks: bool
 
     @property
@@ -220,66 +215,41 @@ class BandedT:
         return len(self.diagonals)
 
     def dense(self) -> np.ndarray:
-        """The (dim, dim) matrix in layout order, dropped entries zero."""
+        """The (dim, dim) matrix in layout order."""
         slot = _pair_slots(self.N)
         rows, cols = _band_cells(len(self), self.b)
         out = np.zeros((len(self), len(self)))
         out[slot[rows], slot[cols]] = self.diagonals[rows, cols - rows + self.b]
-        out[slot, 0] = self.column0
         return out
 
 
-def assemble_T(u: np.ndarray, params: ModelParams) -> BandedT:
-    """T(u) = Q + M_{f_s} + M_{f_p} D + K in pair order, as a `BandedT`.
+def assemble_T(point_label: str, params: ModelParams) -> BandedT:
+    """T at the stationary state named by point_label, in pair order, as a
+    `BandedT` written from the mode-map table (`operators.mode_map`).
 
-    u and u_x are sampled by one inverse FFT, and each multiplier is held as the
-    moments of its samples (`operators.multiplier`), chopped at degree q; one
-    whose samples are all zero is skipped, so T(u0) is exactly Q + K, tail 0.
-    The half-bandwidth is b = max(2q + 1, 3) (the K pairs lie 3 apart), at most
-    dim - 1. Q and K are written from their mode maps, then the entries of
-    M_{f_s}, then those of M_{f_p} D (column c is column c' of M_{f_p} times
-    D[c', c]), in the order a dense assembly adds them: every band entry is
-    the dense T's, bit for bit.
+    At u0 = 0 the samples of f_s and f_p vanish, so T(u0) = Q + K. At u1 = 1
+    every sample (s, p) = (1, 0) lies on the plateau [-1, 1] of both cutoffs,
+    where chi = 1 and chi' = 0, so f_s = eps0 (1 - sin x) and f_p = kappa, and
 
-    Dropped part. Frequency n sits at pair positions 2n - 1 and 2n (the
-    constant at 0, the top sine at 2N + 1), so a cell more than 2q + 1 off the
-    diagonal couples frequencies with |n - n'| > q, and both moments of its
-    entry have degree > q. Along a row, outside column 0, |n - n'| and n + n'
-    take each degree at most twice between them (a third time only at column
-    0, kept whole), so the row's dropped entries of M_{f_s} sum to at most
-    2 tau_s, tau the moment tail sum_{k > q} |C_k| + |S_k|. D pairs the columns
-    one to one within a frequency and |D| <= N, so M_{f_p} D drops at most
-    2 N tau_p. With at most three roundings per entry and 2N + 3 terms per tail,
+        T(u1) = Q_kappa + eps0 I - eps0 M_{sin x} + K.
 
-        tail = 2 (tau_s + N tau_p) (1 + gamma_{4N+12})   (0 when b = dim - 1).
+    In pair order, cos nx at 2n - 1 and sin nx at 2n, K, d/dx and sin x couple
+    slots at most 3 apart, so the band of half-bandwidth 3 holds every entry,
+    column 0 included: that of T(u1) is exactly eps0 e_0, since Q_kappa 1 = 0
+    and -eps0 sin x cancels K 1 = eps0 sin x.
     """
-    lay = params.layout
-    N, dim = lay.N, lay.dim
-    us, uxs = lay.fft_synthesis_with_derivative(u[None])
-    m_s, m_p = (multiplier(lay, np.broadcast_to(g, (lay.M,))) if np.any(g) else None
-                for g in (fn(lay.grid, us, uxs, params) for fn in (f_s, f_p)))
-    kept = [m for m in (m_s, m_p) if m is not None]
-    b = min(max([2 * m.q + 1 for m in kept] + [3]), dim - 1)
-    slot = _pair_slots(N)
-    pos = np.argsort(slot)   # the pair position of each layout slot
-    rows, cols = _band_cells(dim, b)
-    r, c, offset = slot[rows], slot[cols], cols - rows + b
-    band = np.zeros((dim, 2 * b + 1))
-    for op in (mode_map(lay, "Q"), mode_map(lay, "K", eps=params.eps)):
-        band[pos[op.rows], pos[op.cols] - pos[op.rows] + b] += op.values
-    column0 = np.zeros(dim)
-    if m_s is not None:
-        band[rows, offset] += m_s.entries(r, c)
-        column0[b + 1:] += m_s.entries(slot[b + 1:], 0)
-    if m_p is not None:
-        d = mode_map(lay, "D")
-        source, scale = np.zeros(dim, dtype=int), np.zeros(dim)
-        source[d.cols], scale[d.cols] = d.rows, d.values   # D[source[c], c] = scale[c]
-        hit = scale[c] != 0.0
-        band[rows[hit], offset[hit]] += m_p.entries(r[hit], source[c[hit]]) * scale[c[hit]]
-    column0[:b + 1] = band[np.arange(b + 1), b - np.arange(b + 1)]
-    tau = sum(m.tail * w for m, w in ((m_s, 1), (m_p, N)) if m is not None) if b < dim - 1 else 0
-    return BandedT(N, band, column0, 2.0 * tau * (1.0 + _gamma(4 * N + 12)), not kept)
+    lay, b, eps0 = params.layout, 3, params.eps.eps0
+    u1 = stationary_state(point_label, lay)[0] == 1.0   # an unknown label raises here
+    band = np.zeros((lay.dim, 2 * b + 1))
+    terms = [(mode_map(lay, "Qkappa", kappa=params.kappa) if u1 else mode_map(lay, "Q"), 1.0),
+             (mode_map(lay, "K", eps=params.eps), 1.0)]
+    if u1:
+        band[:, b] = eps0
+        terms.append((mode_map(lay, "sin"), -eps0))
+    pos = np.argsort(_pair_slots(lay.N))   # the pair position of each layout slot
+    for op, scale in terms:
+        band[pos[op.rows], pos[op.cols] - pos[op.rows] + b] += scale * op.values
+    return BandedT(lay.N, band, not u1)
 
 
 def eigenvalues(m: BandedT | np.ndarray, discs: DiscCertificate | None = None,
@@ -299,8 +269,7 @@ def eigenvalues(m: BandedT | np.ndarray, discs: DiscCertificate | None = None,
     "windows", "blocks" or "dense".
     """
     band = m if isinstance(m, BandedT) else None
-    entries = (m,) if band is None else (band.diagonals, band.column0)
-    if not all(np.all(np.isfinite(a)) for a in entries):
+    if not np.all(np.isfinite(m if band is None else band.diagonals)):
         raise ValueError("matrix has non-finite entries")
     eigs = None if discs is None else _window_eigenvalues(band, discs)
     kind = "windows"
@@ -370,19 +339,18 @@ def disc_certificate(T: BandedT, kappa: float,
     of every pair; the constant and the top sine are singletons. The constant
     is an exact eigenvector of T(u1), so V scales its slot by 1/s, s = 2^-27 (an
     exact power of two): disc 0 shrinks by s, and the other rows pay |T_i0|/s,
-    which is round-off sized. v is scaled by 2^-e, the power of two that
-    brings |kappa| into [1, 2), so that neither kappa^2 nor |v| overflows: a
-    diagonal similarity, which leaves the centers unchanged and moves only the
-    entries that couple a pair to the constant or the top sine.
+    which is 0 for the closed-form T(u1) of `assemble_T`. v is scaled by 2^-e,
+    the power of two that brings |kappa| into [1, 2), so that neither kappa^2
+    nor |v| overflows: a diagonal similarity, which leaves the centers
+    unchanged and moves only the entries that couple a pair to the constant
+    or the top sine.
 
-    F = X T V, X the computed inverse of V, is formed from the band: each row
-    pair is mixed, then the column pairs its band reaches, and column 0 is
-    read from `BandedT.column0`; only the diagonal and absolute row sums are
-    kept. T is real and X, V hold conjugate pairs, so the sin-slot discs are
-    the conjugates of the cos-slot ones and only those are formed. The dropped
-    part E of T adds at most (|X| |E| |V|)_i <= (|x_i1| + |x_i2|) tail max_j w_j
-    to row i, w_j the absolute row sums of V outside column 0; that charge
-    joins S_i and t_i below, so the certificate is sound for any chop.
+    F = X T V, X the computed inverse of V, is formed from the band, which holds
+    every entry of T (`assemble_T`): each row pair is mixed, then the column
+    pairs its band reaches, with column 0, the constant's, read apart from the
+    band; only the diagonal and absolute row sums are kept. T is real and X, V
+    hold conjugate pairs, so the sin-slot discs are the conjugates of the
+    cos-slot ones and only those are formed.
 
     Outward rounding (Rump, Acta Numerica 19, 2010), with u = 2^-53 and
     gamma_k = k u / (1 - k u) (Higham, ch. 3): every computed entry obeys
@@ -420,7 +388,8 @@ def disc_certificate(T: BandedT, kappa: float,
     h = (T.b + 1) // 2
     band = np.zeros((dim + 2, 2 * T.b + 1))
     band[1:-1] = T.diagonals
-    col0 = np.concatenate([[0.0], T.column0, [0.0]])
+    col0 = np.zeros(dim + 2)   # T[:, 0], padded as band; it lies in the first b + 1 rows
+    col0[1:T.b + 2] = T.diagonals[np.arange(T.b + 1), T.b - np.arange(T.b + 1)]
     a = np.concatenate([[0.0], np.full(L, x[0]), [1.0]])
     b = np.concatenate([[s], np.full(L, x[1]), [0.0]])
     # G frame column f of pair n is pair-order column 2(n - h) - 1 + f
@@ -435,15 +404,13 @@ def disc_certificate(T: BandedT, kappa: float,
     H0 = (a * col0[0::2] + b * col0[1::2]) / s
     centers = np.concatenate([H0[:1], H1[1:, h]])
     # absolute row sums of F, of |X| |T| |V| (w: absolute row sums of V by
-    # pair-order column, the constant's taken from col0) and of the tail's |X| |E| |V|
+    # pair-order column, the constant's taken from col0)
     S = np.abs(H1).sum(axis=1) + np.abs(H2).sum(axis=1) + np.abs(H0)
     w = np.concatenate([[0.0], np.tile([2.0 * abs(v[0]), 2.0 * abs(v[1])], L), [1.0]])
     rows, cols = _band_cells(dim, T.b)
     Tw = np.bincount(rows, np.abs(T.diagonals[rows, cols - rows + T.b]) * w[cols], dim)
-    Tw = np.concatenate([[0.0], Tw + np.abs(T.column0) / s, [0.0]])
+    Tw = np.concatenate([[0.0], Tw, [0.0]]) + np.abs(col0) / s
     t = np.abs(a) * Tw[0::2] + np.abs(b) * Tw[1::2]
-    tail = (np.abs(a) + np.abs(b)) * (T.tail * max(2.0 * abs(v[0]), 2.0 * abs(v[1]), 1.0))
-    S, t = S + tail, t + tail
     radii = S - np.abs(centers) + 2.0 * (_gamma(dim + 16) + eta) * (S + t)
 
     c0, r0 = centers[0].real, radii[0]
@@ -623,15 +590,14 @@ class ConvergenceStudy:
     DiscCertificate, no eigensolve). Its "evidence" records the kind, "blocks",
     "dense", "windows" (see `eigenvalues`) or "gershgorin", and, for every u1
     row, the certificate's margin and isolation gap (and for a certified row
-    the anchor disc radius); "lowest" holds the 8 values nearest Re = 0, and
-    "tail" the `BandedT.tail` of the row's T.
+    the anchor disc radius); "lowest" holds the 8 values nearest Re = 0.
 
     The rows are compared inside the stable zone |Re| <= N^2/8. Against a 2N
     spectrum every eigenvalue there must persist (relative drift to its
-    partner, charged both rows' `BandedT.tail`, below drift_tol, the DRIFT_TOL
-    the study ran with) and keep its classification. A u0 value's partner is
-    the 2N value at its position (paired by block index, in O(N)), a u1
-    value's its nearest neighbour in the 2N row.
+    partner below drift_tol, the DRIFT_TOL the study ran with) and keep its
+    classification. A u0 value's partner is the 2N value at its position
+    (paired by block index, in O(N)), a u1 value's its nearest neighbour in
+    the 2N row.
     Against a certified row every eigenvalue there must lie in a disc and be
     real exactly when that disc is disc 0, and the anchor's worst-case drift,
     its distance to the disc-0 center plus the radius, must stay below
@@ -652,9 +618,13 @@ def convergence_study(point_label: str, params: ModelParams,
     instability under that refinement."""
     N = params.layout.N
     params.eps.values(2 * N + 1)   # an eps_n underflow fails before any spectrum
-    # and so does a kappa whose f_p FFT at 2N (M samples of about kappa) overflows
-    if not math.isfinite(abs(params.kappa) * 2 * BasisLayout(2 * N).M):   # 2x for rounding
-        raise ValueError(f"kappa = {params.kappa} overflows the f_p FFT of T at 2N = {2 * N}")
+    # and so does a kappa that overflows `disc_certificate`'s largest row sum at
+    # L = 2N: |T(u1)| sums to at most L^2 + L + |kappa| L + 3 along a row, the
+    # certificate weighs it by 2 |v| < 4, and its S + t stay below that
+    L = 2 * N
+    if not math.isfinite(4.0 * (L * L + L + abs(params.kappa) * L + 3.0)):
+        raise ValueError(f"kappa = {params.kappa} overflows the largest row sum of the disc "
+                         f"certificate at 2N = {L}")
     row_a, row_b = (_study_row(point_label, replace(params, layout=BasisLayout(n)), n > N,
                                tol_im, tol_re)
                     for n in (N, 2 * N))
@@ -667,7 +637,7 @@ def convergence_study(point_label: str, params: ModelParams,
     else:   # u0: block n sits at positions 2n and 2n + 1 of both rows
         partners = (rep_b.eigenvalues[at] if point_label == "u0"
                     else _nearest(in_zone, rep_b.eigenvalues))
-        check = _drift_check(in_zone, partners, tol_im, row_a["tail"] + row_b["tail"])
+        check = _drift_check(in_zone, partners, tol_im)
     ok = (check["max_drift"] <= DRIFT_TOL and check["classification_flips"] == 0
           and check.get("outside_discs", 0) == 0
           and rep_a.l_count_in_band == rep_b.l_count_in_band)
@@ -685,7 +655,7 @@ def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_
     which takes the spectrum from windows when the discs allow.
     """
     N = params.layout.N
-    T = assemble_T(stationary_state(point_label, params.layout), params)
+    T = assemble_T(point_label, params)
     evidence = {"kind": "dense"}   # first key of the report; `eigenvalues` sets it
     cert = None
     if point_label == "u1":
@@ -695,12 +665,12 @@ def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_
             evidence.update(kind="gershgorin", anchor_radius=float(cert.radii[0]))
             order = np.argsort(np.abs(cert.centers.real), kind="stable")
             return {"N": N, "evidence": evidence, "report": cert,
-                    "lowest": cert.centers[order][:8], "tail": T.tail}
+                    "lowest": cert.centers[order][:8]}
     report = classify_and_count(eigenvalues(T, cert, evidence), tol_im, tol_re,
                                 point_label=point_label, N=N)
     eigs = report.eigenvalues
     return {"N": N, "evidence": evidence, "report": report,
-            "lowest": eigs[np.argsort(np.abs(eigs.real))][:8], "tail": T.tail}
+            "lowest": eigs[np.argsort(np.abs(eigs.real))][:8]}
 
 
 def _nearest(z: np.ndarray, eigs: np.ndarray) -> np.ndarray:
@@ -711,12 +681,10 @@ def _nearest(z: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     return matched
 
 
-def _drift_check(in_zone: np.ndarray, partners: np.ndarray, tol_im: float, tail: float) -> dict:
+def _drift_check(in_zone: np.ndarray, partners: np.ndarray, tol_im: float) -> dict:
     """Relative drift of each in-zone eigenvalue to its partner in the 2N row, and
-    the classification flips. A band drops a part of infinity-norm at most its
-    `BandedT.tail`, which moves a well-conditioned eigenvalue by at most as much,
-    so each distance is charged tail, both rows' tails summed (0 at u0)."""
-    drift = (np.abs(in_zone - partners) + tail) / (1.0 + np.abs(in_zone))
+    the classification flips."""
+    drift = np.abs(in_zone - partners) / (1.0 + np.abs(in_zone))
     return {"max_drift": float(drift.max()) if len(drift) else 0.0,
             "classification_flips": int(np.sum(is_real(in_zone, tol_im)
                                                != is_real(partners, tol_im)))}

@@ -13,13 +13,14 @@ obstruction.
 Membership evidence differs by point, deliberately, and verdict.json records
 which evidence was used, with its margin (`e_membership.<point>.evidence`):
 
-  u0: "exact_blocks". The multiplier samples vanish, so the linearization is
-      exactly block 2x2; its spectrum, solved block by block, is paired with
-      the closed form -(n^2+n) +- i*eps_n in (Re, Im) order, and any pairing
-      within BLOCK_MATCH_TOL will do (no optimal assignment is needed). With
-      every eps_n nonzero that certifies "no real eigenvalues" exactly, which no
-      fixed imaginary-part threshold can do (eps_n decays below any
-      threshold). The margin is min eps_n, the smallest imaginary part.
+  u0: "exact_blocks". Both multipliers f_s and f_p vanish at u0, so the
+      linearization is exactly block 2x2; its spectrum, solved block by
+      block, is paired with the closed form -(n^2+n) +- i*eps_n in (Re, Im)
+      order, and any pairing within BLOCK_MATCH_TOL will do (no optimal
+      assignment is needed). With every eps_n nonzero that certifies "no real
+      eigenvalues" exactly, which no fixed imaginary-part threshold can do
+      (eps_n decays below any threshold). The margin is min eps_n, the
+      smallest imaginary part.
   u1: at N, threshold classification inside the resolved band |Re| <= N^2/4,
       with an anchor requirement: the exact constant-eigenvector eigenvalue
       eps0 must appear among the positive real-classified eigenvalues. The

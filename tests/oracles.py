@@ -1,7 +1,8 @@
 """Dense oracles for the banded linearization: the Toeplitz-plus-Hankel
-multiplier and T(u) assembled as full (dim, dim) matrices in layout order,
-adding the same terms in the same order as the band assembly does. The
-closed-form eigenvalues of the 2x2 blocks of T(u0), one block at a time. The
+multiplier P diag(g) S from the FFT moments of its samples, and T(u) assembled
+as a full (dim, dim) matrix in layout order from the samples of the model's
+f_s and f_p, every entry kept, against which the closed-form band is checked.
+The closed-form eigenvalues of the 2x2 blocks of T(u0), one block at a time. The
 report writers formatting one eigenvalue at a time, from numpy scalars, and
 the IMEX step as written before the march's buffers: f blended through two
 `Blend`s with sin x taken on every call, the spectra packed through
@@ -24,9 +25,20 @@ def block_spectrum_u0(n, eps):
 
 
 def multiplier_from_samples(layout, g):
-    """P diag(g) S for grid samples g (length M), built from one real FFT of g:
-    the Toeplitz-plus-Hankel blocks of `nldlab.operators.Multiplier`, each a
-    strided view of the moments."""
+    """P diag(g) S for grid samples g (length M), built from one real FFT of g.
+
+    The moments C_k = (1/M) sum_j g_j cos kx_j and S_k = (1/M) sum_j g_j sin kx_j
+    are C_k = (-1)^k Re R_k / M and S_k = -(-1)^k Im R_k / M with R = rfft(g)
+    (the grid offset x_j = -pi + 2 pi j/M is the phase (-1)^k). The
+    product-to-sum identities give Toeplitz-plus-Hankel blocks, each a strided
+    view of the moments:
+
+        cos n  <- cos n'   w_n (C_{n-n'} + C_{n+n'})    (w_0 = 1/2, else 1)
+        sin m  <- sin m'   C_{m-m'} - C_{m+m'}
+        cos n  <- sin m'   w_n (S_{m'+n} + S_{m'-n})
+        sin m  <- cos n'   S_{m+n'} + S_{m-n'}
+
+    This holds for any samples: every |k| <= 2N+2 < M/2, so no index wraps."""
     top = 2 * layout.N + 2
     k = np.arange(-top, top + 1)
     moments = np.fft.rfft(g)[np.abs(k)] * (np.where(k % 2 == 0, 1.0, -1.0) / layout.M)

@@ -54,7 +54,7 @@ def test_criterion_01_operator_identities(defaults):
 def test_criterion_02_block_spectrum_at_zero_state(defaults):
     layout = defaults.layout
     N = layout.N
-    T = assemble_T(stationary_state("u0", layout), defaults)
+    T = assemble_T("u0", defaults)
     # everything outside the 2x2 blocks {cos n, sin(n+1)} is exactly zero
     mask = np.zeros((layout.dim, layout.dim), bool)
     for n in range(N + 1):
@@ -98,7 +98,7 @@ def test_criterion_04_single_real_eigenvalue_at_unit_state():
     anchors = {}
     for N in (128, 256):
         params = RunConfig(N=N).model_params()
-        T = assemble_T(stationary_state("u1", params.layout), params)
+        T = assemble_T("u1", params)
         one = stationary_state("u1", params.layout)
         np.testing.assert_allclose(T.dense() @ one, params.eps.eps0 * one,
                                    atol=1e-15)

@@ -27,9 +27,10 @@ from nldlab import (
     f_s,
     l2_operator_norm,
     mode_map,
-    random_state,
+    stationary_state,
 )
-from nldlab.operators import multiplier
+from nldlab.operators import _gamma
+from oracles import multiplier_from_samples
 
 EPS = EpsilonSequence()
 
@@ -39,14 +40,9 @@ def apply(layout, name, c):
     return mode_map(layout, name, eps=EPS, kappa=1.25)(c)
 
 
-def full_multiplier(layout, g):
-    """Every entry of the `Multiplier` of the grid samples g, as a (dim, dim) matrix."""
-    return multiplier(layout, g).entries(*np.indices((layout.dim, layout.dim)))
-
-
 def mult_operator(layout, g):
     """Matrix of h -> g*h for the state g."""
-    return full_multiplier(layout, layout.fft_synthesis(g))
+    return multiplier_from_samples(layout, layout.fft_synthesis(g))
 
 
 # --- quadrature oracles ------------------------------------------------------
@@ -244,7 +240,7 @@ class TestModeActions:
 
 
 class TestAssembly:
-    OPS = ["A", "B", "Q", "A_minus_Jdx", "J", "G", "D", "K", "Qkappa", "reflect"]
+    OPS = ["A", "B", "Q", "A_minus_Jdx", "J", "G", "D", "K", "Qkappa", "reflect", "sin"]
 
     @pytest.mark.parametrize("name", OPS)
     def test_mode_map_acts_on_blocks_column_by_column(self, name, layout16, rng):
@@ -351,7 +347,8 @@ class TestMultiplication:
 
 
 class TestMultiplierFromMoments:
-    """The moment builder against the dense oracle P diag(g) S."""
+    """The FFT-moment oracle against the dense P diag(g) S, and the closed-form
+    multipliers of the linearization against both."""
 
     LAYOUTS = [BasisLayout(4), BasisLayout(16), BasisLayout(127),
                BasisLayout(16, M=74), BasisLayout(16, M=100)]
@@ -362,21 +359,29 @@ class TestMultiplierFromMoments:
         for _ in range(3):
             g = rng.standard_normal(lay.M)   # every grid frequency present
             oracle = P @ (g[:, None] * S)
-            built = full_multiplier(lay, g)
+            built = multiplier_from_samples(lay, g)
             assert built.shape == (lay.dim, lay.dim)
             assert np.abs(built - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("lay", LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")
     def test_zero_samples_give_exact_zeros(self, lay):
-        built = full_multiplier(lay, np.zeros(lay.M))
+        built = multiplier_from_samples(lay, np.zeros(lay.M))
         assert built.shape == (lay.dim, lay.dim)
         assert np.count_nonzero(built) == 0
 
+    @pytest.mark.parametrize("N", [4, 16, 128, 512])
+    def test_sin_map_is_the_fft_multiplier(self, N):
+        # an M-term moment sum of |g| <= 1 rounds by at most gamma_M
+        lay = BasisLayout(N)
+        oracle = multiplier_from_samples(lay, np.sin(lay.grid))
+        assert np.abs(assemble(lay, "sin") - oracle).max() <= _gamma(lay.M)
+
     def test_assemble_T_matches_dense_formula(self):
-        # Q + K + P diag(f_s) S + P diag(f_p) S D with dense S, P and D
+        # Q + K + P diag(f_s) S + P diag(f_p) S D with dense S, P and D, the
+        # model's f_s and f_p sampled at u1
         lay = BasisLayout(32)
         params = ModelParams(lay)
-        u = random_state(lay, seed=7, alpha=params.theta, norm=2.0)
+        u = stationary_state("u1", lay)
         S, P = lay.transform_pair()
         D = assemble(lay, "D")
         us, uxs = S @ u, S @ (D @ u)
@@ -385,7 +390,7 @@ class TestMultiplierFromMoments:
         assert np.abs(fs).max() > 1e-3 and np.abs(fp).max() > 1e-3
         multipliers = P @ (fs[:, None] * S) + P @ (fp[:, None] * S) @ D
         dense = assemble(lay, "Q") + assemble(lay, "K", eps=EPS) + multipliers
-        built = assemble_T(u, params).dense()
+        built = assemble_T("u1", params).dense()
         # relative entrywise (the Q diagonal reaches N^2), absolute at the
         # scale of the multiplier part elsewhere
         np.testing.assert_allclose(built, dense, rtol=1e-13,

@@ -19,11 +19,10 @@ from nldlab import (
     eps0_threshold_scan,
     gap_check,
     qkappa_spectrum,
-    random_state,
     resolved_band,
     stationary_state,
 )
-from nldlab.operators import multiplier
+from nldlab.operators import _gamma
 from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _band_cells, _drift_check,
                             _in_some_disc, _nearest, _pair_slots, disc_certificate,
                             discs_disjoint, is_real, match_blocks_u0)
@@ -44,6 +43,10 @@ class TestBasics:
         assert u1[0] == 1.0 and np.count_nonzero(u1) == 1
         with pytest.raises(ValueError):
             stationary_state("u2", layout16)
+
+    def test_assemble_T_rejects_an_unknown_state(self, layout16):
+        with pytest.raises(ValueError, match="unknown stationary state 'u2'"):
+            assemble_T("u2", ModelParams(layout16))
 
     def test_eigenvalues_sorted_re_then_im_descending(self, layout16):
         m = np.zeros((layout16.dim, layout16.dim))
@@ -122,7 +125,7 @@ class TestBlockEigenvalues:
 
     def test_u0_at_N512_matches_closed_form_blocks(self):
         lay = BasisLayout(512)
-        eigs = eigenvalues(assemble_T(stationary_state("u0", lay), ModelParams(lay)))
+        eigs = eigenvalues(assemble_T("u0", ModelParams(lay)))
         dist, _ = match_blocks_u0(eigs, EPS, lay.N)
         assert dist <= BLOCK_MATCH_TOL
 
@@ -157,7 +160,7 @@ class TestEigenvalueDispatch:
     one batch of 2x2 blocks; every other matrix takes one dense solve."""
 
     def test_u0_is_one_batch_of_pair_blocks(self, layout16, eigvals_shapes):
-        eigs = eigenvalues(assemble_T(stationary_state("u0", layout16), ModelParams(layout16)))
+        eigs = eigenvalues(assemble_T("u0", ModelParams(layout16)))
         assert eigvals_shapes == [(17, 2, 2)]
         dist, _ = match_blocks_u0(eigs, EPS, layout16.N)
         assert dist <= BLOCK_MATCH_TOL
@@ -174,7 +177,7 @@ class TestEigenvalueDispatch:
     @pytest.mark.parametrize("kind", ["u1", "stray entry", "odd dimension"])
     def test_other_patterns_take_one_dense_solve(self, kind, layout16, rng, eigvals_shapes):
         if kind == "u1":
-            band = assemble_T(stationary_state("u1", layout16), ModelParams(layout16))
+            band = assemble_T("u1", ModelParams(layout16))
             m = band.dense()
         elif kind == "stray entry":   # slot 5 is outside the pair (0, 17)
             m = _pair_block_matrix(rng, layout16.N + 1)
@@ -196,7 +199,7 @@ class TestScipyOracles:
     @pytest.mark.parametrize("N", [16, 128, 512])
     def test_block_pairing_is_the_optimal_assignment(self, N, shuffle, rng):
         lay = BasisLayout(N)
-        eigs = eigenvalues(assemble_T(stationary_state("u0", lay), ModelParams(lay)))
+        eigs = eigenvalues(assemble_T("u0", ModelParams(lay)))
         if shuffle:
             eigs = rng.permutation(eigs)
         targets = np.concatenate([block_spectrum_u0(n, EPS) for n in range(N + 1)])
@@ -208,7 +211,7 @@ class TestScipyOracles:
 
     def test_u1_spectrum_matches_scipy_eigvals(self):
         lay = BasisLayout(256)
-        T = assemble_T(stationary_state("u1", lay), ModelParams(lay))
+        T = assemble_T("u1", ModelParams(lay))
         got = eigenvalues(T)
         dense = eigvals(T.dense())
         expected = dense[np.lexsort((-dense.imag, -dense.real))]
@@ -218,29 +221,9 @@ class TestScipyOracles:
 class TestLinearizationAtZero:
     def test_matrix_is_exactly_Q_plus_K(self, layout16):
         params = ModelParams(layout16)
-        t = assemble_T(stationary_state("u0", layout16), params).dense()
+        t = assemble_T("u0", params).dense()
         qk = assemble(layout16, "Q") + assemble(layout16, "K", eps=EPS)
         np.testing.assert_array_equal(t, qk)
-
-    def test_zero_multipliers_are_skipped_bit_for_bit(self, layout16, monkeypatch):
-        # the samples of f_s and f_p vanish at u0: no multiplier is built, and
-        # the matrix is the one the zero multipliers would have given
-        import nldlab.spectra
-        params = ModelParams(layout16)
-        u0 = stationary_state("u0", layout16)
-        lazy = assemble_T(u0, params).dense()
-        zero = np.zeros((layout16.dim, layout16.dim))
-        d = nldlab.spectra.mode_map(layout16, "D")
-        eager = lazy + zero
-        eager[:, d.cols] += zero[:, d.rows] * d.values
-        assert lazy.tobytes() == eager.tobytes()
-        built = []
-        monkeypatch.setattr(nldlab.spectra, "multiplier",
-                            lambda *args: built.append(args) or multiplier(*args))
-        assemble_T(u0, params)
-        assert built == []
-        assemble_T(stationary_state("u1", layout16), params)
-        assert len(built) == 2
 
     def test_block_formulas(self):
         lo, hi = block_spectrum_u0(0, EPS)
@@ -252,7 +235,7 @@ class TestLinearizationAtZero:
 
     def test_dense_spectrum_matches_blocks(self, layout32):
         params = ModelParams(layout32)
-        eigs = eigenvalues(assemble_T(stationary_state("u0", layout32), params))
+        eigs = eigenvalues(assemble_T("u0", params))
         dist, block_index = match_blocks_u0(eigs, EPS, layout32.N)
         assert dist < 1e-10
         # each eigenvalue sits on the block whose real part it carries
@@ -265,7 +248,7 @@ class TestLinearizationAtZero:
         # even in band; what the verdict needs is l = 0 plus the block match
         # above certifying that all of them are conjugate pairs off the axis
         params = ModelParams(layout32)
-        eigs = eigenvalues(assemble_T(stationary_state("u0", layout32), params))
+        eigs = eigenvalues(assemble_T("u0", params))
         report = classify_and_count(eigs, N=layout32.N)
         assert report.l_count_in_band == 0
         assert report.l_count == 0
@@ -279,7 +262,7 @@ class TestLinearizationAtZero:
         # threshold, so raw threshold classification must call those eigenvalues
         # real; the l count still vanishes because they are strongly negative.
         lay = BasisLayout(64)
-        eigs = eigenvalues(assemble_T(stationary_state("u0", lay), ModelParams(lay)))
+        eigs = eigenvalues(assemble_T("u0", ModelParams(lay)))
         report = classify_and_count(eigs, N=64)
         assert len(report.real_eigs) > 0
         assert report.l_count == 0
@@ -291,7 +274,7 @@ class TestLinearizationAtOne:
         # T(u1) = Q + K + kappa*D + eps0 * mult(1 - sin x): the multiplier
         # samples are degree-one trig data, exact on the grid
         params = ModelParams(layout32)
-        t = assemble_T(stationary_state("u1", layout32), params).dense()
+        t = assemble_T("u1", params).dense()
         g = 1.0 - np.sin(layout32.grid)
         manual = (assemble(layout32, "Q")
                   + assemble(layout32, "K", eps=EPS)
@@ -301,13 +284,14 @@ class TestLinearizationAtOne:
 
     def test_constant_direction_is_exact_eigenvector(self, layout32):
         params = ModelParams(layout32)
-        t = assemble_T(stationary_state("u1", layout32), params).dense()
+        t = assemble_T("u1", params).dense()
         one = stationary_state("u1", layout32)
-        np.testing.assert_allclose(t @ one, EPS.eps0 * one, atol=1e-15)
+        # exactly: Q_kappa 1 = 0, and -eps0 sin x cancels K 1 = eps0 sin x
+        np.testing.assert_array_equal(t @ one, EPS.eps0 * one)
 
     def test_exactly_one_real_in_band_at_eps0(self, layout32):
         params = ModelParams(layout32)
-        eigs = eigenvalues(assemble_T(stationary_state("u1", layout32), params))
+        eigs = eigenvalues(assemble_T("u1", params))
         report = classify_and_count(eigs, N=layout32.N)
         assert len(report.real_eigs_in_band) == 1
         assert report.real_eigs_in_band[0] == pytest.approx(EPS.eps0, abs=1e-8)
@@ -317,7 +301,7 @@ class TestLinearizationAtOne:
         # the dropped top-sine image leaves one strongly negative real
         # eigenvalue near -(N^2+N); the band excludes it by construction
         params = ModelParams(layout32)
-        eigs = eigenvalues(assemble_T(stationary_state("u1", layout32), params))
+        eigs = eigenvalues(assemble_T("u1", params))
         report = classify_and_count(eigs, N=layout32.N)
         out_of_band = report.real_eigs[np.abs(report.real_eigs) > report.band]
         assert len(out_of_band) >= 1
@@ -326,74 +310,77 @@ class TestLinearizationAtOne:
 
     def test_nonreal_spectrum_pairs_into_conjugates(self, layout32):
         params = ModelParams(layout32)
-        eigs = eigenvalues(assemble_T(stationary_state("u1", layout32), params))
+        eigs = eigenvalues(assemble_T("u1", params))
         report = classify_and_count(eigs, N=layout32.N)
         assert report.max_conjugate_mismatch < 1e-9
 
 
-def _state(kind, params):
-    """u0, u1, a white random state, or 1/2 plus a random state whose
-    coefficients decay as 0.1^n (its multiplier moments reach rounding level
-    inside the layout, so the band drops a nonzero tail)."""
-    lay = params.layout
-    if kind in ("u0", "u1"):
-        return stationary_state(kind, lay)
-    if kind == "random":
-        return random_state(lay, seed=3, alpha=params.theta, norm=2.0)
-    rough = np.random.default_rng(2).standard_normal(lay.dim) * 0.1 ** lay.mode_orders
-    return 0.5 * stationary_state("u1", lay) + 0.1 * rough
-
-
-def _pair_order_dense(T, params, u):
-    """The dense oracle of T(u) permuted to pair order, and the band's cells."""
+def _pair_order_dense(T, params, label):
+    """The dense FFT-moment oracle of T at the stationary state label, permuted
+    to pair order, and the band's cells."""
     slot = _pair_slots(T.N)
     rows, cols = _band_cells(len(T), T.b)
-    return dense_T(u, params)[np.ix_(slot, slot)], rows, cols
+    return dense_T(stationary_state(label, params.layout), params)[np.ix_(slot, slot)], rows, cols
+
+
+def _oracle_bound(params):
+    """gamma_M (|kappa| N + eps0): how far the FFT-moment oracle's entries of
+    T(u1) may stray from the closed form. Its multipliers eps0 (1 - sin x) and
+    kappa are M-term moment sums of samples of that size, and kappa D scales the
+    second by up to N; gamma_M |kappa| N >= 4 u |kappa| N^2 also covers rounding
+    the sums into the Q diagonal."""
+    return _gamma(params.layout.M) * (abs(params.kappa) * params.layout.N + params.eps.eps0)
 
 
 class TestBandedT:
     """The band of T(u) in pair order against the dense oracle."""
 
-    CASES = ([(kind, N) for kind in ("u0", "u1") for N in (4, 16, 128)]
-             + [("random", 16), ("random", 32), ("decaying", 16), ("decaying", 128)])
+    CASES = [(kind, N) for kind in ("u0", "u1") for N in (4, 16, 128)]
 
     @pytest.mark.parametrize("kind, N", CASES)
     def test_band_is_the_dense_matrix_and_the_tail_bounds_the_rest(self, kind, N):
+        # the oracle keeps every FFT-moment entry: at u0 it is the band bit for
+        # bit with nothing outside; at u1 it differs from the band by round-off,
+        # inside the band and in the tail of entries outside it
         params = ModelParams(BasisLayout(N))
-        u = _state(kind, params)
-        T = assemble_T(u, params)
-        dense, rows, cols = _pair_order_dense(T, params, u)
+        T = assemble_T(kind, params)
+        dense, rows, cols = _pair_order_dense(T, params, kind)
         band = T.diagonals[rows, cols - rows + T.b]
-        assert band.tobytes() == dense[rows, cols].tobytes()
-        assert T.column0.tobytes() == dense[:, 0].tobytes()
-        dropped = dense.copy()
-        dropped[rows, cols] = 0.0
-        dropped[:, 0] = 0.0
-        assert np.all(np.abs(dropped).sum(axis=1) <= T.tail)
+        rest = dense.copy()
+        rest[rows, cols] = 0.0
+        if kind == "u0":
+            assert band.tobytes() == dense[rows, cols].tobytes()
+            assert not rest.any()
+        else:
+            assert np.abs(band - dense[rows, cols]).max() <= _oracle_bound(params)
+            assert np.abs(rest).max() <= _oracle_bound(params)
         off_band = np.ones(T.diagonals.shape, dtype=bool)
         off_band[rows, cols - rows + T.b] = False
         assert not T.diagonals[off_band].any()   # cells outside the matrix
-        assert T.pair_blocks == (kind == "u0")
-        if kind == "u0":
-            assert T.tail == 0.0 and T.b == 3
-        if kind == "u1":   # f_s = eps0 (1 - sin x) and f_p = kappa: chopped at degree 1
-            assert T.b == 3 and T.tail <= 1e-12
-        if kind == "decaying":
-            assert 3 < T.b < len(T) - 1 and T.tail > 0.0
+        assert T.pair_blocks == (kind == "u0") and T.b == 3
 
-    @pytest.mark.parametrize("kind", ["u1", "decaying"])
+    @pytest.mark.parametrize("N", [4, 16, 128, 512])
+    def test_closed_form_is_the_fft_oracle(self, N):
+        # T(u1) from the mode-map table against Q + K + M_{f_s} + M_{f_p} D
+        # from FFT moments of the model's f_s and f_p samples, over the
+        # kappa x eps0 grid
+        for kappa in (1.01, 1.05, 1.25, 2.0, 4.0):
+            for eps0 in (0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+                params = ModelParams(BasisLayout(N), kappa=kappa, eps=EpsilonSequence(eps0, 0.5))
+                closed = assemble_T("u1", params).dense()
+                oracle = dense_T(stationary_state("u1", params.layout), params)
+                assert np.abs(closed - oracle).max() <= _oracle_bound(params), (kappa, eps0)
+
+    @pytest.mark.parametrize("kind", ["u1"])
     def test_band_discs_contain_the_dense_discs(self, kind):
-        # exact arithmetic (mpmath, 40 digits) on V^-1 T V with the dense
-        # oracle T, every dropped entry included; the discs of the decaying
-        # state need not certify anything, but Gershgorin's theorem holds for
-        # any matrix, so its band discs must still contain the dense ones
+        # exact arithmetic (mpmath, 40 digits) on V^-1 T V with the closed-form
+        # T, whose band holds every entry: the band discs must contain the
+        # exact ones
         mpmath = pytest.importorskip("mpmath")
         N, kappa = 16, 1.25
         params = ModelParams(BasisLayout(N))
-        u = _state(kind, params)
-        T = assemble_T(u, params)
-        assert T.tail > 0.0 and T.b < len(T) - 1
-        dense = dense_T(u, params)
+        T = assemble_T(kind, params)
+        dense = T.dense()
         cert = disc_certificate(T, kappa)
         d = np.sqrt(kappa * kappa - 1.0)
         v = (kappa, complex(1.0, d))
@@ -419,7 +406,7 @@ class TestBandedT:
         params = ModelParams(BasisLayout(N))
         u0 = stationary_state("u0", params.layout)
         evidence = {}
-        eigs = eigenvalues(assemble_T(u0, params), evidence=evidence)
+        eigs = eigenvalues(assemble_T("u0", params), evidence=evidence)
         assert evidence == {"kind": "blocks"} and eigvals_shapes == [(N + 1, 2, 2)]
         assert eigs.tobytes() == eigenvalues(dense_T(u0, params)).tobytes()
 
@@ -614,7 +601,7 @@ class TestConvergence:
         study = convergence_study("u0", ModelParams(BasisLayout(N)))
         rep_a, rep_b = (row["report"] for row in study.rows)
         in_zone = rep_a.eigenvalues[np.abs(rep_a.eigenvalues.real) <= N**2 / 8.0]
-        nearest = _drift_check(in_zone, _nearest(in_zone, rep_b.eigenvalues), TOL_IM_DEFAULT, 0.0)
+        nearest = _drift_check(in_zone, _nearest(in_zone, rep_b.eigenvalues), TOL_IM_DEFAULT)
         check = study.pair_checks[0]
         assert (check["max_drift"], check["classification_flips"]) == (0.0, 0)
         assert (nearest["max_drift"], nearest["classification_flips"]) == (0.0, 0)
@@ -661,13 +648,7 @@ def _u1_params(N, kappa=1.25, eps0=0.05):
 
 def _u1_matrix(N, kappa=1.25, eps0=0.05):
     params = _u1_params(N, kappa, eps0)
-    return assemble_T(stationary_state("u1", params.layout), params)
-
-
-def _u1_dense(N, kappa=1.25, eps0=0.05):
-    """The dense oracle of T(u1), every round-off entry kept."""
-    params = _u1_params(N, kappa, eps0)
-    return dense_T(stationary_state("u1", params.layout), params)
+    return assemble_T("u1", params)
 
 
 def _set_entry(T, i, j, value):
@@ -697,7 +678,7 @@ class TestDiscCertificate:
     @pytest.mark.parametrize("eps0", [0.05, 0.3])
     def test_discs_cover_the_dense_spectrum(self, N, kappa, eps0):
         cert = disc_certificate(_u1_matrix(2 * N, kappa, eps0), kappa)
-        eigs = eigvals(_u1_dense(2 * N, kappa, eps0))
+        eigs = eigvals(_u1_matrix(2 * N, kappa, eps0).dense())
         inside = np.abs(eigs[:, None] - cert.centers[None, :]) <= cert.radii[None, :]
         assert inside.any(axis=1).all()
         # a union of k discs apart from the others holds exactly k eigenvalues
@@ -737,7 +718,7 @@ class TestDiscCertificate:
         mpmath = pytest.importorskip("mpmath")
         N = 8
         for kappa, scale in ((1.25, 1.0), (3.0, 0.5)):
-            T = _u1_dense(N, kappa)
+            T = _u1_matrix(N, kappa).dense()
             cert = disc_certificate(_u1_matrix(N, kappa), kappa)
             dim = len(T)
             d = np.sqrt(kappa * kappa - 1.0)
@@ -759,6 +740,25 @@ class TestDiscCertificate:
                     reach = abs(A[i, i] - mpmath.mpc(c.real, c.imag)) + exact_r
                     assert reach <= cert.radii[i]
                     assert cert.radii[i] - reach <= 1e-11 * (1 + abs(c))
+
+    def test_extreme_kappa_has_one_real_eigenvalue_in_band(self):
+        # kappa = 1e20, the 2N = 16 truncation: an mpmath eigensolve at 80
+        # digits of the closed-form T(u1) finds the one in-band real eigenvalue
+        # that the discs certify, eps0; every other one lies 1e19 off the axis
+        # or, the top-sine artifact, outside the band
+        mpmath = pytest.importorskip("mpmath")
+        L, kappa = 16, 1e20
+        T = _u1_matrix(L, kappa)
+        cert = disc_certificate(T, kappa)
+        assert cert.certified and cert.l_count_in_band == 1
+        with mpmath.workdps(80):
+            eigs = mpmath.eig(mpmath.matrix(T.dense().tolist()), left=False, right=False)
+            real = [z for z in eigs if abs(mpmath.im(z)) <= mpmath.mpf(10)**-40 * (1 + abs(z))]
+            in_band = [z for z in real if abs(mpmath.re(z)) <= resolved_band(L)]
+            assert len(in_band) == 1 and len(real) == 2
+            assert abs(in_band[0] - mpmath.mpf(0.05)) <= mpmath.mpf(10)**-60
+            assert min(abs(mpmath.im(z)) for z in eigs if z not in real) > 1e19
+        assert abs(cert.centers[0].real - 0.05) <= cert.radii[0]
 
     def test_two_real_eigenvalues_in_band_are_never_certified(self):
         # cut the drift coupling of the n = 1 pair: that block turns real

@@ -18,7 +18,10 @@ from nldlab import (
     INCONCLUSIVE,
     NOT_OBSTRUCTED,
     OBSTRUCTED,
+    BasisLayout,
+    ModelParams,
     RunConfig,
+    convergence_study,
     emit_reports,
     reports_equal,
     run_verify,
@@ -32,6 +35,37 @@ CFG32 = RunConfig(N=32)
 @pytest.fixture(scope="module")
 def report32():
     return run_verify(CFG32)
+
+
+def _kappa_guard_edge(N, monkeypatch):
+    """The largest kappa that convergence_study at N admits and the next float
+    up, by bisection on the float bits; assemble_T is stubbed to report that a
+    kappa got past the guard."""
+    import nldlab.spectra
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(bits):
+        kappa = float(np.int64(bits).view(np.float64))
+        try:
+            convergence_study("u1", ModelParams(BasisLayout(N), kappa=kappa))
+        except Admitted:
+            return True
+        except ValueError:
+            return False
+        raise AssertionError("the stub was not reached")
+
+    def stop(*args):
+        raise Admitted
+
+    lo, hi = (int(np.float64(k).view(np.int64)) for k in (1.25, np.finfo(float).max))
+    with monkeypatch.context() as patch:
+        patch.setattr(nldlab.spectra, "assemble_T", stop)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return tuple(float(np.int64(bits).view(np.float64)) for bits in (lo, hi))
 
 
 class TestRunConfig:
@@ -149,8 +183,8 @@ class TestPipeline:
         assert abs(rep.convergence["anchor_values"][0] - 0.05) <= 1e-12
 
     def test_no_dense_synthesis_matrix_is_built(self, monkeypatch):
-        # assemble_T builds its multipliers from FFT moments; the dense S is
-        # only a test oracle
+        # assemble_T writes T from the mode-map table; the dense S is only a
+        # test oracle
         from nldlab.basis import BasisLayout
         calls = []
         original = BasisLayout.synthesis_matrix
@@ -164,7 +198,7 @@ class TestPipeline:
         assert calls == []
 
     def test_no_dense_operator_is_assembled(self, monkeypatch):
-        # assemble_T writes Q and K from their mode maps; the dense assembled
+        # assemble_T writes T from the mode maps; the dense assembled
         # operators are only a test oracle. Every module reference is counted.
         import sys
         import nldlab.operators
@@ -198,19 +232,41 @@ class TestPipeline:
 
     @pytest.mark.parametrize("kappa", [1.7e308, -1.7e308, 2e306])
     def test_kappa_overflow_fails_before_any_spectrum(self, kappa, monkeypatch):
-        # the f_p samples of T(u1) are about kappa, and its FFT at 2N = 32 sums
-        # M = 136 of them: at 2e306 that overflows although kappa * 2N does not
+        # the disc certificate at 2N = 32 weighs the row of kappa * 32 by up to
+        # 4: at 2e306 that overflows although kappa * 2N does not
         import nldlab.spectra
         assembled = []
         monkeypatch.setattr(nldlab.spectra, "assemble_T",
                             lambda *args: assembled.append(args))
-        with pytest.raises(ValueError, match=r"kappa = .* overflows the f_p FFT of T at 2N = 32"):
+        with pytest.raises(ValueError, match=r"kappa = .* overflows the largest row sum of the "
+                                             r"disc certificate at 2N = 32"):
             run_verify(RunConfig(N=16, kappa=kappa))
         assert assembled == []
 
     def test_kappa_below_the_overflow_guard_runs(self):
         rep = run_verify(RunConfig(N=16, kappa=6e305))
-        assert rep.verdict == INCONCLUSIVE and rep.failed_stage == "convergence"
+        assert rep.verdict == OBSTRUCTED and rep.l_values == (0, 1)
+        evidence = rep.convergence["u1"]["rows"][1]["evidence"]
+        assert evidence["kind"] == "gershgorin" and evidence["margin"] > 0.99
+
+    def test_largest_admitted_kappa_is_certified_without_a_warning(self, monkeypatch):
+        largest, _ = _kappa_guard_edge(16, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_verify(RunConfig(N=16, kappa=largest))
+        assert rep.verdict == OBSTRUCTED and rep.l_values == (0, 1)
+        evidence = rep.convergence["u1"]["rows"][1]["evidence"]
+        assert evidence["kind"] == "gershgorin"
+        assert evidence["margin"] > 0.0 and evidence["isolation_gap"] > 0.0
+
+    def test_smallest_rejected_kappa_fails_before_assemble_T(self, monkeypatch):
+        import nldlab.spectra
+        _, smallest = _kappa_guard_edge(16, monkeypatch)
+        assembled = []
+        monkeypatch.setattr(nldlab.spectra, "assemble_T", lambda *args: assembled.append(args))
+        with pytest.raises(ValueError, match="overflows the largest row sum"):
+            run_verify(RunConfig(N=16, kappa=smallest))
+        assert assembled == []
 
 
 class TestSoundness:
@@ -269,27 +325,29 @@ class TestSoundness:
 
     def test_extreme_kappa_warns_nothing_and_records_no_nan(self):
         # kappa^2 and |v| would overflow in the disc certificate; its scaled
-        # eigenvectors keep every margin and gap a number (-inf counts as one)
+        # eigenvectors keep every margin, gap and anchor radius a finite number
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = run_verify(RunConfig(N=16, kappa=1e200))
+        assert rep.verdict == OBSTRUCTED
         evidence = [rep.e_membership["u1"]["evidence"]]
         evidence += [row["evidence"] for row in rep.convergence["u1"]["rows"]]
         values = [v for e in evidence for v in e.values() if isinstance(v, float)]
-        assert len(values) == 6 and not any(math.isnan(v) for v in values)
+        assert len(values) == 8 and all(math.isfinite(v) for v in values)
 
     @pytest.mark.parametrize("kappa", [1e20, 1e200, -1e200])
-    def test_unresolvable_drift_is_inconclusive(self, kappa):
-        # the FFT round-off of the f_p samples (about kappa u) is dropped from
-        # the band into its tail; a dense 2N row is charged that tail as drift,
-        # so a spectrum float64 cannot resolve ends INCONCLUSIVE
+    def test_extreme_drift_is_certified_by_discs(self, kappa):
+        # the closed-form T(u1) carries no FFT round-off of the kappa samples,
+        # and the 2N discs, scaled by 2^-e, isolate the anchor at these kappa
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             rep = run_verify(RunConfig(N=16, kappa=kappa))
-        assert rep.verdict == INCONCLUSIVE and rep.failed_stage == "convergence"
+        assert rep.verdict == OBSTRUCTED and rep.l_values == (0, 1)
+        evidence = rep.convergence["u1"]["rows"][1]["evidence"]
+        assert evidence["kind"] == "gershgorin"
+        assert evidence["margin"] > 0.99 and evidence["isolation_gap"] > 1.0
         check = rep.convergence["u1"]["pair_checks"][0]
-        assert rep.convergence["u1"]["rows"][1]["evidence"]["kind"] == "dense"
-        assert check["max_drift"] > 1e3 and not check["ok"]
+        assert check["ok"] and check["max_drift"] <= 1e-8
 
     @pytest.mark.parametrize("overrides", [
         {"eps0": 0.3}, {"eps0": 0.5}, {"eps0": 0.9}, {"kappa": 1.01}, {"kappa": 1.05},
