@@ -167,6 +167,7 @@ def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_
                         tol_re: float = TOL_RE_DEFAULT) -> SpectrumReport:
     """Classified spectrum of T at the stationary state named by label, solved
     as the N-level row of a convergence study is."""
+    _check_kappa(params.kappa, params.layout.N, "N")
     return _study_row(label, params, False, tol_im, tol_re)["report"]
 
 
@@ -618,13 +619,7 @@ def convergence_study(point_label: str, params: ModelParams,
     instability under that refinement."""
     N = params.layout.N
     params.eps.values(2 * N + 1)   # an eps_n underflow fails before any spectrum
-    # and so does a kappa that overflows `disc_certificate`'s largest row sum at
-    # L = 2N: |T(u1)| sums to at most L^2 + L + |kappa| L + 3 along a row, the
-    # certificate weighs it by 2 |v| < 4, and its S + t stay below that
-    L = 2 * N
-    if not math.isfinite(4.0 * (L * L + L + abs(params.kappa) * L + 3.0)):
-        raise ValueError(f"kappa = {params.kappa} overflows the largest row sum of the disc "
-                         f"certificate at 2N = {L}")
+    _check_kappa(params.kappa, 2 * N, "2N")   # and so does an overflowing kappa
     row_a, row_b = (_study_row(point_label, replace(params, layout=BasisLayout(n)), n > N,
                                tol_im, tol_re)
                     for n in (N, 2 * N))
@@ -644,6 +639,14 @@ def convergence_study(point_label: str, params: ModelParams,
     pair_check = {"N_pair": (N, 2 * N), "stable_zone": zone, **check,
                   "l_in_band_pair": (rep_a.l_count_in_band, rep_b.l_count_in_band), "ok": ok}
     return ConvergenceStudy(point_label, [row_a, row_b], [pair_check], DRIFT_TOL, not ok)
+
+
+def _check_kappa(kappa: float, L: int, name: str):
+    """A ValueError if kappa overflows `disc_certificate` at L: a row of |T(u1)| sums
+    to at most L^2 + L + |kappa| L + 3, weighed by 2 |v| < 4 (S + t stay below)."""
+    if not math.isfinite(4.0 * (L * L + L + abs(kappa) * L + 3.0)):
+        raise ValueError(f"kappa = {kappa} overflows the largest row sum of the disc "
+                         f"certificate at {name} = {L}")
 
 
 def _study_row(point_label: str, params: ModelParams, count_by_discs: bool, tol_im: float,

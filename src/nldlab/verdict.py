@@ -39,15 +39,19 @@ which evidence was used, with its margin (`e_membership.<point>.evidence`):
       do not certify (kappa near 1, strong coupling) the 2N row is a dense
       spectrum checked by drift and classification, labelled "dense", with the
       failed discs' margin and gap.
+
+verdict.json holds each spectrum CSV's CRC-32 (`csv_crc32`), not its eigenvalues.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
 import time
+import zlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -170,12 +174,18 @@ class VerdictReport:
     block_index_u0: np.ndarray
     timestamp: str
 
-    def to_dict(self) -> dict:
+    def spectrum_csv_texts(self) -> tuple[str, str]:
+        return (_spectrum_csv_text(self.spectrum_u0, self.block_index_u0),
+                _spectrum_csv_text(self.spectrum_u1))
+
+    def to_dict(self, spectrum_csvs: tuple[str, str] | None = None) -> dict:
+        """verdict.json's payload; spectrum_csvs, if given, is `spectrum_csv_texts()`."""
+        csv_u0, csv_u1 = spectrum_csvs or self.spectrum_csv_texts()
         return {
             "config": self.config.to_dict(),
             "stationarity": self.stationarity,
-            "spectrum_u0": _spectrum_dict(self.spectrum_u0),
-            "spectrum_u1": _spectrum_dict(self.spectrum_u1),
+            "spectrum_u0": _spectrum_dict(self.spectrum_u0, csv_u0),
+            "spectrum_u1": _spectrum_dict(self.spectrum_u1, csv_u1),
             "e_membership": self.e_membership,
             "l_values": list(self.l_values),
             "parity": self.parity,
@@ -187,14 +197,14 @@ class VerdictReport:
         }
 
 
-def _spectrum_dict(rep: SpectrumReport) -> dict:
+def _spectrum_dict(rep: SpectrumReport, csv_text: str) -> dict:
     return {
         "point_label": rep.point_label,
         "N": rep.N,
         "tol_im": rep.tol_im,
         "tol_re": rep.tol_re,
         "band": rep.band,
-        "eigenvalues": np.column_stack((rep.eigenvalues.real, rep.eigenvalues.imag)).tolist(),
+        "csv_crc32": zlib.crc32(csv_text.encode("utf-8")),
         "real_eigs": rep.real_eigs.tolist(),
         "l_count": rep.l_count,
         "real_eigs_in_band": rep.real_eigs_in_band.tolist(),
@@ -338,6 +348,11 @@ def run_verify(config: RunConfig) -> VerdictReport:
     )
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_csv(path: str, header: list, rows) -> None:
     """One report table: the header row, then the rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -362,25 +377,32 @@ def write_json(path: str, payload: dict) -> None:
         text = json.dumps(payload, allow_nan=False)
     except ValueError:
         text = json.dumps(nulled(payload), allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(path, text + "\n")
 
 
-def write_spectrum_csv(path: str, rep: SpectrumReport,
-                       block_index: np.ndarray | None = None):
+def _spectrum_csv_text(rep: SpectrumReport, block_index: np.ndarray | None = None) -> str:
+    z, real = rep.eigenvalues, np.where(rep.real_in_band_mask(), "true", "false")
+    return "re,im,is_real,block_index\r\n" + "".join(map("%r,%r,%s,%s\r\n".__mod__, zip(
+        z.real.tolist(), z.imag.tolist(), real.tolist(),
+        [""] * len(z) if block_index is None else block_index.tolist())))
+
+
+def write_spectrum_csv(path: str, rep: SpectrumReport, block_index: np.ndarray | None = None):
     """spectrum_*.csv: columns re, im, is_real (in band), block_index."""
-    z = rep.eigenvalues
-    write_csv(path, ["re", "im", "is_real", "block_index"],
-              zip(map(repr, z.real.tolist()), map(repr, z.imag.tolist()),
-                  np.where(rep.real_in_band_mask(), "true", "false").tolist(),
-                  [""] * len(z) if block_index is None else block_index.tolist()))
+    _write_text(path, _spectrum_csv_text(rep, block_index))
+
+
+@functools.lru_cache(maxsize=4)
+def _gap_csv_text(theta: float, n_max: int) -> str:
+    """gap.csv of `gap_check(theta, n_max)`, which it depends on alone."""
+    gap = gap_check(theta, n_max)
+    return "n,lambda_n,ratio\r\n" + "".join(map("%d,%r,%r\r\n".__mod__, zip(
+        gap.jump_n.tolist(), gap.jump_lambda.tolist(), gap.jump_ratio.tolist())))
 
 
 def write_gap_csv(path: str, gap: GapReport):
-    """gap.csv: columns n, lambda_n, ratio."""
-    write_csv(path, ["n", "lambda_n", "ratio"],
-              zip(gap.jump_n.tolist(), map(repr, gap.jump_lambda.tolist()),
-                  map(repr, gap.jump_ratio.tolist())))
+    """gap.csv of `gap_check(gap.theta, gap.n_max)`, formatted once per pair."""
+    _write_text(path, _gap_csv_text(gap.theta, gap.n_max))
 
 
 def _symlog(x: np.ndarray) -> np.ndarray:
@@ -424,20 +446,19 @@ def _write_spectrum_svg(path: str, rep0: SpectrumReport, rep1: SpectrumReport):
         f'transform="rotate(-90 14 {height / 2})" text-anchor="middle">Im</text>',
     ]
     for rep, color in ((rep0, "#1f77b4"), (rep1, "#ff7f0e")):
-        parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" opacity="0.7"/>'
-                     for x, y in zip(px(_symlog(rep.eigenvalues.real)).tolist(),
-                                     py(rep.eigenvalues.imag).tolist()))
+        xy = np.column_stack((px(_symlog(rep.eigenvalues.real)), py(rep.eigenvalues.imag)))
+        parts.append("\n".join([f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}" '
+                                 'opacity="0.7"/>'] * len(xy)) % tuple(xy.ravel().tolist()))
     parts.append(f'<circle cx="{width - 190}" cy="24" r="4" fill="#1f77b4"/>')
     parts.append(f'<text x="{width - 180}" y="28" font-size="12">spectrum at u0</text>')
     parts.append(f'<circle cx="{width - 190}" cy="44" r="4" fill="#ff7f0e"/>')
     parts.append(f'<text x="{width - 180}" y="48" font-size="12">spectrum at u1</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write_text(path, "\n".join(parts))
 
 
 def emit_reports(report: VerdictReport, outdir: str) -> dict:
-    """Write verdict.json, both spectrum CSVs, the scatter SVG, and gap.csv."""
+    """Write verdict.json, both spectrum CSVs, the SVG and gap.csv, each value formatted once."""
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "verdict": os.path.join(outdir, "verdict.json"),
@@ -446,10 +467,11 @@ def emit_reports(report: VerdictReport, outdir: str) -> dict:
         "svg": os.path.join(outdir, "spectrum.svg"),
         "gap": os.path.join(outdir, "gap.csv"),
     }
+    texts = report.spectrum_csv_texts()
     try:
-        write_json(paths["verdict"], report.to_dict())
-        write_spectrum_csv(paths["spectrum_u0"], report.spectrum_u0, report.block_index_u0)
-        write_spectrum_csv(paths["spectrum_u1"], report.spectrum_u1)
+        write_json(paths["verdict"], report.to_dict(texts))
+        _write_text(paths["spectrum_u0"], texts[0])
+        _write_text(paths["spectrum_u1"], texts[1])
         _write_spectrum_svg(paths["svg"], report.spectrum_u0, report.spectrum_u1)
         write_gap_csv(paths["gap"], report.gap_summary)
     except OSError as exc:

@@ -9,7 +9,9 @@ import pytest
 
 from nldlab.basis import random_state, theta_norm
 from nldlab.cli import build_parser, main, parse_seed_spec
+from nldlab.spectra import gap_check
 from nldlab.verdict import RunConfig
+import oracles
 
 
 @pytest.fixture()
@@ -173,6 +175,24 @@ class TestConfigHandling:
                               "disc certificate at 2N = 32")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kappa", ["1.7e308", "1e307"])
+    @pytest.mark.parametrize("command", [["spectrum", "--at", "u1"],
+                                         ["scan-eps0", "--list", "0.05,0.3"]],
+                             ids=["spectrum", "scan-eps0"])
+    def test_kappa_overflow_at_N_is_an_error(self, make_config, capsys, monkeypatch,
+                                             command, kappa):
+        # both fail on the guard verify's convergence study applies at 2N, here
+        # at N = 16, before any T is assembled and (under the suite's
+        # filterwarnings = error) without a warning
+        import nldlab.spectra
+        assembled = []
+        monkeypatch.setattr(nldlab.spectra, "assemble_T", lambda *args: assembled.append(args))
+        assert main(["--config", make_config(), *command, "--kappa", kappa]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: kappa = {float(kappa)!r} overflows the largest row sum "
+                              "of the disc certificate at N = 16")
+        assert "Traceback" not in err and assembled == []
+
     def test_flag_overrides_file_value(self, make_config, capsys):
         # config says N=16 but the flag wins
         rc = main(["--config", make_config(), "spectrum", "--at", "u0", "--N", "8"])
@@ -279,6 +299,16 @@ class TestGapCheckCommand:
                    "--outdir", str(tmp_path)])
         assert rc == 0
         assert "exceeds 100 from n=50" in capsys.readouterr().out
+
+    def test_gap_csv_matches_the_per_row_oracle(self, tmp_path, capsys):
+        # a non-default --nmax, twice: the second run writes the cached text
+        for _ in range(2):
+            assert main(["gap-check", "--theta", "0.875", "--nmax", "77",
+                         "--outdir", str(tmp_path)]) == 0
+            oracles.write_gap_csv(tmp_path / "oracle.csv", gap_check(0.875, 77))
+            assert ((tmp_path / "gap.csv").read_bytes()
+                    == (tmp_path / "oracle.csv").read_bytes())
+        capsys.readouterr()
 
     def test_outdir_from_config(self, make_config, tmp_path, capsys):
         rc = main(["--config", make_config(), "gap-check",

@@ -24,6 +24,9 @@ def run_fresh(code: str) -> dict:
 
 
 def test_pipeline_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # nor does verify with its reports load hashlib: OpenSSL's _hashlib adds
+    # about 3 MB to a fresh process (the probe's random seeds load it through
+    # numpy.random's use of secrets)
     result = run_fresh(f"""
 import json, sys
 import nldlab
@@ -31,15 +34,16 @@ from nldlab import BasisLayout, ModelParams, RunConfig, random_state
 params = ModelParams(BasisLayout(16))
 report = nldlab.run_verify(RunConfig(N=16))
 nldlab.emit_reports(report, {str(tmp_path)!r})
+hashing = sorted(m for m in sys.modules if m in ("hashlib", "_hashlib"))
 seeds = [(s, random_state(params.layout, s, params.theta, 10.0)) for s in range(3)]
 probe = nldlab.dissipativity_probe(seeds, params, T=0.1)
-print(json.dumps({{"verdict": report.verdict, "failed": probe.failed,
+print(json.dumps({{"verdict": report.verdict, "failed": probe.failed, "hashing": hashing,
                   "loaded": sorted(m for m in sys.modules
                                    if m.split(".")[0] == "scipy"
                                    or m.split(".")[:2] == ["numpy", "ma"])}}))
 """)
     assert result["verdict"] == "OBSTRUCTED" and result["failed"] == []
-    assert result["loaded"] == []
+    assert result["loaded"] == [] and result["hashing"] == []
 
 
 def test_block_march_faults_no_pages_per_step():

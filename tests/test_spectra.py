@@ -25,7 +25,7 @@ from nldlab import (
 from nldlab.operators import _gamma
 from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _band_cells, _drift_check,
                             _in_some_disc, _nearest, _pair_slots, disc_certificate,
-                            discs_disjoint, is_real, match_blocks_u0)
+                            discs_disjoint, is_real, match_blocks_u0, stationary_spectrum)
 from nldlab.verdict import BLOCK_MATCH_TOL
 from oracles import block_spectrum_u0, dense_T, multiplier_from_samples
 
@@ -925,6 +925,24 @@ class TestEps0Scan:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 eps0_threshold_scan(params, [bad])
+
+
+class TestStationarySpectrumKappaGuard:
+    # the row-sum guard of convergence_study, applied at N: at N = 16 it admits
+    # kappa up to LARGEST, twice the largest that verify admits at 2N = 32
+    LARGEST = 2.8088955232223683e306
+
+    @pytest.mark.parametrize("label", ["u0", "u1"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_admitted_kappa_runs_without_a_warning(self, label, sign):
+        rep = stationary_spectrum(label, ModelParams(BasisLayout(16), kappa=sign * self.LARGEST))
+        assert rep.l_count_in_band == (label == "u1")
+
+    def test_next_kappa_up_is_rejected(self):
+        kappa = float(np.nextafter(self.LARGEST, np.inf))
+        with pytest.raises(ValueError, match=r"kappa = .* overflows the largest row sum of the "
+                                             r"disc certificate at N = 16"):
+            stationary_spectrum("u1", ModelParams(BasisLayout(16), kappa=kappa))
 
 
 class TestGapCheck:

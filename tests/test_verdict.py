@@ -5,9 +5,11 @@ the verdict to collapse to INCONCLUSIVE. A broken threshold must never flip
 the parity to the opposite verdict.
 """
 
+import dataclasses
 import json
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from nldlab import (
     reports_equal,
     run_verify,
 )
-from nldlab.verdict import write_json
+from nldlab.spectra import gap_check
+from nldlab.verdict import _gap_csv_text, write_gap_csv, write_json
 import oracles
 
 CFG32 = RunConfig(N=32)
@@ -406,6 +409,46 @@ class TestEmission:
         with open(paths["svg"], encoding="utf-8") as fh:
             circles = [line for line in fh.read().split("\n") if ' r="3" ' in line]
         assert circles == oracles.spectrum_svg_circles(rep.spectrum_u0, rep.spectrum_u1)
+
+    def test_verdict_json_holds_the_crc32_of_each_csv(self, report32, tmp_path):
+        paths = emit_reports(report32, str(tmp_path / "out"))
+        with open(paths["verdict"], encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        for key in ("spectrum_u0", "spectrum_u1"):
+            with open(paths[key], "rb") as fh:
+                assert loaded[key]["csv_crc32"] == zlib.crc32(fh.read()), key
+            assert "eigenvalues" not in loaded[key]
+
+    def test_emission_formats_each_spectrum_once(self, report32, tmp_path, monkeypatch):
+        import nldlab.verdict
+        built = []
+        real = nldlab.verdict._spectrum_csv_text
+
+        def counting(rep, *args):
+            built.append(rep.point_label)
+            return real(rep, *args)
+
+        monkeypatch.setattr(nldlab.verdict, "_spectrum_csv_text", counting)
+        emit_reports(report32, str(tmp_path / "out"))
+        assert sorted(built) == ["u0", "u1"]
+        assert report32.to_dict() == report32.to_dict(report32.spectrum_csv_texts())
+
+    @pytest.mark.parametrize("key", ["spectrum_u0", "spectrum_u1"])
+    def test_reports_differing_in_one_eigenvalue_are_not_equal(self, report32, key):
+        rep = getattr(report32, key)
+        z = rep.eigenvalues.copy()
+        z[-1] = complex(np.nextafter(z[-1].real, 0.0), z[-1].imag)
+        moved = dataclasses.replace(report32, **{key: dataclasses.replace(rep, eigenvalues=z)})
+        assert not reports_equal(report32.to_dict(), moved.to_dict())
+
+    def test_cached_gap_csv_matches_the_per_row_oracle(self, tmp_path):
+        hits = _gap_csv_text.cache_info().hits
+        for theta in (0.5, 0.875, 0.5):
+            gap = gap_check(theta, 1024)
+            write_gap_csv(str(tmp_path / "gap.csv"), gap)
+            oracles.write_gap_csv(tmp_path / "oracle.csv", gap)
+            assert (tmp_path / "gap.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert _gap_csv_text.cache_info().hits >= hits + 1
 
     def test_report_key_order(self, report32):
         assert list(report32.to_dict().keys()) == [
