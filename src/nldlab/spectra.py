@@ -167,7 +167,8 @@ def stationary_spectrum(label: str, params: ModelParams, tol_im: float = TOL_IM_
                         tol_re: float = TOL_RE_DEFAULT) -> SpectrumReport:
     """Classified spectrum of T at the stationary state named by label, solved
     as the N-level row of a convergence study is."""
-    _check_kappa(params.kappa, params.layout.N, "N")
+    if label == "u1":   # T(u0) = Q + K never reads kappa
+        _check_kappa(params.kappa, params.layout.N, "N")
     return _study_row(label, params, False, tol_im, tol_re)["report"]
 
 

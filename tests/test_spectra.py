@@ -944,6 +944,12 @@ class TestStationarySpectrumKappaGuard:
                                              r"disc certificate at N = 16"):
             stationary_spectrum("u1", ModelParams(BasisLayout(16), kappa=kappa))
 
+    @pytest.mark.parametrize("kappa", [float(np.nextafter(LARGEST, np.inf)), 1.7e308])
+    def test_u0_runs_above_the_bound(self, kappa):
+        # T(u0) = Q + K never reads kappa
+        rep = stationary_spectrum("u0", ModelParams(BasisLayout(16), kappa=kappa))
+        assert rep.l_count_in_band == 0
+
 
 class TestGapCheck:
     def test_ladder_structure(self):

@@ -29,7 +29,7 @@ from nldlab import (
     run_verify,
 )
 from nldlab.spectra import gap_check
-from nldlab.verdict import _gap_csv_text, write_gap_csv, write_json
+from nldlab.verdict import write_gap_csv, write_json
 import oracles
 
 CFG32 = RunConfig(N=32)
@@ -441,14 +441,21 @@ class TestEmission:
         moved = dataclasses.replace(report32, **{key: dataclasses.replace(rep, eigenvalues=z)})
         assert not reports_equal(report32.to_dict(), moved.to_dict())
 
-    def test_cached_gap_csv_matches_the_per_row_oracle(self, tmp_path):
-        hits = _gap_csv_text.cache_info().hits
+    def test_gap_csv_matches_the_per_row_oracle(self, tmp_path):
         for theta in (0.5, 0.875, 0.5):
             gap = gap_check(theta, 1024)
             write_gap_csv(str(tmp_path / "gap.csv"), gap)
             oracles.write_gap_csv(tmp_path / "oracle.csv", gap)
             assert (tmp_path / "gap.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-        assert _gap_csv_text.cache_info().hits >= hits + 1
+
+    def test_gap_csv_writes_the_report_it_is_handed(self, tmp_path):
+        gap = gap_check(0.5, 1024)
+        cut = dataclasses.replace(gap, jump_n=gap.jump_n[:2], jump_lambda=gap.jump_lambda[:2],
+                                  jump_ratio=gap.jump_ratio[:2])
+        write_gap_csv(str(tmp_path / "gap.csv"), cut)
+        oracles.write_gap_csv(tmp_path / "oracle.csv", cut)
+        assert (tmp_path / "gap.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert len((tmp_path / "gap.csv").read_bytes().splitlines()) == 3
 
     def test_report_key_order(self, report32):
         assert list(report32.to_dict().keys()) == [
