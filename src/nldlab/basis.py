@@ -16,6 +16,8 @@ Sobolev norms live here; differentiation is one of the mode maps in
 
 from __future__ import annotations
 
+import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -217,7 +219,16 @@ def _square_sum(weighted: np.ndarray, n1: int):
 
 
 def random_state(layout: BasisLayout, seed: int, alpha: float, norm: float) -> np.ndarray:
-    """White-in-coefficients random state scaled to a prescribed alpha-norm."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(layout.dim)
+    """White-in-coefficients random state scaled to a prescribed alpha-norm.
+
+    The dim standard normal coefficients are drawn by the stdlib's
+    `random.Random(seed).gauss`, which loads neither numpy.random nor, through
+    its use of secrets, OpenSSL's hashlib (6 MB of a fresh process). The seed
+    must be a non-negative integer: ValueError otherwise (Random would take
+    |seed|, so -k would repeat k)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
+    c = np.array([rng.gauss(0.0, 1.0) for _ in range(layout.dim)])
     return (norm / theta_norm(layout, c, alpha)) * c

@@ -108,12 +108,24 @@ class _ModeMap:
                  slice(self.cols[a], self.cols[b - 1] + 1), self.values[a:b])
                 for a, b in zip(np.r_[0, cut], np.r_[cut, len(self.rows)])]
 
+    @cached_property
+    def _buffered_runs(self) -> dict:
+        """Per input (shape, dtype), the runs, each with a view of one product buffer as wide
+        as the longest run, reused by every call on such input: a march's K allocates nothing."""
+        return {}
+
     def __call__(self, c: np.ndarray, into=None) -> np.ndarray:
         """Image of the coefficient vector c, or of each row of a (seeds, dim) block, one slice
         product per run (added in place to into when given); a recurring row sums in table order."""
-        out = np.zeros(np.shape(c)) if into is None else into
-        for rows, cols, values in self.runs:
-            out[..., rows] += values * c[..., cols]
+        out = np.zeros(c.shape) if into is None else into
+        runs = self._buffered_runs.get((c.shape, c.dtype))
+        if runs is None:
+            widest = max(len(values) for _, _, values in self.runs)
+            buffer = np.empty(c.shape[:-1] + (widest,), dtype=np.result_type(self.values, c))
+            runs = self._buffered_runs[c.shape, c.dtype] = [
+                (rows, cols, values, buffer[..., :len(values)]) for rows, cols, values in self.runs]
+        for rows, cols, values, product in runs:
+            out[..., rows] += np.multiply(values, c[..., cols], out=product)
         return out
 
 

@@ -6,12 +6,14 @@ The closed-form eigenvalues of the 2x2 blocks of T(u0), one block at a time. The
 report writers formatting one eigenvalue at a time, from numpy scalars, and
 the IMEX step as written before the march's buffers: f blended through two
 `Blend`s with sin x taken on every call, the spectra packed through
-temporaries, and KC built from zeros and added to the analysis."""
+temporaries, and KC built from zeros and added to the analysis. The seeded
+states numpy's generator drew before `random_state` moved to the stdlib, and the
+L2 bound of f scanned as one grid, before the scan went by chunks."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from nldlab import f_p, f_s, mode_map
+from nldlab import f, f_p, f_s, mode_map, theta_norm
 from nldlab.cutoffs import Blend
 from nldlab.verdict import write_csv
 
@@ -164,3 +166,22 @@ def blended_step(params):
         return (C + dt * (out + K(C))) * inv_implicit
 
     return step
+
+
+def numpy_random_state(layout, seed, alpha, norm):
+    """White-in-coefficients state from numpy's default_rng(seed), scaled to the
+    alpha-norm norm."""
+    c = np.random.default_rng(seed).standard_normal(layout.dim)
+    return (norm / theta_norm(layout, c, alpha)) * c
+
+
+def single_grid_l2_bound(params):
+    """sup |s + f| * sqrt(2 pi) over the two extremes of sin x and the whole
+    161 x 161 grid of (s, p) in [-4, 4]^2, evaluated at once."""
+    x = params.layout.grid[:: max(1, params.layout.M // 64)]
+    sin_x = np.sin(x)
+    X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]
+    S = np.linspace(-4.0, 4.0, 161)[None, :, None]
+    p = np.linspace(-4.0, 4.0, 161)[None, None, :]
+    sup = float(np.max(np.abs(S + f(X, S, p, params))))
+    return sup * float(np.sqrt(2.0 * np.pi))

@@ -1,5 +1,7 @@
 """Basis layout, collocation transforms, calculus on coefficients."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,24 @@ class TestRandomState:
         v = random_state(layout16, 1, 0.875, 10.0)
         w = random_state(layout16, 2, 0.875, 10.0)
         assert not np.allclose(v, w)
+
+    def test_states_are_pinned(self):
+        # random.Random(seed).gauss is the stdlib's documented, version-stable
+        # generator; this pins the seed -> state map it gives
+        state = random_state(BasisLayout(16), 3, 0.875, 10.0)
+        assert zlib.crc32(state.tobytes()) == 2213166746
+
+    @pytest.mark.parametrize("alpha,norm", [(0.0, 1.0), (0.875, 10.0), (0.875, 1e-3)])
+    def test_norm_is_the_requested_one_to_rounding(self, layout16, alpha, norm):
+        for seed in range(10):
+            v = random_state(layout16, seed, alpha, norm)
+            assert abs(theta_norm(layout16, v, alpha) - norm) <= 4 * np.finfo(float).eps * norm
+
+    def test_distinct_seeds_give_distinct_states(self, layout16):
+        states = np.array([random_state(layout16, s, 0.875, 10.0) for s in range(20)])
+        gaps = np.abs(states[:, None, :] - states[None, :, :]).max(axis=2)
+        assert np.all(gaps[~np.eye(20, dtype=bool)] > 0.01)
+
+    def test_negative_seed_is_rejected(self, layout16):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_state(layout16, -1, 0.875, 10.0)

@@ -273,6 +273,13 @@ class TestSimulateCommand:
         assert rc == 1
         assert "unrecognized seed-spec" in capsys.readouterr().err
 
+    def test_negative_random_seed_is_error(self, make_config, tmp_path, capsys):
+        rc = main(["--config", make_config(), "simulate",
+                   "--seed-spec", "random:-1", "--t-final", "0.01"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_cfl_violation_is_error(self, make_config, capsys):
         rc = main(["--config", make_config(), "simulate",
                    "--seed-spec", "u1", "--t-final", "1.0", "--dt", "0.1"])

@@ -24,26 +24,44 @@ def run_fresh(code: str) -> dict:
 
 
 def test_pipeline_loads_neither_scipy_nor_numpy_ma(tmp_path):
-    # nor does verify with its reports load hashlib: OpenSSL's _hashlib adds
-    # about 3 MB to a fresh process (the probe's random seeds load it through
-    # numpy.random's use of secrets)
+    # nor hashlib, before the probe's seeds are drawn or after the probe:
+    # OpenSSL's _hashlib adds about 3 MB to a fresh process, and numpy.random,
+    # which would bring it through secrets, about 6 MB
     result = run_fresh(f"""
 import json, sys
 import nldlab
 from nldlab import BasisLayout, ModelParams, RunConfig, random_state
+HEAVY = ("numpy.random", "secrets", "hashlib", "_hashlib")
 params = ModelParams(BasisLayout(16))
 report = nldlab.run_verify(RunConfig(N=16))
 nldlab.emit_reports(report, {str(tmp_path)!r})
-hashing = sorted(m for m in sys.modules if m in ("hashlib", "_hashlib"))
+before_seeds = sorted(m for m in sys.modules if m in HEAVY)
 seeds = [(s, random_state(params.layout, s, params.theta, 10.0)) for s in range(3)]
 probe = nldlab.dissipativity_probe(seeds, params, T=0.1)
-print(json.dumps({{"verdict": report.verdict, "failed": probe.failed, "hashing": hashing,
+print(json.dumps({{"verdict": report.verdict, "failed": probe.failed, "before_seeds": before_seeds,
+                  "after_probe": sorted(m for m in sys.modules if m in HEAVY),
                   "loaded": sorted(m for m in sys.modules
                                    if m.split(".")[0] == "scipy"
                                    or m.split(".")[:2] == ["numpy", "ma"])}}))
 """)
     assert result["verdict"] == "OBSTRUCTED" and result["failed"] == []
-    assert result["loaded"] == [] and result["hashing"] == []
+    assert result["loaded"] == []
+    assert result["before_seeds"] == [] and result["after_probe"] == []
+
+
+def test_l2_bound_scan_allocates_under_one_mb():
+    # one (2, 161, 161) grid with f's six work arrays peaked at 3.1 MB
+    result = run_fresh("""
+import json, tracemalloc
+from nldlab import RunConfig
+from nldlab.semiflow import nonlinearity_l2_bound
+params = RunConfig(N=1024, dt=5e-4).model_params()
+tracemalloc.start()
+bound = nonlinearity_l2_bound(params)
+print(json.dumps({"bound": bound, "peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}))
+""")
+    assert result["bound"] > 0.0
+    assert result["peak_mb"] <= 1.0
 
 
 def test_block_march_faults_no_pages_per_step():

@@ -339,6 +339,13 @@ class TestRegroupedKernel:
         full = full_scan_bound(params)
         assert abs(nonlinearity_l2_bound(params) - full) <= 4 * np.finfo(float).eps * full
 
+    @pytest.mark.parametrize("kappa", [1.01, 1.25, 4.0])
+    @pytest.mark.parametrize("N", [16, 128, 1024])
+    def test_chunked_bound_is_the_single_grid_bound_bit_for_bit(self, N, kappa):
+        from oracles import single_grid_l2_bound
+        params = ModelParams(BasisLayout(N), kappa=kappa)
+        assert nonlinearity_l2_bound(params).hex() == single_grid_l2_bound(params).hex()
+
     def test_probe_matches_shape_sum_stepper(self):
         layout = BasisLayout(64)
         params = ModelParams(layout)
@@ -396,7 +403,8 @@ class TestSeedMajorMarch:
             np.testing.assert_array_equal(row, alone.final_state())
             assert tail == alone.tail_max_norm(T / 2.0)
 
-    # float.hex of the probe outputs before the march moved to rows
+    # float.hex of the probe outputs before the march moved to rows, from the
+    # seeds numpy's generator drew before random_state moved to the stdlib
     GOLDEN = {
         32: (4, 2.0, "0x1.075f8697fcc4ap+3", "0x1.7c079dc05eb8ep-6",
              ["0x1.e5ac6512602d7p-8", "0x1.7c079dc05eb8ep-6", "0x1.02799dec01208p-7",
@@ -410,9 +418,10 @@ class TestSeedMajorMarch:
 
     @pytest.mark.parametrize("N", sorted(GOLDEN))
     def test_probe_outputs_are_pinned_bit_for_bit(self, N):
+        from oracles import numpy_random_state
         n_seeds, T, m_scan, a_emp, tails = self.GOLDEN[N]
         params = ModelParams(BasisLayout(N))
-        seeds = [(f"r{s}", random_state(params.layout, s, params.theta, 10.0))
+        seeds = [(f"r{s}", numpy_random_state(params.layout, s, params.theta, 10.0))
                  for s in range(n_seeds)]
         rep = dissipativity_probe(seeds, params, T=T)
         assert rep.M_scan.hex() == m_scan
