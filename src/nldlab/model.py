@@ -54,7 +54,7 @@ class ModelParams:
 
     def __post_init__(self):
         _require_supercritical(self.kappa)
-        if self.dt <= 0 or self.T_final <= 0:
+        if not (self.dt > 0 and self.T_final > 0):
             raise ValueError("dt and T_final must be positive")
         lo, hi = THETA_RANGE
         if not lo < self.theta < hi:

@@ -7,9 +7,9 @@ The linearization at a frozen state u is
 
 At the two stationary states the multipliers are closed forms (`assemble_T`):
 at u0 = 0 both vanish, so T(u0) = Q + K, block 2x2 on the pairs
-{cos nx, sin (n+1)x} with closed-form eigenvalues -(n^2+n) +- i eps_n, and is
-solved as one batch of N + 1 2x2 blocks; at u1 = 1 they are eps0 (1 - sin x)
-and kappa, so T(u1) = Q_kappa + eps0 (I - M_{sin x}) + K. Each is written from
+{cos nx, sin (n+1)x} with closed-form eigenvalues -(n^2+n) +- i eps_n, read
+off the band exactly, with no solve; at u1 = 1 they are eps0 (1 - sin x) and
+kappa, so T(u1) = Q_kappa + eps0 (I - M_{sin x}) + K. Each is written from
 the mode-map table into a band of half-bandwidth 3 in pair order (the
 constant, then (cos nx, sin nx) for n = 1..N, then the top sine), a `BandedT`
 that drops no entry. T(u1), given its Gershgorin discs, is solved from small
@@ -19,11 +19,12 @@ builds.
 
 Evidence, by state and truncation:
 
-  u0: exact blocks ("blocks"). Sorted by (Re desc, Im desc), block n sits at
-      positions 2n and 2n + 1 of every row, so the spectrum is paired by
-      block index, in O(N), with the closed form and with the 2N row; any
-      bijection within tolerance certifies it, and with every eps_n nonzero
-      no eigenvalue is real, whatever any threshold says.
+  u0: exact blocks ("blocks"), each pair of eigenvalues a +- i|e| read from
+      its block [[a, e], [-e, a]] of the band. Sorted by (Re desc, Im desc),
+      block n sits at positions 2n and 2n + 1 of every row, so the spectrum
+      is paired by block index, in O(N), with the closed form and with the 2N
+      row; any bijection within tolerance certifies it, and with every eps_n
+      nonzero no eigenvalue is real, whatever any threshold says.
   u1 at N: threshold classification, |Im| < tol_im * (1 + |lambda|), of the
       spectrum (the reports list it). `disc_certificate` runs here too; when
       its discs are mutually disjoint, each holds exactly one eigenvalue, and
@@ -254,45 +255,42 @@ def assemble_T(point_label: str, params: ModelParams) -> BandedT:
     return BandedT(lay.N, band, not u1)
 
 
-def eigenvalues(m: BandedT | np.ndarray, discs: DiscCertificate | None = None,
+def eigenvalues(T: BandedT, discs: DiscCertificate | None = None,
                 evidence: dict | None = None) -> np.ndarray:
-    """All eigenvalues of m, a `BandedT` or a dense square matrix, sorted by Re
-    then Im, descending.
+    """All eigenvalues of the band T, sorted by Re then Im, descending.
 
-    With `discs`, the `disc_certificate` of m = T(u1), the spectrum is first
+    With `discs`, the `disc_certificate` of T = T(u1), the spectrum is first
     taken from small windows of the band (`_window_eigenvalues`); when the
-    discs do not prove it, m takes the paths below unchanged. A band of Q + K
-    alone is solved on its pair blocks {cos nx, sin (n+1)x}, read by index, as
-    one (N + 1, 2, 2) batch, and any other band by one dense eigensolve of
-    `BandedT.dense`. A dense matrix is solved on the 2x2 blocks of the slot
-    pairs (n, dim/2 + n) when its nonzero entries all lie in them (the blocks
-    partition the index set, so equal nonzero counts prove it), otherwise by
-    one dense eigensolve. `evidence["kind"]`, when given, records the path:
-    "windows", "blocks" or "dense".
+    discs do not prove it, T takes the paths below unchanged. A band of Q + K
+    alone is read off its pair blocks {cos nx, sin (n+1)x}, with no solve: block
+    n is [[a, e], [-e, a]], bit for bit (a ValueError otherwise), so its
+    eigenvalues are exactly a + i|e| and a + (0.0 - |e|) i. The 0.0 - |e| keeps
+    e = 0 at +0.0, and no product of entries is formed, so none underflows. Any
+    other band takes one dense eigensolve of `BandedT.dense`.
+    `evidence["kind"]`, when given, records the path: "windows", "blocks" or
+    "dense".
     """
-    band = m if isinstance(m, BandedT) else None
-    if not np.all(np.isfinite(m if band is None else band.diagonals)):
+    if not np.all(np.isfinite(T.diagonals)):
         raise ValueError("matrix has non-finite entries")
-    eigs = None if discs is None else _window_eigenvalues(band, discs)
+    eigs = None if discs is None else _window_eigenvalues(T, discs)
     kind = "windows"
-    if eigs is None:
-        if band is not None and band.pair_blocks:
-            pos = np.argsort(_pair_slots(band.N))
-            n = np.arange(band.N + 1)
-            pair = np.array([pos[n], pos[band.N + 1 + n]])   # cos nx, sin (n+1)x
-            rows, cols = pair[:, None], pair[None, :]
-            solve, kind = band.diagonals[rows, cols - rows + band.b].transpose(2, 0, 1), "blocks"
-        else:
-            solve, kind = (m, "dense") if band is None else (band.dense(), "dense")
-        if band is None and len(m) % 2 == 0:
-            half = len(m) // 2
-            blocks = np.diagonal(m.reshape(2, half, 2, half), axis1=1, axis2=3).transpose(2, 0, 1)
-            if np.count_nonzero(blocks) == np.count_nonzero(m):
-                solve, kind = blocks, "blocks"
+    if eigs is None and T.pair_blocks:
+        pos = np.argsort(_pair_slots(T.N))
+        c, s = pos[:T.N + 1], pos[T.N + 1:]   # cos nx, sin (n+1)x
+        a, e = T.diagonals[c, T.b], T.diagonals[c, T.b + s - c]
+        if not (np.array_equal(T.diagonals[s, T.b], a)
+                and np.array_equal(T.diagonals[s, T.b + c - s], -e)):
+            raise ValueError("a pair block of Q + K is not of the form [[a, e], [-e, a]]")
+        eigs, kind = np.empty((T.N + 1, 2), dtype=complex), "blocks"
+        eigs.real = a[:, None]
+        eigs.imag = np.stack([np.abs(e), 0.0 - np.abs(e)], axis=1)
+        eigs = eigs.ravel()
+    elif eigs is None:
+        dense, kind = T.dense(), "dense"
         try:
-            eigs = np.linalg.eigvals(solve).astype(complex).ravel()
+            eigs = np.linalg.eigvals(dense).astype(complex)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            cond = np.max(np.linalg.cond(solve))
+            cond = np.linalg.cond(dense)
             raise RuntimeError(f"eigensolver failed (condition estimate {cond:.3g})") from exc
     if evidence is not None:
         evidence["kind"] = kind
@@ -546,7 +544,7 @@ def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
                        point_label: str = "custom") -> SpectrumReport:
     """Threshold classification and the Morse count l = #{real, > tol_re}, in
     full and inside the resolved band of truncation N."""
-    if tol_im <= 0 or tol_re <= 0:
+    if not (tol_im > 0 and tol_re > 0):
         raise ValueError("tolerances must be positive")
     eigs = np.asarray(eigs, dtype=complex)
     order = np.lexsort((-eigs.imag, -eigs.real))

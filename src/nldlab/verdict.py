@@ -14,9 +14,9 @@ Membership evidence differs by point, deliberately, and verdict.json records
 which evidence was used, with its margin (`e_membership.<point>.evidence`):
 
   u0: "exact_blocks". Both multipliers f_s and f_p vanish at u0, so the
-      linearization is exactly block 2x2; its spectrum, solved block by
-      block, is paired with the closed form -(n^2+n) +- i*eps_n in (Re, Im)
-      order, and any pairing within BLOCK_MATCH_TOL will do (no optimal
+      linearization is exactly block 2x2; its spectrum, read off the blocks
+      in closed form with no eigensolve, is paired with -(n^2+n) +- i*eps_n
+      in (Re, Im) order, and any pairing within BLOCK_MATCH_TOL will do (no optimal
       assignment is needed). With every eps_n nonzero that certifies "no real
       eigenvalues" exactly, which no fixed imaginary-part threshold can do
       (eps_n decays below any threshold). The margin is min eps_n, the
@@ -112,6 +112,8 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(data) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -2,7 +2,8 @@
 multiplier P diag(g) S from the FFT moments of its samples, and T(u) assembled
 as a full (dim, dim) matrix in layout order from the samples of the model's
 f_s and f_p, every entry kept, against which the closed-form band is checked.
-The closed-form eigenvalues of the 2x2 blocks of T(u0), one block at a time. The
+The closed-form eigenvalues of the 2x2 blocks of T(u0), one block at a time, and
+the spectrum of a dense matrix in the order `spectra.eigenvalues` returns. The
 report writers formatting one eigenvalue at a time, from numpy scalars, and
 the IMEX step as written before the march's buffers: f blended through two
 `Blend`s with sin x taken on every call, the spectra packed through
@@ -24,6 +25,13 @@ def block_spectrum_u0(n, eps):
         raise ValueError("block index must be >= 0")
     re, im = -(n * n + n), eps.values(n + 1)[n]
     return complex(re, im), complex(re, -im)
+
+
+def dense_eigenvalues(m):
+    """All eigenvalues of the dense square matrix m, sorted by Re then Im,
+    descending, as `spectra.eigenvalues` sorts them."""
+    eigs = np.linalg.eigvals(m).astype(complex)
+    return eigs[np.lexsort((-eigs.imag, -eigs.real))]
 
 
 def multiplier_from_samples(layout, g):

@@ -47,9 +47,11 @@ def test_workload_operations_pass_their_checks(bench, spec, tmp_path):
 
 
 def test_traced_verify_counts_its_eigensolves(bench, tmp_path):
-    # the per-layer spectra metrics read one call per spectrum solved (u0 and
-    # u1 at N, u0 at 2N; the 2N count of u1 comes from Gershgorin discs) and the
-    # largest dimension solved, 2(2N) + 2 = 66 at N = 16
+    # the per-layer spectra metrics count calls of `spectra.eigenvalues`, not
+    # LAPACK solves: u0 at N and at 2N, each read off its pair blocks with no
+    # solve, and u1 at N, the window batch (the 2N count of u1 comes from
+    # Gershgorin discs); max_dim is the length of the largest spectrum it
+    # returns, 2(2N) + 2 = 66 at N = 16, that of u0 at 2N
     tracer, worker = bench
     op, _ = worker.build({"kind": "verify", "config": {"N": 16}}, str(tmp_path / "out"))
     t = tracer.Tracer()

@@ -160,6 +160,23 @@ class TestConfigHandling:
             assert err.startswith("error:") and key in err, err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload", ["5", "null", "[1, 2]", '"abc"'])
+    def test_config_that_is_not_an_object_is_rejected(self, payload, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(payload, encoding="utf-8")
+        assert main(["--config", str(path), "spectrum", "--at", "u0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file must hold a JSON object"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--tol-im", "--tol-re"])
+    @pytest.mark.parametrize("command", [["spectrum", "--at", "u1"], ["verify"],
+                                         ["scan-eps0", "--list", "0.05"]])
+    def test_nan_tolerance_is_an_error(self, command, flag, make_config, tmp_path, capsys):
+        assert main(["--config", make_config(), *command, flag, "nan"]) == 1
+        assert "error: tolerances must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_eps_underflow_is_an_error(self, make_config, capsys):
         assert main(["--config", make_config(), "verify", "--N", "100", "--rho", "0.01"]) == 1
         err = capsys.readouterr().err

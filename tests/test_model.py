@@ -43,6 +43,9 @@ class TestModelParams:
             ModelParams(layout32, dt=0.0)
         with pytest.raises(ValueError):
             ModelParams(layout32, T_final=-1.0)
+        for field in ("dt", "T_final"):   # NaN fails every comparison
+            with pytest.raises(ValueError, match="dt and T_final must be positive"):
+                ModelParams(layout32, **{field: float("nan")})
 
     def test_theta_range_gate(self, layout32):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _band_cells, _drift_
                             _in_some_disc, _nearest, _pair_slots, disc_certificate,
                             discs_disjoint, is_real, match_blocks_u0, stationary_spectrum)
 from nldlab.verdict import BLOCK_MATCH_TOL
-from oracles import block_spectrum_u0, dense_T, multiplier_from_samples
+from oracles import block_spectrum_u0, dense_eigenvalues, dense_T, multiplier_from_samples
 
 EPS = EpsilonSequence()
 
@@ -54,7 +54,7 @@ class TestBasics:
         m[1, 1] = 1.0
         m[2, 3] = -2.0
         m[3, 2] = 2.0  # block with eigenvalues +-2i
-        eigs = eigenvalues(m)
+        eigs = dense_eigenvalues(m)
         assert eigs[0] == pytest.approx(3.0)
         assert eigs[1] == pytest.approx(1.0)
         # descending real part overall, and +2i listed before its conjugate
@@ -62,83 +62,21 @@ class TestBasics:
         assert np.flatnonzero(eigs.imag > 1.0)[0] < np.flatnonzero(eigs.imag < -1.0)[0]
 
     def test_eigenvalues_rejects_nonfinite(self, layout16):
-        m = np.zeros((layout16.dim, layout16.dim))
-        m[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            eigenvalues(m)
-
-
-def _permuted_block_triangular(rng, dim):
-    """A random upper block-triangular matrix with mixed 1x1, 2x2 and 3x3
-    diagonal blocks, symmetrically permuted.
-
-    Block i is centred at -3i, so the blocks' spectra stay apart and the dense
-    solve of the whole (non-normal) matrix is an accurate oracle.
-    """
-    sizes = []
-    while sum(sizes) < dim:
-        sizes.append(int(min(rng.integers(1, 4), dim - sum(sizes))))
-    starts = np.cumsum([0] + sizes)
-    m = np.zeros((dim, dim))
-    for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-        m[a:b, a:b] = -3.0 * i * np.eye(b - a) + 0.5 * rng.standard_normal((b - a, b - a))
-        m[a:b, b:] = rng.standard_normal((b - a, dim - b)) * (rng.random((b - a, dim - b)) < 0.3)
-    perm = rng.permutation(dim)
-    return m[perm][:, perm]
+        for label in ("u0", "u1"):
+            T = assemble_T(label, ModelParams(layout16))
+            T.diagonals[5, T.b] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                eigenvalues(T)
 
 
 class TestBlockEigenvalues:
-    """eigenvalues() on reducible and irreducible zero patterns agrees with the
-    dense oracle, whichever path it takes."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_permuted_block_triangular_matches_dense(self, seed, layout16):
-        rng = np.random.default_rng(seed)
-        m = _permuted_block_triangular(rng, layout16.dim)
-        eigs = eigenvalues(m)
-        dense = eigvals(m)
-        rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - dense[None, :]))
-        assert np.abs(eigs[rows] - dense[cols]).max() <= 1e-12
-        assert np.all(np.diff(eigs.real) <= 0.0)
-
-    @pytest.mark.parametrize("triangle", [np.triu, np.tril])
-    def test_triangular_splits_into_exact_diagonal(self, triangle, layout16, rng):
-        # a triangular matrix's eigenvalues are its diagonal, exactly
-        m = triangle(1.0 + rng.random((layout16.dim, layout16.dim)))
-        eigs = eigenvalues(m)
-        assert eigs.dtype == complex   # as from the dense solve, though all are real
-        np.testing.assert_array_equal(eigs, np.sort(np.diag(m))[::-1])
-
-    @pytest.mark.parametrize("kind", ["dense", "sparse cycle"])
-    def test_irreducible_is_one_dense_solve(self, kind, layout16, rng):
-        dim = layout16.dim
-        if kind == "dense":
-            m = rng.standard_normal((dim, dim))
-        else:   # one cycle through every node, most entries zero
-            m = np.diag(rng.standard_normal(dim))
-            m[np.arange(dim), np.roll(np.arange(dim), 1)] = rng.standard_normal(dim)
-        dense = eigvals(m)
-        expected = dense[np.lexsort((-dense.imag, -dense.real))]
-        got = eigenvalues(m)
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+    """The u0 spectrum read off the pair blocks against the closed form."""
 
     def test_u0_at_N512_matches_closed_form_blocks(self):
         lay = BasisLayout(512)
         eigs = eigenvalues(assemble_T("u0", ModelParams(lay)))
         dist, _ = match_blocks_u0(eigs, EPS, lay.N)
         assert dist <= BLOCK_MATCH_TOL
-
-
-def _pair_block_matrix(rng, half):
-    """A random (2 half, 2 half) matrix whose nonzero entries all lie in the 2x2
-    blocks of the slot pairs (n, half + n)."""
-    m = np.zeros((2 * half, 2 * half))
-    n = np.arange(half)
-    for a in (0, half):
-        for b in (0, half):
-            m[a + n, b + n] = rng.standard_normal(half)
-    return m
 
 
 @pytest.fixture
@@ -156,39 +94,44 @@ def eigvals_shapes(monkeypatch):
 
 
 class TestEigenvalueDispatch:
-    """A matrix supported on the K-pair blocks {cos nx, sin (n+1)x} is solved as
-    one batch of 2x2 blocks; every other matrix takes one dense solve."""
+    """A band of Q + K is read off its pair blocks {cos nx, sin (n+1)x} with no
+    eigensolve; every other band takes one dense solve."""
 
-    def test_u0_is_one_batch_of_pair_blocks(self, layout16, eigvals_shapes):
-        eigs = eigenvalues(assemble_T("u0", ModelParams(layout16)))
-        assert eigvals_shapes == [(17, 2, 2)]
-        dist, _ = match_blocks_u0(eigs, EPS, layout16.N)
-        assert dist <= BLOCK_MATCH_TOL
+    def test_u0_is_read_off_its_pair_blocks(self, layout16, eigvals_shapes):
+        evidence = {}
+        eigs = eigenvalues(assemble_T("u0", ModelParams(layout16)), evidence=evidence)
+        assert eigvals_shapes == [] and evidence == {"kind": "blocks"}
+        assert match_blocks_u0(eigs, EPS, layout16.N)[0] == 0.0
 
-    def test_pair_block_matrix_matches_dense(self, layout16, rng, eigvals_shapes):
-        m = _pair_block_matrix(rng, layout16.N + 1)
-        dense = eigvals(m)
-        eigs = eigenvalues(m)
-        assert eigvals_shapes == [(17, 2, 2)]
-        rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - dense[None, :]))
-        assert np.abs(eigs[rows] - dense[cols]).max() <= 1e-12
-        assert np.all(np.diff(eigs.real) <= 0.0)
-
-    @pytest.mark.parametrize("kind", ["u1", "stray entry", "odd dimension"])
-    def test_other_patterns_take_one_dense_solve(self, kind, layout16, rng, eigvals_shapes):
-        if kind == "u1":
-            band = assemble_T("u1", ModelParams(layout16))
-            m = band.dense()
-        elif kind == "stray entry":   # slot 5 is outside the pair (0, 17)
-            m = _pair_block_matrix(rng, layout16.N + 1)
-            m[0, 5] = 1.0
+    @pytest.mark.parametrize("entry", ["a != d", "c != -b"])
+    def test_a_block_of_another_form_is_an_error(self, entry, layout16):
+        T = assemble_T("u0", ModelParams(layout16))
+        pos = np.argsort(_pair_slots(layout16.N))
+        c, s = pos[1], pos[layout16.N + 2]   # the pair {cos x, sin 2x}
+        if entry == "a != d":
+            T.diagonals[s, T.b] += 1.0
         else:
-            m = _pair_block_matrix(rng, layout16.N + 1)[:-1, :-1]
-        dense = eigvals(m)
+            T.diagonals[s, T.b + c - s] *= 2.0
+        with pytest.raises(ValueError, match=r"\[\[a, e\], \[-e, a\]\]"):
+            eigenvalues(T)
+
+    @pytest.mark.parametrize("kind", ["u1"])
+    def test_other_patterns_take_one_dense_solve(self, kind, layout16, eigvals_shapes):
+        band = assemble_T(kind, ModelParams(layout16))
+        dense = eigvals(band.dense())
         expected = dense[np.lexsort((-dense.imag, -dense.real))]
-        got = eigenvalues(band if kind == "u1" else m)
-        assert eigvals_shapes == [m.shape]
+        got = eigenvalues(band)
+        assert eigvals_shapes == [(layout16.dim, layout16.dim)]
         assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+
+    @pytest.mark.parametrize("N", [128, 256])
+    def test_verify_makes_one_eigensolve(self, N, eigvals_shapes):
+        # u0 at N and 2N is read off its blocks and u1 at 2N certified by
+        # discs, so the u1 window batch at N is the only solve
+        from nldlab.verdict import RunConfig, run_verify
+        report = run_verify(RunConfig(N=N))
+        assert eigvals_shapes == [(N, 14, 14)]
+        assert [row["evidence"]["kind"] for row in report.convergence["u0"]["rows"]] == ["blocks"] * 2
 
 
 class TestScipyOracles:
@@ -402,13 +345,25 @@ class TestBandedT:
                 assert abs(A[i, i] - mpmath.mpc(c.real, c.imag)) + exact_r <= cert.radii[i]
 
     @pytest.mark.parametrize("N", [16, 128, 256, 512])
-    def test_u0_spectrum_is_the_dense_block_solve_bit_for_bit(self, N, eigvals_shapes):
+    def test_u0_spectrum_is_the_closed_form_bit_for_bit(self, N, eigvals_shapes):
+        # read off the band with no eigensolve: exactly -(n^2+n) +- i eps_n,
+        # and within 7e-18 of the dense solve of the FFT-moment oracle
         params = ModelParams(BasisLayout(N))
-        u0 = stationary_state("u0", params.layout)
-        evidence = {}
-        eigs = eigenvalues(assemble_T("u0", params), evidence=evidence)
-        assert evidence == {"kind": "blocks"} and eigvals_shapes == [(N + 1, 2, 2)]
-        assert eigs.tobytes() == eigenvalues(dense_T(u0, params)).tobytes()
+        eigs = eigenvalues(assemble_T("u0", params))
+        assert eigvals_shapes == []
+        closed = np.concatenate([block_spectrum_u0(n, EPS) for n in range(N + 1)])
+        assert eigs.tobytes() == closed.tobytes()
+        dense = dense_eigenvalues(dense_T(stationary_state("u0", params.layout), params))
+        assert np.abs(eigs - dense).max() <= 7e-18
+
+    def test_uncoupled_blocks_read_as_positive_zeros(self):
+        # eps0 = 0: every block is a I, and a - 0i keeps +0.0 as Im, as a 2x2
+        # eigensolve does, so spectrum_u0.csv is unchanged at eps0 = 0
+        lay = BasisLayout(16)
+        eigs = eigenvalues(assemble_T("u0", ModelParams(lay, eps=EpsilonSequence(0.0))))
+        n = np.arange(lay.N + 1)
+        np.testing.assert_array_equal(eigs.real, np.repeat(-(n * n + n), 2))
+        assert not np.signbit(eigs.imag).any() and not eigs.imag.any()
 
     def test_verify_rows_build_no_dense_matrix(self, monkeypatch):
         import nldlab.spectra
@@ -452,7 +407,7 @@ class TestQkappaBlocks:
     def test_constant_mode_is_a_simple_zero(self, layout16):
         m = assemble(layout16, "Qkappa", kappa=1.25)
         assert np.all(m[0, :] == 0.0) and np.all(m[:, 0] == 0.0)
-        eigs = eigenvalues(m)
+        eigs = dense_eigenvalues(m)
         assert np.sum(np.abs(eigs) < 1e-12) == 1
 
 
