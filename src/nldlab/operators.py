@@ -193,8 +193,8 @@ def mode_map(layout: BasisLayout, name: str, *, eps: EpsilonSequence | None = No
 
 
 def _require_supercritical(kappa: float):
-    """The drift must be supercritical, |kappa| > 1, for Q_kappa to be oscillatory."""
-    if abs(kappa) <= 1.0:
+    """The drift must be supercritical, |kappa| > 1 (NaN is not), for Q_kappa to oscillate."""
+    if not abs(kappa) > 1.0:
         raise ValueError(f"|kappa| must exceed 1, got {kappa}")
 
 

@@ -13,9 +13,9 @@ kappa, so T(u1) = Q_kappa + eps0 (I - M_{sin x}) + K. Each is written from
 the mode-map table into a band of half-bandwidth 3 in pair order (the
 constant, then (cos nx, sin nx) for n = 1..N, then the top sine), a `BandedT`
 that drops no entry. T(u1), given its Gershgorin discs, is solved from small
-windows of the band (below); otherwise it takes one dense eigensolve (LAPACK
-geev through numpy) of `BandedT.dense`, which verify at the defaults never
-builds.
+windows of the band (below), with no eigensolve; otherwise it takes one dense
+eigensolve (LAPACK geev through numpy) of `BandedT.dense`, which verify at the
+defaults never builds.
 
 Evidence, by state and truncation:
 
@@ -28,11 +28,11 @@ Evidence, by state and truncation:
   u1 at N: threshold classification, |Im| < tol_im * (1 + |lambda|), of the
       spectrum (the reports list it). `disc_certificate` runs here too; when
       its discs are mutually disjoint, each holds exactly one eigenvalue, and
-      T(u1), banded in pair order, yields each one from a principal window of
-      the 7 pairs around its slot. All windows are solved as one batch, and
-      the set is kept ("windows") only if every value lies in its own disc;
-      cos and sin slots are then exact conjugates. Otherwise the row is one
-      dense eigensolve, labelled "dense".
+      a Schur-complement iteration on the 2x2 pair blocks of T(u1) takes each
+      one from the window of the pairs n - 4 .. n + 4 around its pair n. The
+      set is kept ("windows") only if every value lies in its own disc; cos
+      and sin slots are then exact conjugates and the anchor is eps0 exactly.
+      Otherwise the row is one dense eigensolve, labelled "dense".
   u1 at 2N, the second row of a convergence study: a Gershgorin
       certificate (`disc_certificate`) on V^-1 T V, where V diagonalizes the
       drift part Q_kappa in closed form. When its discs prove exactly one
@@ -460,46 +460,86 @@ def discs_disjoint(centers: np.ndarray, radii: np.ndarray) -> bool:
     return True
 
 
-_WINDOW_PAIRS = 3   # a window holds the pairs n - 3 .. n + 3
+_REACH = 4            # a window holds the pairs n - 4 .. n + 4 that exist
+_MAX_ITERATIONS = 32  # of the window iteration; a row that has not settled is solved dense
+_SAFE_EXPONENT = 340  # window entries are scaled below 2^340: no product of three overflows
 
 
 def _window_eigenvalues(T: BandedT, discs: DiscCertificate) -> np.ndarray | None:
     """The spectrum of T = T(u1), one eigenvalue per disc, from small windows of
-    its band, or None when the discs do not prove it.
+    its band, or None (the dense fallback) when the discs do not prove it.
 
-    Mutually disjoint discs hold one eigenvalue each (Gershgorin's union
-    theorem). In pair order (the constant, then (cos nx, sin nx) for n = 1..N,
-    then the top sine) T is banded and diagonally dominant, so its eigenvectors
-    decay exponentially away from their slot (Demko, Moss & Smith, Math. Comp.
-    43, 1984; Benzi & Golub, BIT 39, 1999), and the principal submatrix of the
-    pairs n - w .. n + w, shifted inward at the edges, carries the eigenvalue of
-    pair n. The N windows, gathered from the band (zero off it), are solved as
-    one (N, 2(2w + 1), 2(2w + 1)) batch. The cos slot of pair n takes the window
-    eigenvalue nearest its disc center and the sin slot its conjugate; the
-    constant and the top sine take theirs from the first and last windows. The
-    set is returned only if every value lies in its own disc.
+    Disjoint discs hold one eigenvalue each (Gershgorin's union theorem). T is
+    block tridiagonal on the pairs (cos mx, sin mx), m = 0..N+1 (the constant is
+    cos 0x, the top sine sin (N+1)x; sin 0x and cos (N+1)x are zero padding), and
+    its blocks T[m, m +- 1] couple cos only to sin. Its eigenvectors decay
+    exponentially away from their slot (Demko, Moss & Smith, Math. Comp. 43,
+    1984; Benzi & Golub, BIT 39, 1999), so the window of the pairs n - 4 .. n + 4
+    that exist carries the eigenvalue of pair n, which by the Schur complement
+    onto pair n solves lambda in spec(A_n + R_n + L_n), A_k = T[k, k]:
+
+        R_n = T[n, n+1] S_{n+1}^-1 T[n+1, n],   S_{n+4} = lambda I - A_{n+4},
+        S_k = lambda I - A_k - T[k, k+1] S_{k+1}^-1 T[k+1, k],
+
+    and L_n likewise from the left. Each lambda starts at its disc center and
+    becomes the eigenvalue of that 2x2 matrix nearest the center, until an
+    iteration changes no value or only returns the one before (a last-bit
+    cycle); a settled pair drops out. The cos slot takes the value, the sin slot
+    its conjugate. Entries are scaled by a power of two to below 2^340, so no
+    product of three overflows; a zero coupling adds exactly 0, with no division.
+    None is returned for an entry outside this form, a singular coupled S_k, no
+    settling in _MAX_ITERATIONS, or a value outside its disc (NaN is in none).
     """
-    dim, b = len(T), T.b
+    dim, L, w = len(T), T.N, _REACH
     if len(discs.centers) != dim:
         raise ValueError(f"{len(discs.centers)} discs for a matrix of dimension {dim}")
-    size = 2 * (2 * _WINDOW_PAIRS + 1)
-    if dim < size or not discs_disjoint(discs.centers, discs.radii):
+    if not discs_disjoint(discs.centers, discs.radii):
         return None
-    L = T.N
-    starts = np.clip(2 * np.arange(1, L + 1) - 1 - 2 * _WINDOW_PAIRS, 0, dim - size)
-    offset = np.arange(size) - np.arange(size)[:, None]   # column minus row
-    gathered = T.diagonals[starts[:, None, None] + np.arange(size)[:, None],
-                           b + np.clip(offset, -b, b)]
-    windows = np.where(np.abs(offset) <= b, gathered, 0.0)
-    try:
-        vals = np.linalg.eigvals(windows).astype(complex)
-    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
+    # pair-order positions of cos mx and sin mx, m = -1..L + 2 (-1: padding), and
+    # per pair: A_m, T[cos m, sin m+1], T[sin m, cos m+1], T[cos m, sin m-1], T[sin m, cos m-1]
+    c, s = np.r_[-1, 0, 1:2 * L:2, -1, -1], np.r_[-1, -1, 2:2 * L + 1:2, 2 * L + 1, -1]
+    rows = np.stack([c[1:-1], s[1:-1]])[[0, 0, 1, 1, 0, 1, 0, 1]]
+    cols = np.stack([c[1:-1], s[1:-1], c[1:-1], s[1:-1], s[2:], c[2:], s[:-2], c[:-2]])
+    held = (rows >= 0) & (cols >= 0) & (np.abs(cols - rows) <= T.b)
+    vals = np.where(held, T.diagonals[rows, T.b + np.clip(cols - rows, -T.b, T.b)], 0.0)
+    if np.count_nonzero(vals) != np.count_nonzero(T.diagonals):   # an entry outside the form
         return None
-    rows = vals[np.r_[np.arange(L), 0, L - 1]]
-    targets = discs.centers[np.r_[np.arange(1, L + 1), 0, dim - 1]]
-    picked = rows[np.arange(L + 2), np.argmin(np.abs(rows - targets[:, None]), axis=1)]
-    cos = picked[:L]
-    eigs = np.concatenate([picked[L:L + 1], cos, np.conj(cos), picked[L + 1:]])
+    e = max(math.frexp(float(np.max(np.abs(vals))))[1] - _SAFE_EXPONENT, 0)
+    vals = np.pad(np.ldexp(vals, -e), ((0, 0), (w, w)))
+    j = np.arange(w + 1)[:, None, None]
+    near = vals[:, w + np.arange(L + 2) + j * [[1], [-1]]]   # [entry, j, side, m]: pair m +- j
+    near[4:, :, 1] = near[[6, 7, 4, 5], :, 1]   # on the left, outward is towards m - 1
+    (x1, x2), (y1, y2) = near[4:6, :w], near[6:8, 1:]   # T[k, k +- 1] and T[k +- 1, k]
+    # both anti-diagonal, so T[k, k +- 1] adj(S) T[k +- 1, k] is G times S transposed
+    G = np.stack([x1 * y2, -x1 * y1, -x2 * y2, x2 * y1], axis=1)
+    coupled, D, A = np.any(G != 0.0, axis=1), near[:4, 1:].swapaxes(0, 1), near[:4, 0, 0]
+    t = np.ldexp(discs.centers[np.r_[0:L + 1, dim - 1]].view(float), -e).view(complex)
+    lam, act, z, before = t.copy(), np.arange(L + 2), t, np.full(L + 2, np.nan)
+    eye = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value falls back
+        for _ in range(_MAX_ITERATIONS):
+            S = eye * z - D[w - 1]
+            for k in range(w - 1, -1, -1):
+                det = np.where(coupled[k], S[0] * S[3] - S[1] * S[2], 1.0)
+                if np.any(det == 0.0):
+                    return None
+                W = G[k] * S[[0, 2, 1, 3]] / det
+                if k:
+                    S = eye * z - D[k - 1] - W
+            m = A + W[:, 0] + W[:, 1]   # a triangular m (bc = 0) keeps its diagonal exactly
+            bc, h, mid = m[1] * m[2], 0.5 * (m[0] - m[3]), 0.5 * (m[0] + m[3])
+            root = np.sqrt(h * h + bc)
+            hi, lo = np.where(bc == 0.0, m[0], mid + root), np.where(bc == 0.0, m[3], mid - root)
+            new = np.where(np.abs(hi - t) <= np.abs(lo - t), hi, lo)
+            lam[act], moving = new, (new != z) & (new != before)
+            if not np.any(moving):
+                break
+            act, z, before, t = act[moving], new[moving], z[moving], t[moving]
+            G, coupled, D, A = G[..., moving], coupled[..., moving], D[..., moving], A[:, moving]
+        else:
+            return None
+    lam = np.ldexp(lam.view(float), e).view(complex)
+    eigs = np.concatenate([lam[:1], lam[1:-1], np.conj(lam[1:-1]), lam[-1:]])
     if not np.all(np.abs(eigs - discs.centers) <= discs.radii):
         return None
     return eigs

@@ -28,8 +28,8 @@ which evidence was used, with its margin (`e_membership.<point>.evidence`):
       tolerances instead of silently flipping parity. The N-level spectrum
       comes from small windows of T(u1) when its Gershgorin discs are
       mutually disjoint and every window value lies in its own disc
-      ("windows", see `spectra.eigenvalues`); the anchor is then eps0 to
-      about an ulp. Otherwise it is one dense eigensolve ("dense"). Either
+      ("windows", see `spectra.eigenvalues`); the anchor is then eps0 bit
+      for bit. Otherwise it is one dense eigensolve ("dense"). Either
       row records the discs' margin and isolation gap. At 2N the count is
       certified by Gershgorin discs ("gershgorin", see
       `spectra.disc_certificate`): one isolated real disc around eps0 and no

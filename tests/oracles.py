@@ -8,14 +8,17 @@ report writers formatting one eigenvalue at a time, from numpy scalars, and
 the IMEX step as written before the march's buffers: f blended through two
 `Blend`s with sin x taken on every call, the spectra packed through
 temporaries, and KC built from zeros and added to the analysis. The seeded
-states numpy's generator drew before `random_state` moved to the stdlib, and the
-L2 bound of f scanned as one grid, before the scan went by chunks."""
+states numpy's generator drew before `random_state` moved to the stdlib, the
+L2 bound of f scanned as one grid, before the scan went by chunks, and the
+N-level T(u1) spectrum from windows solved as one LAPACK batch, before the
+Schur-complement iteration."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from nldlab import f, f_p, f_s, mode_map, theta_norm
 from nldlab.cutoffs import Blend
+from nldlab.spectra import discs_disjoint
 from nldlab.verdict import write_csv
 
 
@@ -193,3 +196,27 @@ def single_grid_l2_bound(params):
     p = np.linspace(-4.0, 4.0, 161)[None, None, :]
     sup = float(np.max(np.abs(S + f(X, S, p, params))))
     return sup * float(np.sqrt(2.0 * np.pi))
+
+
+def window_eigenvalues(T, discs):
+    """The spectrum of the band T = T(u1) from its windows, as one LAPACK batch,
+    or None when the discs do not prove it: the principal 14 x 14 submatrix of
+    the pairs n - 3 .. n + 3, shifted inward at the edges, for each pair n. The cos
+    slot of pair n takes the window eigenvalue nearest its disc center and the
+    sin slot its conjugate; the constant and the top sine take theirs from the
+    first and last windows. Kept only if every value lies in its own disc."""
+    dim, b, L, pairs = len(T), T.b, T.N, 3
+    size = 2 * (2 * pairs + 1)
+    if dim < size or not discs_disjoint(discs.centers, discs.radii):
+        return None
+    starts = np.clip(2 * np.arange(1, L + 1) - 1 - 2 * pairs, 0, dim - size)
+    offset = np.arange(size) - np.arange(size)[:, None]   # column minus row
+    gathered = T.diagonals[starts[:, None, None] + np.arange(size)[:, None],
+                           b + np.clip(offset, -b, b)]
+    vals = np.linalg.eigvals(np.where(np.abs(offset) <= b, gathered, 0.0)).astype(complex)
+    rows = vals[np.r_[np.arange(L), 0, L - 1]]
+    targets = discs.centers[np.r_[np.arange(1, L + 1), 0, dim - 1]]
+    picked = rows[np.arange(L + 2), np.argmin(np.abs(rows - targets[:, None]), axis=1)]
+    cos = picked[:L]
+    eigs = np.concatenate([picked[L:L + 1], cos, np.conj(cos), picked[L + 1:]])
+    return eigs if np.all(np.abs(eigs - discs.centers) <= discs.radii) else None

@@ -49,7 +49,7 @@ def test_workload_operations_pass_their_checks(bench, spec, tmp_path):
 def test_traced_verify_counts_its_eigensolves(bench, tmp_path):
     # the per-layer spectra metrics count calls of `spectra.eigenvalues`, not
     # LAPACK solves: u0 at N and at 2N, each read off its pair blocks with no
-    # solve, and u1 at N, the window batch (the 2N count of u1 comes from
+    # solve, and u1 at N, solved on its windows (the 2N count of u1 comes from
     # Gershgorin discs); max_dim is the length of the largest spectrum it
     # returns, 2(2N) + 2 = 66 at N = 16, that of u0 at 2N
     tracer, worker = bench

@@ -216,6 +216,16 @@ class TestConfigHandling:
                      "--kappa", "1e307"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["spectrum", "--at", "u0"],
+                                         ["simulate", "--seed-spec", "random:1"], ["verify"]],
+                             ids=["spectrum-u0", "simulate", "verify"])
+    def test_nan_kappa_is_an_error(self, command, make_config, capsys, tmp_path):
+        # |nan| <= 1 is false, so the supercritical guard asks |kappa| > 1 instead
+        assert main(["--config", make_config(), *command, "--kappa", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: |kappa| must exceed 1, got nan")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_flag_overrides_file_value(self, make_config, capsys):
         # config says N=16 but the flag wins
         rc = main(["--config", make_config(), "spectrum", "--at", "u0", "--N", "8"])

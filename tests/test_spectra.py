@@ -23,11 +23,13 @@ from nldlab import (
     stationary_state,
 )
 from nldlab.operators import _gamma
-from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, _band_cells, _drift_check,
-                            _in_some_disc, _nearest, _pair_slots, disc_certificate,
-                            discs_disjoint, is_real, match_blocks_u0, stationary_spectrum)
+from nldlab.spectra import (TOL_IM_DEFAULT, TOL_RE_DEFAULT, DiscCertificate, _band_cells,
+                            _drift_check, _in_some_disc, _nearest, _pair_slots,
+                            _window_eigenvalues, disc_certificate, discs_disjoint, is_real,
+                            match_blocks_u0, stationary_spectrum)
 from nldlab.verdict import BLOCK_MATCH_TOL
-from oracles import block_spectrum_u0, dense_eigenvalues, dense_T, multiplier_from_samples
+from oracles import (block_spectrum_u0, dense_eigenvalues, dense_T, multiplier_from_samples,
+                     window_eigenvalues)
 
 EPS = EpsilonSequence()
 
@@ -125,12 +127,14 @@ class TestEigenvalueDispatch:
         assert np.all(np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected)))
 
     @pytest.mark.parametrize("N", [128, 256])
-    def test_verify_makes_one_eigensolve(self, N, eigvals_shapes):
-        # u0 at N and 2N is read off its blocks and u1 at 2N certified by
-        # discs, so the u1 window batch at N is the only solve
+    def test_verify_makes_no_eigensolve(self, N, eigvals_shapes):
+        # u0 at N and 2N is read off its blocks, u1 at N solved on its windows
+        # by the Schur-complement iteration and u1 at 2N certified by discs
         from nldlab.verdict import RunConfig, run_verify
         report = run_verify(RunConfig(N=N))
-        assert eigvals_shapes == [(N, 14, 14)]
+        assert eigvals_shapes == []
+        assert [row["evidence"]["kind"] for row in report.convergence["u1"]["rows"]] == [
+            "windows", "gershgorin"]
         assert [row["evidence"]["kind"] for row in report.convergence["u0"]["rows"]] == ["blocks"] * 2
 
 
@@ -742,13 +746,15 @@ class TestDiscCertificate:
         assert not disc_certificate(_u1_matrix(32, kappa=2.0), 1.01).certified
 
 
+_WINDOW_GRID = [(16, 1.25, 0.05), (16, 2.0, 0.3), (128, 1.25, 0.05), (128, 2.0, 0.3),
+                (128, 1.25, 0.3), (256, 1.25, 0.05), (256, 4.0, 0.9), (512, 1.25, 0.05)]
+
+
 class TestWindowedSpectrum:
     """The N-level T(u1) spectrum from windows inside its isolated discs, against
-    the dense eigensolve."""
+    the dense eigensolve and the LAPACK window batch it replaced."""
 
-    @pytest.mark.parametrize("N, kappa, eps0", [
-        (16, 1.25, 0.05), (16, 2.0, 0.3), (128, 1.25, 0.05), (128, 2.0, 0.3),
-        (128, 1.25, 0.3), (256, 1.25, 0.05), (256, 4.0, 0.9), (512, 1.25, 0.05)])
+    @pytest.mark.parametrize("N, kappa, eps0", _WINDOW_GRID)
     def test_windows_match_the_dense_spectrum(self, N, kappa, eps0):
         T = _u1_matrix(N, kappa, eps0)
         cert = disc_certificate(T, kappa)
@@ -763,6 +769,72 @@ class TestWindowedSpectrum:
         pairs = eigs[eigs.imag != 0.0].reshape(-1, 2)
         np.testing.assert_array_equal(pairs[:, 1], np.conj(pairs[:, 0]))
         assert classify_and_count(eigs, N=N).max_conjugate_mismatch == 0.0
+
+    @pytest.mark.parametrize("N, kappa, eps0", _WINDOW_GRID)
+    def test_iteration_matches_the_lapack_windows(self, N, kappa, eps0):
+        # the oracle solves 14 x 14 windows shifted inward at the edges, the
+        # iteration reaches 4 pairs each side, cut off at the ends
+        T = _u1_matrix(N, kappa, eps0)
+        cert = disc_certificate(T, kappa)
+        eigs, oracle = _window_eigenvalues(T, cert), window_eigenvalues(T, cert)
+        assert np.all(np.abs(eigs - oracle) <= 1e-12 * (1.0 + np.abs(oracle)))
+        # the constant is an exact eigenvector and its coupling is zero: the
+        # anchor is T[0, 0] = eps0 bit for bit
+        assert eigs[0].real == eps0 and eigs[0].imag == 0.0
+        np.testing.assert_array_equal(eigs[N + 1:2 * N + 1], np.conj(eigs[1:N + 1]))
+
+    def test_uncoupled_constant_at_zero_coupling(self):
+        # eps0 = 0: the constant's eigenvalue is 0 and every coupling of the
+        # padding is zero, which must add exactly 0 with no 0/0 (a warning is
+        # an error in this suite)
+        T = _u1_matrix(32, eps0=0.0)
+        evidence = {}
+        eigs = eigenvalues(T, disc_certificate(T, 1.25), evidence)
+        assert evidence == {"kind": "windows"} and np.count_nonzero(eigs == 0.0) == 1
+        assert np.all(np.abs(eigs - eigenvalues(T)) <= 1e-9 * (1.0 + np.abs(eigs)))
+
+    @pytest.mark.parametrize("kappa", [2.8088955232223683e306, -2.8088955232223683e306, 1e200])
+    def test_extreme_kappa_is_scaled_without_overflow(self, kappa):
+        # the largest kappa the guard admits at N = 16 puts entries near 4.5e307:
+        # the window is scaled by a power of two so that no product overflows,
+        # and the anchor stays exact
+        T = _u1_matrix(16, kappa)
+        evidence = {}
+        eigs = eigenvalues(T, disc_certificate(T, kappa), evidence)
+        assert evidence == {"kind": "windows"}
+        assert eigs[np.argmin(np.abs(eigs - 0.05))] == 0.05
+
+    def test_unsettled_iteration_falls_back_to_dense(self, monkeypatch):
+        import nldlab.spectra
+        monkeypatch.setattr(nldlab.spectra, "_MAX_ITERATIONS", 1)
+        T = _u1_matrix(128)
+        evidence = {}
+        np.testing.assert_array_equal(eigenvalues(T, disc_certificate(T, 1.25), evidence),
+                                      eigenvalues(T))
+        assert evidence == {"kind": "dense"}
+
+    def test_an_entry_outside_the_pair_form_falls_back(self):
+        # a cos x to cos 2x coupling: the off-diagonal pair blocks are no longer
+        # anti-diagonal, which the iteration's closed form assumes
+        T = _u1_matrix(16)
+        _set_entry(T, 1, 2, 1e-3)
+        cert = disc_certificate(T, 1.25)
+        assert discs_disjoint(cert.centers, cert.radii)
+        evidence = {}
+        np.testing.assert_array_equal(eigenvalues(T, cert, evidence), eigenvalues(T))
+        assert evidence == {"kind": "dense"}
+
+    def test_singular_coupled_block_falls_back(self):
+        # pair 5's block zeroed and pair 1 started at lambda = 0: the last block
+        # of pair 1's right window is singular but coupled, so the row falls back
+        N = 16
+        T = _u1_matrix(N)
+        for i, j in [(5, 5), (5, N + 5), (N + 5, 5), (N + 5, N + 5)]:
+            _set_entry(T, i, j, 0.0)
+        centers = np.arange(len(T)) + 10.0j   # disjoint discs of radius 0
+        centers[1] = 0.0
+        discs = DiscCertificate(N, centers, np.zeros(len(T)), 1.0, 1.0, True, 1)
+        assert _window_eigenvalues(T, discs) is None
 
     def test_meeting_discs_keep_the_dense_spectrum(self):
         T = _u1_matrix(128, kappa=1.01)
