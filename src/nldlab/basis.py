@@ -9,9 +9,9 @@ A state is a float array in layout order (see `BasisLayout`): a coefficient
 vector of shape (dim,), or a (seeds, dim) block with one state per row.
 Grid samples are plain (M,) or (seeds, M) arrays. The collocation transforms
 are real FFTs along the last axis (`fft_synthesis`, `fft_analysis`); the dense
-matrices S and P are built only on request, as a test oracle. Fractional
-Sobolev norms live here; differentiation is one of the mode maps in
-`operators`.
+matrices S and P are built only on request, for the tests and the benchmark
+tracer. Fractional Sobolev norms live here; differentiation is one of the mode
+maps in `operators`.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ class BasisLayout:
     def mode_orders(self) -> np.ndarray:
         """Frequency of every coefficient slot in layout order."""
         return np.concatenate([self.cos_orders, self.sin_orders])
-
-    def l2_weights(self) -> np.ndarray:
-        """Squared L2(Gamma) norms of the basis functions: 2*pi, then pi."""
-        w = np.full(self.dim, np.pi)
-        w[0] = 2.0 * np.pi
-        return w
 
     @cached_property
     def _fft_factors(self) -> tuple:
@@ -163,15 +157,11 @@ class BasisLayout:
         return np.hstack([cos_part, sin_part])
 
     def analysis_matrix(self) -> np.ndarray:
-        """P with P @ S = I exactly for band-limited input, shape (dim, M)."""
-        return self.transform_pair()[1]
-
-    def transform_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, P), with P scaled from the same S instead of a second synthesis."""
-        S = self.synthesis_matrix()
-        P = (2.0 / self.M) * S.T
+        """P with P @ S = I exactly for band-limited input, shape (dim, M): S's
+        transpose, scaled."""
+        P = (2.0 / self.M) * self.synthesis_matrix().T
         P[0] *= 0.5
-        return S, P
+        return P
 
 
 def analysis_residual(layout: BasisLayout, g: np.ndarray) -> float:

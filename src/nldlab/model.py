@@ -16,10 +16,11 @@ once per argument and no cube, as f = chi(s)*core - (1 - chi(s))*s with
 
     core = kappa*s*w(p) + eps0*s^2*((s - 1) + (s - 2) sin x):
 
-exactly -eps0 sin x at (s, p) = (1, 0) and exactly -s for |s| >= 2. The partial
-derivatives are analytic (product rule on this form); finite differences exist
-only as a test oracle. The bounded part f + Ku of F is written once, in
-`explicit_part`, which the IMEX stepper applies to a (seeds, dim) block of rows.
+exactly -eps0 sin x at (s, p) = (1, 0) and exactly -s for |s| >= 2. The
+pipeline never evaluates a partial derivative of f: the linearizations are
+written in closed form in `spectra.assemble_T`, and f_s and f_p are test
+oracles. The bounded part f + Ku of F is written once, in `explicit_part`,
+which the IMEX stepper applies to a (seeds, dim) block of rows.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import cutoffs as ct
 from .basis import BasisLayout
-from .operators import EpsilonSequence, _drift_offset, _require_supercritical, mode_map
+from .operators import EpsilonSequence, _require_supercritical, mode_map
 
-__all__ = ["ModelParams", "f", "f_s", "f_p", "explicit_part", "evaluate_F"]
+__all__ = ["ModelParams", "f", "explicit_part", "evaluate_F"]
 
 THETA_RANGE = (0.75, 1.0)
 
@@ -60,21 +61,13 @@ class ModelParams:
         if not lo < self.theta < hi:
             raise ValueError(f"theta={self.theta} outside ({lo}, {hi})")
 
-    @property
-    def d(self) -> float:
-        """Imaginary offset sqrt(kappa^2 - 1) of the Q_kappa eigenvalues."""
-        return _drift_offset(self.kappa)
 
-
-def _core(x, s, w_p, params: ModelParams, work=None, sin_x=None):
+def _core(x, s, w_p, params: ModelParams, work, sin_x=None):
     """kappa*s*w_p + eps0*s^2*((s - 1) + (s - 2) sin x), the sum of the chi-blended
     shapes omega, gamma and eta (each with its coefficient) divided by chi(s).
 
     Evaluated in that rounding order into work[0], with work[1] and work[2] as
-    scratch (allocated when not given), and sin x taken from sin_x when given."""
-    if work is None:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(w_p))
-        work = [np.empty(shape) for _ in range(3)]
+    scratch, and sin x taken from sin_x when given."""
     out, bracket, cubic = work
     np.multiply(params.kappa, s, out=out)
     out *= w_p
@@ -110,8 +103,8 @@ def f(x, s, p, params: ModelParams, work=None, sin_x=None, masks=None):
         return _core(x, s, p, params, (value, bracket, cubic), sin_x)[()]
     s = np.broadcast_to(np.asarray(s, dtype=float), shape)
     p = np.broadcast_to(np.asarray(p, dtype=float), shape)
-    chi = ct.Blend(s, out=chi, masks=masks).chi
-    w_p = ct.Blend(p, out=w_p, masks=masks).chi
+    ct.chi(s, out=chi, masks=masks)
+    ct.chi(p, out=w_p, masks=masks)
     w_p *= np.clip(p, -2.0, 2.0, out=clipped)   # w(p) = chi(p) p
     _core(x, np.clip(s, -2.0, 2.0, out=clipped), w_p, params, (value, bracket, cubic), sin_x)
     value *= chi
@@ -119,21 +112,6 @@ def f(x, s, p, params: ModelParams, work=None, sin_x=None, masks=None):
     chi *= s
     value -= chi   # chi * core - (1 - chi) * s
     return value[()]
-
-
-def f_s(x, s, p, params: ModelParams):
-    """Analytic partial derivative of f in s."""
-    blend = ct.Blend(s)
-    chi, s = blend.chi, np.clip(blend.s, -2.0, 2.0)
-    w_p = ct.Blend(p).shape("w")
-    core_s = (params.kappa * w_p
-              + params.eps.eps0 * ((3.0 * s - 2.0) * s + (3.0 * s - 4.0) * s * np.sin(x)))
-    return blend.chi_prime * (_core(x, s, w_p, params) + s) + chi * core_s - (1.0 - chi)
-
-
-def f_p(x, s, p, params: ModelParams):
-    """Analytic partial derivative of f in p."""
-    return params.kappa * ct.Blend(s).shape("omega") * ct.Blend(p).slope("w")
 
 
 def explicit_part(params: ModelParams):

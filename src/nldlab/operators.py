@@ -1,4 +1,4 @@
-"""Linear operators of the construction, as mode maps and as dense matrices.
+"""Linear operators of the construction, as sparse maps on the basis modes.
 
 Every operator is defined once, by its exact action on basis modes:
 
@@ -17,9 +17,9 @@ Every operator is defined once, by its exact action on basis modes:
 
 `mode_map` holds this table as sparse (row, col, value) maps; a map is applied
 by calling it on a coefficient vector or a (seeds, dim) block of state rows,
-run by run as slice products along the last axis, and `assemble` gives its
-dense (dim, dim) matrix. The IMEX stepper's Q diagonal and K map and the
-Q, K, D and sin x of the linearization are read from the same table.
+run by run as slice products along the last axis. The IMEX stepper's Q
+diagonal and K map and the Q, K, D and sin x of the linearization are read from
+the same table; the dense matrices of the maps are test oracles.
 
 Q and A - J d/dx are given by these closed-form diagonals rather than by
 composing matrices: the matrix composition loses the top sine mode (the
@@ -46,8 +46,6 @@ from .basis import BasisLayout
 __all__ = [
     "EpsilonSequence",
     "mode_map",
-    "assemble",
-    "l2_operator_norm",
 ]
 
 B_CONSTANT_VALUE = -2.0 * np.log(2.0)
@@ -202,33 +200,3 @@ def _scaled_kappa(kappa: float) -> tuple[float, float, int]:
     """(kappa 2^-e, 2^-e, e), 2^e >= 1 the power of two that brings |kappa| into [1, 2)."""
     e = max(math.frexp(kappa)[1] - 1, 0)
     return math.ldexp(kappa, -e), math.ldexp(1.0, -e), e
-
-
-def _drift_offset(kappa: float) -> float:
-    """sqrt(kappa^2 - 1), the imaginary offset of the Q_kappa eigenvalues, for any
-    finite kappa: from `_scaled_kappa`, exact wherever the unscaled formula does not overflow."""
-    k, one, e = _scaled_kappa(kappa)
-    return math.ldexp(math.sqrt(k * k - one * one), e)
-
-
-def assemble(layout: BasisLayout, opname: str, *, eps: EpsilonSequence | None = None,
-             kappa: float | None = None) -> np.ndarray:
-    """Dense (dim, dim) matrix whose columns are the operator applied to each
-    basis vector."""
-    op = mode_map(layout, opname, eps=eps, kappa=kappa)
-    entries = np.zeros((layout.dim, layout.dim))
-    entries[op.rows, op.cols] = op.values
-    return entries
-
-
-def l2_operator_norm(layout: BasisLayout, m: np.ndarray) -> float:
-    """Operator norm induced by the L2(Gamma) inner product.
-
-    The coefficient enumeration is orthogonal but not orthonormal in L2 (the
-    constant has squared norm 2*pi, every other mode pi), so the L2 operator
-    norm is the 2-norm of W^(1/2) M W^(-1/2). The plain matrix 2-norm of the
-    raw entries is a different metric; it is the right one for K (where it
-    equals eps0 exactly) but overshoots for multiplication operators.
-    """
-    root_w = np.sqrt(layout.l2_weights())
-    return float(np.linalg.norm(root_w[:, None] * m / root_w[None, :], 2))

@@ -8,8 +8,8 @@ coefficients because the grid analysis of degree-one trigonometric data is
 exact.
 
 One march steps a (seeds, dim) block of states, one contiguous row each, through
-the layout's FFT transforms: `step_imex` and `integrate` are its one-row case,
-and the multi-seed empirical dissipativity probe marches all seeds at once.
+the layout's FFT transforms: `integrate` is its one-row case, and the
+multi-seed empirical dissipativity probe marches all seeds at once.
 Also here: stationary residuals in the theta-norm and the closed-form
 absorbing radius C*M*Gamma(1-theta)*delta^(theta-1) with its quadrature
 cross-check contract.
@@ -31,7 +31,6 @@ from .spectra import stationary_state
 __all__ = [
     "Trajectory",
     "DissipativityReport",
-    "step_imex",
     "integrate",
     "stationary_residual",
     "absorbing_radius",
@@ -52,13 +51,6 @@ class Trajectory:
     times: np.ndarray
     states: list
     theta_norm_history: np.ndarray
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def tail_max_norm(self, t_from: float) -> float:
-        mask = self.times >= t_from
-        return float(np.max(self.theta_norm_history[mask]))
 
 
 @dataclass(frozen=True)
@@ -116,15 +108,6 @@ def _march(C: np.ndarray, params: ModelParams, n_steps: int, record_every: int):
             yield k, rows, C
             if not rows.size:
                 return
-
-
-def step_imex(u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """One first-order IMEX step u+ = (I - dt Q)^(-1) (u + dt (f-term + Ku)),
-    dt = params.dt."""
-    c_new = _imex_step(params)(u[None])[0]
-    if not np.all(np.isfinite(c_new)):
-        raise RuntimeError("non-finite state after one step; reduce dt")
-    return c_new
 
 
 def cfl_number(params: ModelParams) -> float:
@@ -187,12 +170,19 @@ def stationary_residual(u: np.ndarray, params: ModelParams) -> float:
 
 def absorbing_radius(C: float, M: float, delta: float, theta: float) -> float:
     """Closed form C*M*Gamma(1-theta)*delta^(theta-1) of the absorbing-ball
-    radius C*M*integral_0^inf exp(-delta*s) s^(-theta) ds."""
-    if C <= 0 or M <= 0 or delta <= 0:
-        raise ValueError("C, M, delta must be positive")
+    radius C*M*integral_0^inf exp(-delta*s) s^(-theta) ds; ValueError unless C, M,
+    delta and the radius are finite and positive (an infinite one admits every seed)."""
+    if not all(0.0 < v < math.inf for v in (C, M, delta)):
+        raise ValueError(f"C, M, delta must be finite and positive, got {C}, {M}, {delta}")
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"theta must lie in [0, 1), the integral diverges at {theta}")
-    return float(C * M * math.gamma(1.0 - theta) * delta ** (theta - 1.0))
+    try:
+        radius = float(C * M * math.gamma(1.0 - theta) * delta ** (theta - 1.0))
+    except OverflowError:
+        radius = math.inf
+    if not math.isfinite(radius):
+        raise ValueError(f"absorbing radius overflows at C = {C}, M = {M}, delta = {delta}")
+    return radius
 
 
 def nonlinearity_l2_bound(params: ModelParams) -> float:

@@ -55,8 +55,7 @@ import numpy as np
 
 from .basis import BasisLayout
 from .model import ModelParams
-from .operators import (EpsilonSequence, _drift_offset, _gamma, _require_supercritical,
-                        _scaled_kappa, mode_map)
+from .operators import EpsilonSequence, _gamma, _require_supercritical, _scaled_kappa, mode_map
 
 __all__ = [
     "SpectrumReport",
@@ -75,7 +74,6 @@ __all__ = [
     "disc_certificate",
     "discs_disjoint",
     "match_blocks_u0",
-    "qkappa_spectrum",
     "classify_and_count",
     "convergence_study",
     "eps0_threshold_scan",
@@ -133,19 +131,15 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Spectral-gap diagnostics for the eigenvalues 1+n^2 of A.
-
-    lambda_seq is the multiplicity-ordered sequence (1, 2, 2, 5, 5, ...);
-    ratios are the sparseness quotients (l_{j+1}-l_j)/(l_{j+1}^theta+l_j^theta)
-    over consecutive entries (zero at repeats). The jump_* arrays view the same
-    data per distinct order n: jump_gap[n] = 2n+1 is the raw gap, whose
-    running max witnesses the unbounded-gap trend independently of theta.
+    """Spectral-gap diagnostics for the eigenvalues 1+n^2 of A, per distinct
+    order n: jump_lambda[n] = 1+n^2, jump_gap[n] = 2n+1 is the raw gap to the
+    next eigenvalue, whose running max witnesses the unbounded-gap trend
+    independently of theta, and jump_ratio[n] is the sparseness quotient
+    (l_{n+1}-l_n)/(l_{n+1}^theta+l_n^theta).
     """
 
     theta: float
     n_max: int
-    lambda_seq: np.ndarray
-    ratios: np.ndarray
     jump_n: np.ndarray
     jump_lambda: np.ndarray
     jump_gap: np.ndarray
@@ -570,15 +564,6 @@ def match_blocks_u0(eigs: np.ndarray, eps: EpsilonSequence, N: int):
     return dist, block_index
 
 
-def qkappa_spectrum(n: int, kappa: float) -> tuple[complex, complex]:
-    """Closed-form eigenvalues -n^2 +- i*n*d of Q_kappa on {cos nx, sin nx}."""
-    if n < 1:
-        raise ValueError("Y_n blocks exist for n >= 1")
-    _require_supercritical(kappa)
-    d = _drift_offset(kappa)
-    return complex(-n * n, n * d), complex(-n * n, -n * d)
-
-
 def classify_and_count(eigs: np.ndarray, tol_im: float = TOL_IM_DEFAULT,
                        tol_re: float = TOL_RE_DEFAULT, *, N: int,
                        point_label: str = "custom") -> SpectrumReport:
@@ -810,17 +795,12 @@ def gap_check(theta: float, n_max: int) -> GapReport:
         raise ValueError("n_max must be >= 10")
     n = np.arange(n_max + 1, dtype=float)
     lam = 1.0 + n * n
-    lambda_seq = np.concatenate([[lam[0]], np.repeat(lam[1:], 2)])
     powers = lam**theta
     jump_gap = lam[1:] - lam[:-1]
     jump_ratio = jump_gap / (powers[1:] + powers[:-1])
-    ratios = np.zeros(len(lambda_seq) - 1)
-    ratios[::2] = jump_ratio
     return GapReport(
         theta=theta,
         n_max=n_max,
-        lambda_seq=lambda_seq,
-        ratios=ratios,
         jump_n=np.arange(n_max),
         jump_lambda=lam[:-1],
         jump_gap=jump_gap,

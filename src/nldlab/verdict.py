@@ -48,6 +48,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import time
 import zlib
@@ -106,7 +107,11 @@ class RunConfig:
     outdir: str = "out"
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        """seeds must be integers, as in a config file: TypeError for a bool or a
+        float, which int() would truncate."""
+        if any(isinstance(s, bool) for s in self.seeds):
+            raise TypeError(f"seeds must be integers, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(operator.index(s) for s in self.seeds))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -1,25 +1,136 @@
-"""Dense oracles for the banded linearization: the Toeplitz-plus-Hankel
-multiplier P diag(g) S from the FFT moments of its samples, and T(u) assembled
-as a full (dim, dim) matrix in layout order from the samples of the model's
-f_s and f_p, every entry kept, against which the closed-form band is checked.
-The closed-form eigenvalues of the 2x2 blocks of T(u0), one block at a time, and
-the spectrum of a dense matrix in the order `spectra.eigenvalues` returns. The
-report writers formatting one eigenvalue at a time, from numpy scalars, and
-the IMEX step as written before the march's buffers: f blended through two
-`Blend`s with sin x taken on every call, the spectra packed through
+"""Oracles: what the tests read and the pipeline does not run. The cutoff
+shapes and their slopes, f_s and f_p, the drift offset and the Q_kappa spectrum,
+the dense matrix of a mode map and the L2(Gamma) operator norm. Dense oracles
+for the banded linearization: the Toeplitz-plus-Hankel multiplier P diag(g) S
+from the FFT moments of its samples, and T(u) as a full (dim, dim) matrix in
+layout order from the samples of f_s and f_p, every entry kept. The closed-form
+eigenvalues of the 2x2 blocks of T(u0), one block at a time, and the spectrum of
+a dense matrix in the order `spectra.eigenvalues` returns. The report writers
+formatting one eigenvalue at a time, and the IMEX step as written before the
+march's buffers: sin x taken on every call, the spectra packed through
 temporaries, and KC built from zeros and added to the analysis. The seeded
-states numpy's generator drew before `random_state` moved to the stdlib, the
-L2 bound of f scanned as one grid, before the scan went by chunks, and the
-N-level T(u1) spectrum from windows solved as one LAPACK batch, before the
-Schur-complement iteration."""
+states numpy's generator drew before `random_state` moved to the stdlib, the L2
+bound of f scanned as one grid, and the N-level T(u1) spectrum from windows
+solved as one LAPACK batch, before the Schur-complement iteration."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from nldlab import f, f_p, f_s, mode_map, theta_norm
-from nldlab.cutoffs import Blend
+from nldlab import f, mode_map, theta_norm
+from nldlab.cutoffs import chi
+from nldlab.operators import _require_supercritical, _scaled_kappa
 from nldlab.spectra import discs_disjoint
 from nldlab.verdict import write_csv
+
+
+def psi(t):
+    """exp(-1/t) for t > 0, else 0: the flat-at-zero seed of chi's bump quotient."""
+    return np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)[()]
+
+
+def psi_prime(t):
+    """psi'(t) = psi(t) / t^2 for t > 0, else 0."""
+    return psi(t) / np.where(t > 0, t * t, 1.0)
+
+
+def chi_prime(z):
+    """chi' by the quotient rule on the band 1 < |z| < 2, else 0."""
+    z = np.asarray(z, dtype=float)
+    out, band = np.zeros_like(z), (np.abs(z) > 1.0) & (np.abs(z) < 2.0)
+    a = np.abs(z[band])
+    up, down = psi(2.0 - a), psi(a - 1.0)
+    num = -psi_prime(2.0 - a) * down - up * psi_prime(a - 1.0)
+    out[band] = np.sign(z[band]) * (num / (up + down) ** 2)
+    return out[()]
+
+
+# omega = chi s, gamma = chi (2s^3 - 3s^2), eta = chi (2s^2 - s^3), w = omega, mu = -(1 - chi) s;
+# slopes by the product rule. Cores are read at s clipped to [-4, 4]: chi, chi' vanish for |s| >= 2
+# and the cores' roots lie in [-2, 2], so no bit changes (signed zeros too) and nothing overflows.
+def omega(s):
+    return chi(s) * np.clip(s, -4.0, 4.0)
+
+
+def omega_prime(s):
+    return chi_prime(s) * np.clip(s, -4.0, 4.0) + chi(s)
+
+
+def gamma(s):
+    c = np.clip(s, -4.0, 4.0)
+    return chi(s) * (2.0 * c**3 - 3.0 * c**2)
+
+
+def gamma_prime(s):
+    c = np.clip(s, -4.0, 4.0)
+    return chi_prime(s) * (2.0 * c**3 - 3.0 * c**2) + chi(s) * (6.0 * c**2 - 6.0 * c)
+
+
+def eta(s):
+    c = np.clip(s, -4.0, 4.0)
+    return chi(s) * (2.0 * c**2 - c**3)
+
+
+def eta_prime(s):
+    c = np.clip(s, -4.0, 4.0)
+    return chi_prime(s) * (2.0 * c**2 - c**3) + chi(s) * (4.0 * c - 3.0 * c**2)
+
+
+def mu(s):
+    return -(1.0 - chi(s)) * np.asarray(s, dtype=float)
+
+
+def mu_prime(s):
+    return omega_prime(s) - 1.0
+
+
+w, w_prime = omega, omega_prime
+
+
+def f_s(x, s, p, params):
+    """f_s by the product rule on f = chi(s) core - (1 - chi(s)) s, core at s clipped as in f."""
+    chi_s, c, w_p, eps0 = chi(s), np.clip(s, -2.0, 2.0), w(p), params.eps.eps0
+    core = params.kappa * c * w_p + c * c * eps0 * ((c - 1.0) + (c - 2.0) * np.sin(x))
+    core_s = params.kappa * w_p + eps0 * ((3.0 * c - 2.0) * c + (3.0 * c - 4.0) * c * np.sin(x))
+    return chi_prime(s) * (core + c) + chi_s * core_s - (1.0 - chi_s)
+
+
+def f_p(x, s, p, params):
+    """Partial derivative of f in p."""
+    return params.kappa * omega(s) * w_prime(p)
+
+
+def drift_offset(kappa):
+    """sqrt(kappa^2 - 1) from kappa scaled by a power of two, so it never overflows."""
+    k, one, e = _scaled_kappa(kappa)
+    return np.ldexp(np.sqrt(k * k - one * one), e)
+
+
+def qkappa_spectrum(n, kappa):
+    """Closed-form eigenvalues -n^2 +- i*n*d of Q_kappa on {cos nx, sin nx}."""
+    if n < 1:
+        raise ValueError("Y_n blocks exist for n >= 1")
+    _require_supercritical(kappa)
+    d = drift_offset(kappa)
+    return complex(-n * n, n * d), complex(-n * n, -n * d)
+
+
+def assemble(layout, name, *, eps=None, kappa=None):
+    """Dense (dim, dim) matrix of the mode map name: column i is its image of basis vector i."""
+    op = mode_map(layout, name, eps=eps, kappa=kappa)
+    entries = np.zeros((layout.dim, layout.dim))
+    entries[op.rows, op.cols] = op.values
+    return entries
+
+
+def l2_weights(layout):
+    """Squared L2(Gamma) norms of the basis functions: 2*pi, then pi."""
+    return np.r_[2.0 * np.pi, np.full(layout.dim - 1, np.pi)]
+
+
+def l2_operator_norm(layout, m):
+    """Operator norm of m in L2(Gamma): the 2-norm of W^(1/2) m W^(-1/2), W = l2_weights."""
+    root_w = np.sqrt(l2_weights(layout))
+    return float(np.linalg.norm(root_w[:, None] * m / root_w[None, :], 2))
 
 
 def block_spectrum_u0(n, eps):
@@ -85,9 +196,7 @@ def dense_T(u, params):
     us, uxs = lay.fft_synthesis_with_derivative(u[None])
     fs = np.broadcast_to(f_s(lay.grid, us, uxs, params), (lay.M,))
     fp = np.broadcast_to(f_p(lay.grid, us, uxs, params), (lay.M,))
-    entries = np.zeros((lay.dim, lay.dim))
-    for op in (mode_map(lay, "Q"), mode_map(lay, "K", eps=params.eps)):
-        entries[op.rows, op.cols] += op.values
+    entries = assemble(lay, "Q") + assemble(lay, "K", eps=params.eps)
     if np.any(fs):
         entries += multiplier_from_samples(lay, fs)
     if np.any(fp):
@@ -140,13 +249,13 @@ def spectrum_svg_circles(rep0, rep1):
 
 
 def blended_f(x, s, p, params):
-    """f = chi(s) core - (1 - chi(s)) s with w(p) = chi(p) p, every chi read off a
-    Blend and the core at s clipped to [-2, 2], in f's rounding order."""
-    chi = Blend(s).chi
-    w_p = Blend(p).chi * p
+    """f = chi(s) core - (1 - chi(s)) s with w(p) = chi(p) p and the core at s
+    clipped to [-2, 2], in f's rounding order."""
+    chi_s = chi(s)
+    w_p = chi(p) * p
     c = np.clip(s, -2.0, 2.0)
     core = params.kappa * c * w_p + c * c * params.eps.eps0 * ((c - 1.0) + (c - 2.0) * np.sin(x))
-    return core * chi - (1.0 - chi) * s
+    return core * chi_s - (1.0 - chi_s) * s
 
 
 def blended_step(params):

@@ -12,15 +12,13 @@ from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
 from nldlab.basis import random_state, theta_norm
-from nldlab.model import f, f_p, f_s
-from nldlab.operators import assemble
+from nldlab.model import f
 from nldlab.semiflow import (absorbing_radius, dissipativity_probe, integrate,
                              instability_growth_rate, stationary_residual)
 from nldlab.spectra import (assemble_T, classify_and_count, eigenvalues,
-                            gap_check, match_blocks_u0, qkappa_spectrum,
-                            stationary_state)
+                            gap_check, match_blocks_u0, stationary_state)
 from nldlab.verdict import OBSTRUCTED, RunConfig, run_verify
-from oracles import dense_eigenvalues
+from oracles import assemble, dense_eigenvalues, f_p, f_s, qkappa_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +127,7 @@ def test_criterion_06_stationarity_and_integrator_drift(defaults):
     assert stationary_residual(u0, defaults) <= 1e-10
     assert stationary_residual(u1, defaults) <= 1e-10
     for u in (u0, u1):
-        final = integrate(u, defaults, T=1e4 * defaults.dt).final_state()
+        final = integrate(u, defaults, T=1e4 * defaults.dt).states[-1]
         drift = theta_norm(layout, final - u, defaults.theta)
         assert drift <= 1e-9
 

@@ -447,6 +447,23 @@ class TestProbeCommand:
         assert "T_final must be positive" in captured.err and "entered" not in captured.out
         assert not (tmp_path / "out" / "dissipativity.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--C", "inf"], "must be finite and positive"),
+        (["--C", "nan"], "must be finite and positive"),
+        (["--delta", "nan"], "must be finite and positive"),
+        (["--delta", "inf"], "must be finite and positive"),
+        (["--C", "1e308"], "absorbing radius overflows"),
+    ], ids=["C-inf", "C-nan", "delta-nan", "delta-inf", "C-overflow"])
+    def test_radius_constants_must_give_a_finite_radius(self, make_config, tmp_path, capsys,
+                                                        flags, message):
+        # an infinite radius admits every seed (a vacuous pass) and a NaN one none;
+        # each is a usage error, raised before any seed is marched
+        rc = main(["--config", make_config(), "probe-dissipativity", "--t-final", "0.2", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "entered" not in captured.out
+        assert not (tmp_path / "out" / "dissipativity.json").exists()
+
     def test_fewer_than_three_seeds_is_error(self, make_config, capsys):
         cfg = make_config(seeds=[0, 1])
         rc = main(["--config", cfg, "probe-dissipativity", "--t-final", "0.01"])

@@ -3,23 +3,9 @@
 import numpy as np
 import pytest
 
-from nldlab.cutoffs import (
-    chi,
-    chi_prime,
-    eta,
-    eta_prime,
-    gamma,
-    gamma_prime,
-    mu,
-    mu_prime,
-    omega,
-    omega_prime,
-    psi,
-    psi_prime,
-    sup_abs_w,
-    w,
-    w_prime,
-)
+from nldlab.cutoffs import chi, sup_abs_w
+from oracles import (chi_prime, eta, eta_prime, gamma, gamma_prime, mu, mu_prime, omega,
+                     omega_prime, psi, psi_prime, w, w_prime)
 
 
 def central_diff(fn, s, h=1e-5):

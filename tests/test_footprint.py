@@ -1,8 +1,9 @@
 """What a fresh process pays for nldlab: the modules it loads, the pages its
 march faults and the memory verify holds. Each check runs in its own
 interpreter, so that nothing the test session imported (scipy among it) hides
-the cost."""
+the cost. And what the package holds: no definition that only the tests read."""
 
+import ast
 import json
 import os
 import subprocess
@@ -12,6 +13,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
+# Unreferenced but kept: the run trace's integrator health is to report it (ROADMAP item 7).
+UNREFERENCED_ALLOWED = {"analysis_residual"}
 
 
 def run_fresh(code: str) -> dict:
@@ -119,3 +123,26 @@ print(json.dumps({"verdict": report.verdict,
 """)
     assert result["verdict"] == "OBSTRUCTED"
     assert result["peak_mb"] <= 60.0
+
+
+def test_every_package_definition_is_referenced():
+    # a function, class or method of src/nldlab that no Name or Attribute in
+    # src/nldlab or bench/ names, and no string constant in bench/ (the tracer
+    # names methods by string), is read only by the tests: it belongs in
+    # tests/oracles.py. Names are matched; calls are not followed.
+    defined, used = {}, set()
+    for path in sorted((SRC / "nldlab").glob("*.py")) + sorted(BENCH.glob("*.py")):
+        in_bench = path.parent == BENCH
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not (in_bench or dunder):
+                    defined.setdefault(node.name, path.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif in_bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unreferenced = {name: where for name, where in defined.items() if name not in used}
+    assert set(unreferenced) == UNREFERENCED_ALLOWED, unreferenced
