@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
     print(f"spectrum u0: {len(report.spectrum_u0.eigenvalues)} eigenvalues, "
           f"block match distance "
           f"{report.e_membership['u0']['block_match_distance']:.3e}")
-    print(f"spectrum u1: in-band reals {list(report.spectrum_u1.real_eigs_in_band)}")
+    print(f"spectrum u1: in-band reals {report.spectrum_u1.real_eigs_in_band.tolist()}")
     print(f"e-membership: u0={report.e_membership['u0']['ok']} "
           f"u1={report.e_membership['u1']['ok']}")
     print(f"l(u0)={report.l_values[0]} l(u1)={report.l_values[1]} "

@@ -145,8 +145,8 @@ def explicit_part(params: ModelParams):
 
 
 def evaluate_F(u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """F(u) = u + J u_x + f(x, u, u_x) + K u for the coefficient vector u,
-    evaluated pseudospectrally."""
+    """F(u) = u + J u_x + f(x, u, u_x) + K u for the coefficient vector u, or for each
+    row of a (k, dim) block, evaluated pseudospectrally."""
     lay = params.layout
-    ux = mode_map(lay, "D")(u)
-    return u + mode_map(lay, "J")(ux) + explicit_part(params)(u[None])[0]
+    bounded = explicit_part(params)(u.reshape(-1, lay.dim)).reshape(u.shape)
+    return u + mode_map(lay, "J")(mode_map(lay, "D")(u)) + bounded

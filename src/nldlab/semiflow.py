@@ -162,8 +162,9 @@ def integrate(u0: np.ndarray, params: ModelParams, T: float | None = None,
     return Trajectory(params, np.array(times), states, np.array(norms))
 
 
-def stationary_residual(u: np.ndarray, params: ModelParams) -> float:
-    """theta-norm of -Au + F(u), the stationarity defect of u."""
+def stationary_residual(u: np.ndarray, params: ModelParams):
+    """theta-norm of -Au + F(u), the stationarity defect of u: a float for a coefficient
+    vector, one per row for a (k, dim) block."""
     residual = evaluate_F(u, params) - mode_map(params.layout, "A")(u)
     return theta_norm(params.layout, residual, params.theta)
 

@@ -45,6 +45,7 @@ verdict.json holds each spectrum CSV's CRC-32 (`csv_crc32`), not its eigenvalues
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -261,8 +262,7 @@ def run_verify(config: RunConfig) -> VerdictReport:
 
     u0 = stationary_state("u0", layout)
     u1 = stationary_state("u1", layout)
-    res0 = stationary_residual(u0, params)
-    res1 = stationary_residual(u1, params)
+    res0, res1 = stationary_residual(np.stack((u0, u1)), params).tolist()
     stationarity = {
         "residual_u0": res0,
         "residual_u1": res1,
@@ -354,14 +354,31 @@ def run_verify(config: RunConfig) -> VerdictReport:
     )
 
 
+def _in_place(path: str, flags: int) -> int:
+    """`open`'s opener for a report: the flags without O_TRUNC, so a rewrite goes over
+    the old bytes (on ext4 mounted with discard, cutting a file to zero before writing
+    it anew took several times as long)."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def _report_file(path: str):
+    """A report opened for writing in place and cut, once written, to its new length.
+    A crash mid-write leaves a partial file, as a truncating open would (here the new
+    head on the old tail)."""
+    with open(path, "w", newline="", encoding="utf-8", opener=_in_place) as fh:
+        yield fh
+        fh.truncate()
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _report_file(path) as fh:
         fh.write(text)
 
 
 def write_csv(path: str, header: list, rows) -> None:
     """One report table: the header row, then the rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _report_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -386,11 +403,37 @@ def write_json(path: str, payload: dict) -> None:
     _write_text(path, text + "\n")
 
 
+def _table(rows_format: str, columns: list) -> str:
+    """The rows of a table in one `%`: rows_format, every row's format in turn, over the
+    columns' cells taken row by row."""
+    cells = [None] * sum(map(len, columns))
+    for j, column in enumerate(columns):
+        cells[j::len(columns)] = column
+    return rows_format % tuple(cells)
+
+
+_SPECTRUM_ROWS = ("%s,%s,%s,%s\r\n", "%s,-%s,%s,%s\r\n")
+
+
 def _spectrum_csv_text(rep: SpectrumReport, block_index: np.ndarray | None = None) -> str:
-    z, real = rep.eigenvalues, np.where(rep.real_in_band_mask(), "true", "false")
-    return "re,im,is_real,block_index\r\n" + "".join(map("%r,%r,%s,%s\r\n".__mod__, zip(
-        z.real.tolist(), z.imag.tolist(), real.tolist(),
-        [""] * len(z) if block_index is None else block_index.tolist())))
+    """Columns re, im (each the float's repr), is_real, block_index. Sorted by
+    (Re desc, Im desc), a conjugate pair is two adjacent rows; where row k has Im > 0 and
+    row k + 1 is its conjugate bit for bit, Re and Im are formatted once for both and the
+    second row writes Im as "-" + repr(Im_k), which is repr(-Im_k)."""
+    z = rep.eigenvalues
+    re, im = z.real, z.imag
+    second = np.zeros(len(z), dtype=bool)
+    second[1:] = ((im[:-1] > 0.0) & (im[1:] == -im[:-1])
+                  & (re.view(np.int64)[1:] == re.view(np.int64)[:-1]))
+    first = ~second
+    source = (np.cumsum(first) - 1).tolist()   # index of each row's formatted Re and Im
+    re_text = list(map(repr, re[first].tolist()))
+    im_text = list(map(repr, im[first].tolist()))
+    return "re,im,is_real,block_index\r\n" + _table(
+        "".join(map(_SPECTRUM_ROWS.__getitem__, second.tolist())),
+        [list(map(re_text.__getitem__, source)), list(map(im_text.__getitem__, source)),
+         list(map(("false", "true").__getitem__, rep.real_in_band_mask().tolist())),
+         [""] * len(z) if block_index is None else block_index.tolist()])
 
 
 def write_spectrum_csv(path: str, rep: SpectrumReport, block_index: np.ndarray | None = None):
@@ -400,8 +443,9 @@ def write_spectrum_csv(path: str, rep: SpectrumReport, block_index: np.ndarray |
 
 def write_gap_csv(path: str, gap: GapReport):
     """gap.csv: columns n, lambda_n, ratio."""
-    _write_text(path, "n,lambda_n,ratio\r\n" + "".join(map("%d,%r,%r\r\n".__mod__, zip(
-        gap.jump_n.tolist(), gap.jump_lambda.tolist(), gap.jump_ratio.tolist()))))
+    _write_text(path, "n,lambda_n,ratio\r\n" + _table(
+        "%d,%r,%r\r\n" * len(gap.jump_n),
+        [gap.jump_n.tolist(), gap.jump_lambda.tolist(), gap.jump_ratio.tolist()]))
 
 
 def _symlog(x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ from the FFT moments of its samples, and T(u) as a full (dim, dim) matrix in
 layout order from the samples of f_s and f_p, every entry kept. The closed-form
 eigenvalues of the 2x2 blocks of T(u0), one block at a time, and the spectrum of
 a dense matrix in the order `spectra.eigenvalues` returns. The report writers
-formatting one eigenvalue at a time, and the IMEX step as written before the
+formatting one eigenvalue at a time, with the spectrum CSV text as built before
+each conjugate pair was formatted once. The IMEX step as written before the
 march's buffers: sin x taken on every call, the spectra packed through
 temporaries, and KC built from zeros and added to the analysis. The seeded
 states numpy's generator drew before `random_state` moved to the stdlib, the L2
@@ -205,6 +206,14 @@ def dense_T(u, params):
             fp_mult[:, rows] *= values
             entries[:, cols] += fp_mult[:, rows]
     return entries
+
+
+def spectrum_csv_text(rep, block_index=None):
+    """spectrum_*.csv's text, every row formatted on its own by one `%r` per float."""
+    z, real = rep.eigenvalues, np.where(rep.real_in_band_mask(), "true", "false")
+    return "re,im,is_real,block_index\r\n" + "".join(map("%r,%r,%s,%s\r\n".__mod__, zip(
+        z.real.tolist(), z.imag.tolist(), real.tolist(),
+        [""] * len(z) if block_index is None else block_index.tolist())))
 
 
 def write_spectrum_csv(path, rep, block_index=None):

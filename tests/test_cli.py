@@ -480,6 +480,7 @@ class TestVerifyCommand:
         assert "l(u0)=0 l(u1)=1 parity=1" in out
         assert "e-membership: u0=True u1=True" in out
         assert "failed stage" not in out
+        assert "spectrum u1: in-band reals [0.05]" in out.splitlines()
         with open(tmp_path / "out" / "verdict.json", encoding="utf-8") as fh:
             assert json.load(fh)["verdict"] == "OBSTRUCTED"
 

@@ -174,6 +174,21 @@ class TestStationaryResidual:
         res = stationary_residual(cos_mode(params32.layout, 2), params32)
         assert res > 0.1
 
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("kappa", [1.01, 4.0])
+    @pytest.mark.parametrize("eps0", [0.0, 0.9])
+    def test_block_rows_equal_the_row_calls(self, N, kappa, eps0):
+        # u0 and u1 sit on f's plateau; the random state leaves it, so the block takes
+        # the cutoff path that the two stationary states alone never do
+        layout = BasisLayout(N)
+        params = ModelParams(layout, kappa=kappa, eps=EpsilonSequence(eps0, 0.5))
+        rows = [np.zeros(layout.dim), cos_mode(layout, 0)]
+        for block in (np.stack(rows), np.stack(rows + [random_state(layout, 7, 0.875, 10.0)])):
+            residuals = stationary_residual(block, params)
+            assert residuals.shape == (len(block),)
+            assert ([float.hex(r) for r in residuals.tolist()]
+                    == [float.hex(stationary_residual(u, params)) for u in block])
+
 
 class TestAbsorbingRadius:
     def test_half_theta_reference_value(self):

@@ -8,6 +8,8 @@ the parity to the opposite verdict.
 import dataclasses
 import json
 import math
+import os
+import stat
 import warnings
 import zlib
 
@@ -29,10 +31,32 @@ from nldlab import (
     run_verify,
 )
 from nldlab.spectra import gap_check
-from nldlab.verdict import write_gap_csv, write_json
+from nldlab.verdict import _spectrum_csv_text, _write_text, write_csv, write_gap_csv, write_json
 import oracles
 
 CFG32 = RunConfig(N=32)
+INF, NAN = math.inf, math.nan
+# Spectra verify does not produce, in the order written: conjugates at one Re,
+# signed zeros in either part, infinities, NaNs, and conjugates that are split,
+# reversed or one ulp apart, each of which must be formatted on its own.
+EDGE_SPECTRA = {
+    "repeated-re": [1 + 2j, 1 - 2j, 1 + 1j, 1 - 1j, 1 + 0j, complex(1, -0.0), 1 - 1j],
+    "signed-zeros": [complex(0.0, 1), complex(-0.0, -1), complex(-0.0, 1), complex(0.0, -1),
+                     complex(-0.0, 1), complex(-0.0, -1), complex(2, 0.0), complex(2, -0.0),
+                     complex(-0.0, 0.0), complex(0.0, -0.0)],
+    "infinities": [complex(INF, 1), complex(INF, -1), complex(1, INF), complex(1, -INF),
+                   complex(-INF, INF), complex(-INF, -INF), complex(INF, 0.0),
+                   complex(-INF, -0.0)],
+    "nans": [complex(NAN, 1), complex(NAN, -1), complex(1, NAN), complex(1, NAN),
+             complex(NAN, NAN), complex(2, 1), complex(NAN, -1)],
+    "split-pair": [2 + 1j, 3 + 0j, 2 - 1j, 2 + 1j],
+    "reversed-pair": [2 - 1j, 2 + 1j],
+    "ulp-apart": [complex(1, 1), complex(1, -math.nextafter(1, 2)),
+                  complex(1, 1), complex(math.nextafter(1, 2), -1)],
+    "empty": [],
+    "one-row": [complex(0.5, 0.25)],
+}
+PARTS = [0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, 1e300, INF, -INF, NAN]
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +446,36 @@ class TestEmission:
             circles = [line for line in fh.read().split("\n") if ' r="3" ' in line]
         assert circles == oracles.spectrum_svg_circles(rep.spectrum_u0, rep.spectrum_u1)
 
+    @pytest.mark.parametrize("overrides", [{}, {"eps0": 0.0}, {"kappa": 1.01}],
+                             ids=["defaults", "eps0-zero", "dense"])
+    def test_csv_texts_match_the_per_row_oracle(self, overrides):
+        rep = run_verify(RunConfig(**overrides))
+        kinds = {row["evidence"]["kind"] for row in rep.convergence["u1"]["rows"]}
+        assert ("dense" in kinds) == ("kappa" in overrides)
+        # with eps0 = 0 every u0 block is real: Im = +-0.0 rows, which pair with nothing
+        assert np.any(rep.spectrum_u0.eigenvalues.imag == 0.0) == ("eps0" in overrides)
+        assert rep.spectrum_csv_texts() == (
+            oracles.spectrum_csv_text(rep.spectrum_u0, rep.block_index_u0),
+            oracles.spectrum_csv_text(rep.spectrum_u1))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_SPECTRA))
+    def test_csv_text_of_edge_spectra_matches_the_oracle(self, report32, name):
+        z = np.array(EDGE_SPECTRA[name], dtype=complex)
+        rep = dataclasses.replace(report32.spectrum_u1, eigenvalues=z)
+        blocks = np.arange(len(z))
+        assert _spectrum_csv_text(rep) == oracles.spectrum_csv_text(rep)
+        assert _spectrum_csv_text(rep, blocks) == oracles.spectrum_csv_text(rep, blocks)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(PARTS), st.sampled_from(PARTS), st.booleans()),
+                    max_size=12))
+    def test_csv_text_of_drawn_spectra_matches_the_oracle(self, report32, rows):
+        # each drawn value is followed by its exact conjugate when its flag is set
+        z = np.array([w for re, im, paired in rows
+                      for w in [complex(re, im)] + [complex(re, -im)] * paired], dtype=complex)
+        rep = dataclasses.replace(report32.spectrum_u1, eigenvalues=z)
+        assert _spectrum_csv_text(rep) == oracles.spectrum_csv_text(rep)
+
     def test_verdict_json_holds_the_crc32_of_each_csv(self, report32, tmp_path):
         paths = emit_reports(report32, str(tmp_path / "out"))
         with open(paths["verdict"], encoding="utf-8") as fh:
@@ -521,6 +575,23 @@ class TestEmission:
         with pytest.raises(OSError, match="failed writing"):
             emit_reports(report32, str(out))
 
+    @pytest.mark.parametrize("name", ["spectrum_u0.csv", "spectrum_u1.csv", "spectrum.svg",
+                                      "gap.csv"])
+    def test_a_directory_at_any_other_report_path_is_wrapped(self, report32, tmp_path, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        with pytest.raises(OSError, match="failed writing") as info:
+            emit_reports(report32, str(out))
+        assert isinstance(info.value.__cause__, IsADirectoryError)
+
+    def test_emission_over_larger_reports_matches_a_fresh_one(self, report32, tmp_path):
+        emit_reports(run_verify(RunConfig(N=64)), str(tmp_path / "over"))
+        over = emit_reports(report32, str(tmp_path / "over"))
+        fresh = emit_reports(report32, str(tmp_path / "fresh"))
+        for key in fresh:
+            with open(over[key], "rb") as a, open(fresh[key], "rb") as b:
+                assert a.read() == b.read(), key
+
     def test_reports_equal_ignores_timestamp_only(self, report32):
         d1 = report32.to_dict()
         d2 = dict(d1)
@@ -529,6 +600,60 @@ class TestEmission:
         d3 = dict(d1)
         d3["parity"] = 0
         assert not reports_equal(d1, d3)
+
+
+class TestInPlaceWriter:
+    """Reports are written over the old bytes and cut to the new length."""
+
+    def test_rewriting_a_longer_file_leaves_no_tail(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"x" * 5000)
+        _write_text(str(path), "a,b\r\n")
+        assert path.read_bytes() == b"a,b\r\n"
+        path.write_bytes(b"x" * 5000)
+        write_csv(str(path), ["a", "b"], [[1, 0.5]])
+        assert path.read_bytes() == b"a,b\r\n1,0.5\r\n"
+
+    def test_rewriting_a_shorter_file_and_writing_a_new_one_give_the_exact_bytes(self, tmp_path):
+        text = "re,im\r\n" + "0.1,-0.2\r\n" * 1000
+        shorter, new = tmp_path / "shorter.csv", tmp_path / "new.csv"
+        shorter.write_bytes(b"re,im\r\n9")
+        for path in (shorter, new):
+            _write_text(str(path), text)
+            assert path.read_bytes() == text.encode("utf-8")
+            write_csv(str(path), ["re", "im"], [["0.1", "-0.2"]] * 1000)
+            assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("umask", [None, 0o077, 0o002], ids=["current", "077", "002"])
+    def test_a_new_report_has_the_mode_of_a_truncating_open(self, tmp_path, umask):
+        saved = None if umask is None else os.umask(umask)
+        try:
+            _write_text(str(tmp_path / "report.csv"), "x")
+            with open(tmp_path / "plain.csv", "w"):
+                pass
+        finally:
+            if saved is not None:
+                os.umask(saved)
+        assert (stat.S_IMODE(os.stat(tmp_path / "report.csv").st_mode)
+                == stat.S_IMODE(os.stat(tmp_path / "plain.csv").st_mode))
+
+    def test_the_open_keeps_the_old_bytes_until_they_are_written_over(self, tmp_path,
+                                                                       monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def recording(path, fl, mode=0o777, **kwargs):
+            flags.append(fl)
+            return real_open(path, fl, mode, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        _write_text(str(tmp_path / "report.csv"), "x")
+        assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+    def test_a_directory_at_the_path_raises(self, tmp_path):
+        (tmp_path / "report.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            _write_text(str(tmp_path / "report.csv"), "x")
 
 
 class TestWriteJson:
