@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 CFL_BOUND = 2.0   # largest cfl_number a march accepts
-SCAN_CHUNKS = 7   # passes of nonlinearity_l2_bound over its 161 s-values, 23 each
+SCAN_CHUNKS = 2   # passes of nonlinearity_l2_bound over its 80 s-values, 40 each
 
 
 @dataclass(frozen=True)
@@ -189,22 +189,24 @@ def absorbing_radius(C: float, M: float, delta: float, theta: float) -> float:
 def nonlinearity_l2_bound(params: ModelParams) -> float:
     """Scanned L2(Gamma) bound M for u + f(x, u, u_x): sup|s+f| * sqrt(2*pi).
 
-    The sup is attained in the compact region |s|, |p| <= 2 because mu kills
-    the identity outside the cutoff support; the scan covers [-4, 4]^2 anyway,
-    at about 64 grid points x (every (M // 64)-th). x enters f only through
-    sin x, and at fixed (s, p) s + f is affine in sin x, so over those points
-    |s + f| is largest at an extreme of sin x: scanning only the two points
-    with the smallest and the largest sin x gives the same sup up to round-off.
-    s and p each take 161 points of [-4, 4]. f is elementwise, so the s-values
-    are scanned SCAN_CHUNKS rows at a time through one work buffer, and the
-    running max is the whole grid's bit for bit with a seventh of its work arrays.
+    The scan's grid is s, p in 161 points of [-4, 4] at about 64 grid points x
+    (every (M // 64)-th). x enters f only through sin x, and at fixed (s, p) s + f
+    is affine in sin x, so over those points |s + f| is largest at an extreme of
+    sin x: scanning only the two points with the smallest and the largest sin x
+    gives the same sup up to round-off. Of the 161 x 161 cells only the 80 x 80
+    with -2 < s, p <= 2 are evaluated: chi(s) = 0 exactly for |s| >= 2, so s + f = 0
+    there, and w(p) = 0 exactly for |p| >= 2, so such a cell equals its p = 0 cell.
+    The sup is the whole grid's bit for bit. f is elementwise, so the s-values are
+    scanned SCAN_CHUNKS rows at a time through one work buffer of 40 x 80 cells per x.
     """
     x = params.layout.grid[:: max(1, params.layout.M // 64)]
     sin_x = np.sin(x)
     X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]
-    p = np.linspace(-4.0, 4.0, 161)[None, None, :]
-    chunks = np.linspace(-4.0, 4.0, 161).reshape(SCAN_CHUNKS, 1, -1, 1)   # (1, rows, 1) each
-    work = np.empty((6, 2, chunks.shape[2], 161))
+    axis = np.linspace(-4.0, 4.0, 161)
+    inner = axis[(axis > -2.0) & (axis <= 2.0)]   # the 79 values |v| < 2, and 2
+    p = inner[None, None, :]
+    chunks = inner.reshape(SCAN_CHUNKS, 1, -1, 1)   # (1, rows, 1) each
+    work = np.empty((6, 2, chunks.shape[2], inner.size))
     masks = np.empty((2,) + work.shape[1:], dtype=bool)
     value = work[0]   # where f leaves its value
     peaks = [np.max(np.abs(np.add(f(X, S, p, params, work, masks=masks), S, out=value), out=value))

@@ -306,7 +306,8 @@ def numpy_random_state(layout, seed, alpha, norm):
 
 def single_grid_l2_bound(params):
     """sup |s + f| * sqrt(2 pi) over the two extremes of sin x and the whole
-    161 x 161 grid of (s, p) in [-4, 4]^2, evaluated at once."""
+    161 x 161 grid of (s, p) in [-4, 4]^2, evaluated at once: the full-grid scan
+    that `nonlinearity_l2_bound` prunes to the cells with |s|, |p| < 2."""
     x = params.layout.grid[:: max(1, params.layout.M // 64)]
     sin_x = np.sin(x)
     X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]

@@ -45,6 +45,7 @@ class TestLayout:
         with pytest.raises(ValueError):
             BasisLayout(16, M=73)  # odd
         assert BasisLayout(16, M=100).M == 100
+        assert BasisLayout(1024, M=4104).M == 4104   # kept, though 4104 = 2^3 3^3 19
 
     def test_l2_weights(self, layout16):
         w = l2_weights(layout16)
@@ -55,6 +56,40 @@ class TestLayout:
         S = layout16.synthesis_matrix()
         P = layout16.analysis_matrix()
         np.testing.assert_allclose(P @ S, np.eye(layout16.dim), atol=1e-13)
+
+
+def smooth_even_size(n):
+    """Brute force: the first even m >= n with no prime factor but 2, 3 and 5."""
+    m = n + n % 2
+    while True:
+        rest = m
+        for q in (2, 3, 5):
+            while rest % q == 0:
+                rest //= q
+        if rest == 1:
+            return m
+        m += 2
+
+
+class TestGridRule:
+    """The default M is the smallest even 5-smooth size >= 4(N+2), and the
+    transforms' contracts hold on it."""
+
+    def test_default_M_is_the_brute_force_size(self):
+        assert [BasisLayout(N).M for N in (16, 64, 128, 1024)] == [72, 270, 540, 4320]
+        for N in range(4, 2101):
+            assert BasisLayout(N).M == smooth_even_size(4 * (N + 2)), N
+
+    @pytest.mark.parametrize("N", [32, 64, 128, 1024])
+    def test_analysis_aliasing_contract_on_the_default_grid(self, N):
+        # N = 64 has M = 270, which is 2 mod 4
+        lay = BasisLayout(N)
+        tol = lay.M * np.finfo(float).eps
+        for wave in (np.cos, np.sin):
+            for k in (N + 2, lay.M // 2 - 1, lay.M - N - 2):
+                assert np.max(np.abs(lay.fft_analysis(wave(k * lay.grid)))) < tol, (wave, k)
+        v = lay.fft_analysis(np.sin((lay.M - N - 1) * lay.grid))
+        assert np.max(np.abs(v + sin_mode(lay, N + 1))) < tol
 
 
 class TestTransforms:
@@ -104,6 +139,7 @@ class TestTransforms:
 
 
 FFT_LAYOUTS = [BasisLayout(4), BasisLayout(16), BasisLayout(127), BasisLayout(1024),
+               BasisLayout(127, M=516), BasisLayout(1024, M=4104),   # M = 4(N+2)
                BasisLayout(16, M=74), BasisLayout(16, M=100)]
 
 

@@ -346,7 +346,7 @@ class TestMultiplierFromMoments:
     """The FFT-moment oracle against the dense P diag(g) S, and the closed-form
     multipliers of the linearization against both."""
 
-    LAYOUTS = [BasisLayout(4), BasisLayout(16), BasisLayout(127),
+    LAYOUTS = [BasisLayout(4), BasisLayout(16), BasisLayout(127), BasisLayout(127, M=516),
                BasisLayout(16, M=74), BasisLayout(16, M=100)]
 
     @pytest.mark.parametrize("lay", LAYOUTS, ids=lambda lay: f"N{lay.N}-M{lay.M}")

@@ -41,6 +41,14 @@ class TestStep:
         stepped = _imex_step(params32)(u[None])[0]
         np.testing.assert_allclose(stepped, u, atol=1e-15)
 
+    @pytest.mark.parametrize("N", [32, 64, 128, 1024])
+    def test_fixed_points_on_the_default_grid(self, N):
+        # M = 144, 270, 540, 4320: zero exactly, one to round-off
+        params = ModelParams(BasisLayout(N), dt=5e-4)
+        step, one = _imex_step(params), cos_mode(params.layout, 0)
+        assert np.all(step(np.zeros((1, params.layout.dim))) == 0.0)
+        np.testing.assert_allclose(step(one[None])[0], one, atol=1e-15)
+
     def test_fixed_points_hold_over_ten_thousand_steps(self, layout32):
         params = ModelParams(layout32)
         c = cos_mode(layout32, 0)
@@ -361,6 +369,17 @@ class TestRegroupedKernel:
         params = ModelParams(BasisLayout(N), kappa=kappa)
         assert nonlinearity_l2_bound(params).hex() == single_grid_l2_bound(params).hex()
 
+    @pytest.mark.parametrize("grid", ["default", "4(N+2)"])
+    @pytest.mark.parametrize("eps0", [0.0, 0.05, 0.9])
+    @pytest.mark.parametrize("kappa", [1.01, 1.25, 4.0, -3.0, 50.0])
+    @pytest.mark.parametrize("N", [8, 32, 128, 1024])
+    def test_pruned_bound_is_the_full_grid_bound_bit_for_bit(self, N, kappa, eps0, grid):
+        # the scan skips the cells with |s| >= 2 or |p| >= 2, whose values it knows
+        from oracles import single_grid_l2_bound
+        layout = BasisLayout(N) if grid == "default" else BasisLayout(N, M=4 * (N + 2))
+        params = ModelParams(layout, kappa=kappa, eps=EpsilonSequence(eps0))
+        assert nonlinearity_l2_bound(params).hex() == single_grid_l2_bound(params).hex()
+
     def test_probe_matches_shape_sum_stepper(self):
         layout = BasisLayout(64)
         params = ModelParams(layout)
@@ -419,7 +438,8 @@ class TestSeedMajorMarch:
             assert tail == np.max(alone.theta_norm_history[alone.times >= T / 2.0])
 
     # float.hex of the probe outputs before the march moved to rows, from the
-    # seeds numpy's generator drew before random_state moved to the stdlib
+    # seeds numpy's generator drew before random_state moved to the stdlib, on the
+    # grid M = 4(N+2) of that time: they pin the march's arithmetic
     GOLDEN = {
         32: (4, 2.0, "0x1.075f8697fcc4ap+3", "0x1.7c079dc05eb8ep-6",
              ["0x1.e5ac6512602d7p-8", "0x1.7c079dc05eb8ep-6", "0x1.02799dec01208p-7",
@@ -431,17 +451,35 @@ class TestSeedMajorMarch:
                "0x1.c1f280288c431p-12"]),
     }
 
-    @pytest.mark.parametrize("N", sorted(GOLDEN))
-    def test_probe_outputs_are_pinned_bit_for_bit(self, N):
+    # the same probes on the default grid, the smallest 5-smooth M >= 4(N+2): 144
+    # and 540; at N = 32 the first tail and at N = 128 M_scan move in the last bits
+    GOLDEN_DEFAULT_GRID = {
+        32: (4, 2.0, "0x1.075f8697fcc4ap+3", "0x1.7c079dc05eb8ep-6",
+             ["0x1.e5ac65120bcc6p-8", "0x1.7c079dc05eb8ep-6", "0x1.02799dec01208p-7",
+              "0x1.22cb44f830f7dp-6"]),
+        128: (10, 0.5, "0x1.075c8e567a3acp+3", "0x1.64c9fb0c963b5p-10",
+              GOLDEN[128][4]),
+    }
+
+    @staticmethod
+    def _pinned_probe(layout, golden):
         from oracles import numpy_random_state
-        n_seeds, T, m_scan, a_emp, tails = self.GOLDEN[N]
-        params = ModelParams(BasisLayout(N))
+        n_seeds, T, m_scan, a_emp, tails = golden
+        params = ModelParams(layout)
         seeds = [(f"r{s}", numpy_random_state(params.layout, s, params.theta, 10.0))
                  for s in range(n_seeds)]
         rep = dissipativity_probe(seeds, params, T=T)
         assert rep.M_scan.hex() == m_scan
         assert rep.a_emp.hex() == a_emp
         assert [t.hex() for t in rep.tail_norms] == tails
+
+    @pytest.mark.parametrize("N", sorted(GOLDEN))
+    def test_probe_outputs_are_pinned_bit_for_bit(self, N):
+        self._pinned_probe(BasisLayout(N, M=4 * (N + 2)), self.GOLDEN[N])
+
+    @pytest.mark.parametrize("N", sorted(GOLDEN_DEFAULT_GRID))
+    def test_probe_outputs_on_the_default_grid_are_pinned_bit_for_bit(self, N):
+        self._pinned_probe(BasisLayout(N), self.GOLDEN_DEFAULT_GRID[N])
 
 
 class TestStepOracle:
