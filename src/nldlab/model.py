@@ -91,21 +91,28 @@ def f(x, s, p, params: ModelParams, work=None, sin_x=None, masks=None):
     """The nonlinearity, vectorized over broadcastable x, s, p: the core alone, bit
     for bit, when every s and p is on the plateau [-1, 1] (chi(s) = chi(p) = 1);
     else with the core read at s, and w at p, clipped to [-2, 2], so neither
-    overflows nor meets an infinity where chi = 0. work (float, (6,) + the
-    broadcast shape) holds every intermediate and the value (work[0], returned),
-    masks (bool, (2,) + that shape) the cutoff bands, sin_x is np.sin(x): a march
-    passing the same ones each step allocates nothing of the samples' size."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(p))
+    overflows nor meets an infinity where chi = 0. chi(s) is read at the shape of s
+    and w(p) = chi(p) p at the shape of p; only the products broadcast. work (float,
+    (6,) + the broadcast shape) holds the value (work[0], returned), the core's
+    scratch and, when s and p have the broadcast shape, chi(s), w(p) and the clipped
+    arguments, masks (bool, (2,) + that shape) their cutoff bands; a lower-dimensional
+    s or p gets arrays of its own shape. sin_x is np.sin(x). A march passing the same
+    work, masks and sin_x each step allocates nothing of the samples' size."""
+    on_plateau = _on_plateau(s) and _on_plateau(p)
     if work is None:
-        work = np.empty((6,) + shape)
-    value, chi, w_p, clipped, bracket, cubic = (work[i, ...] for i in range(6))
-    if _on_plateau(s) and _on_plateau(p):
+        work = np.empty((3,) + np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(p)))
+    value, bracket, cubic = work[0, ...], work[1, ...], work[2, ...]
+    if on_plateau:
         return _core(x, s, p, params, (value, bracket, cubic), sin_x)[()]
-    s = np.broadcast_to(np.asarray(s, dtype=float), shape)
-    p = np.broadcast_to(np.asarray(p, dtype=float), shape)
+    s, p = np.asarray(s, dtype=float), np.asarray(p, dtype=float)
+    if s.shape == p.shape == value.shape and len(work) == 6:
+        chi, w_p, clipped = work[3, ...], work[4, ...], work[5, ...]
+        clipped_p = clipped
+    else:
+        chi, w_p, clipped, clipped_p, masks = np.empty(s.shape), np.empty(p.shape), None, None, None
     ct.chi(s, out=chi, masks=masks)
     ct.chi(p, out=w_p, masks=masks)
-    w_p *= np.clip(p, -2.0, 2.0, out=clipped)   # w(p) = chi(p) p
+    w_p *= np.clip(p, -2.0, 2.0, out=clipped_p)   # w(p) = chi(p) p
     _core(x, np.clip(s, -2.0, 2.0, out=clipped), w_p, params, (value, bracket, cubic), sin_x)
     value *= chi
     chi = np.subtract(1.0, chi, out=chi)

@@ -122,8 +122,9 @@ class _ModeMap:
             buffer = np.empty(c.shape[:-1] + (widest,), dtype=np.result_type(self.values, c))
             runs = self._buffered_runs[c.shape, c.dtype] = [
                 (rows, cols, values, buffer[..., :len(values)]) for rows, cols, values in self.runs]
-        for rows, cols, values, product in runs:
-            out[..., rows] += np.multiply(values, c[..., cols], out=product)
+        for rows, cols, values, product in runs:   # np.add, not +=, which writes the slice back
+            target = out[..., rows]
+            np.add(target, np.multiply(values, c[..., cols], out=product), out=target)
         return out
 
 

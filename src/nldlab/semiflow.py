@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 CFL_BOUND = 2.0   # largest cfl_number a march accepts
-SCAN_CHUNKS = 2   # passes of nonlinearity_l2_bound over its 80 s-values, 40 each
 
 
 @dataclass(frozen=True)
@@ -196,22 +195,18 @@ def nonlinearity_l2_bound(params: ModelParams) -> float:
     gives the same sup up to round-off. Of the 161 x 161 cells only the 80 x 80
     with -2 < s, p <= 2 are evaluated: chi(s) = 0 exactly for |s| >= 2, so s + f = 0
     there, and w(p) = 0 exactly for |p| >= 2, so such a cell equals its p = 0 cell.
-    The sup is the whole grid's bit for bit. f is elementwise, so the s-values are
-    scanned SCAN_CHUNKS rows at a time through one work buffer of 40 x 80 cells per x.
+    The sup is the whole grid's bit for bit. f is elementwise and reads its cutoffs
+    at the shapes of s and p, so all 2 x 80 x 80 cells are scanned in one pass that
+    evaluates chi on 80 values per axis and holds three arrays of the cells.
     """
     x = params.layout.grid[:: max(1, params.layout.M // 64)]
     sin_x = np.sin(x)
     X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]
     axis = np.linspace(-4.0, 4.0, 161)
     inner = axis[(axis > -2.0) & (axis <= 2.0)]   # the 79 values |v| < 2, and 2
-    p = inner[None, None, :]
-    chunks = inner.reshape(SCAN_CHUNKS, 1, -1, 1)   # (1, rows, 1) each
-    work = np.empty((6, 2, chunks.shape[2], inner.size))
-    masks = np.empty((2,) + work.shape[1:], dtype=bool)
-    value = work[0]   # where f leaves its value
-    peaks = [np.max(np.abs(np.add(f(X, S, p, params, work, masks=masks), S, out=value), out=value))
-             for S in chunks]
-    return float(np.max(peaks)) * float(np.sqrt(2.0 * np.pi))
+    S = inner[None, :, None]
+    value = f(X, S, inner[None, None, :], params)   # a view of f's own work array
+    return float(np.max(np.abs(np.add(value, S, out=value), out=value))) * float(np.sqrt(2.0 * np.pi))
 
 
 def dissipativity_probe(seeds: list, params: ModelParams, T: float | None = None,

@@ -11,8 +11,9 @@ each conjugate pair was formatted once. The IMEX step as written before the
 march's buffers: sin x taken on every call, the spectra packed through
 temporaries, and KC built from zeros and added to the analysis. The seeded
 states numpy's generator drew before `random_state` moved to the stdlib, the L2
-bound of f scanned as one grid, and the N-level T(u1) spectrum from windows
-solved as one LAPACK batch, before the Schur-complement iteration."""
+bound of f scanned as one grid, sup |w| scanned as one array, and the N-level
+T(u1) spectrum from windows solved as one LAPACK batch, before the
+Schur-complement iteration."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -315,6 +316,13 @@ def single_grid_l2_bound(params):
     p = np.linspace(-4.0, 4.0, 161)[None, None, :]
     sup = float(np.max(np.abs(S + f(X, S, p, params))))
     return sup * float(np.sqrt(2.0 * np.pi))
+
+
+def one_array_sup_abs_w():
+    """max |chi(s) s| over the 40 001 points of [-2, 2], evaluated as one array: the
+    scan that `cutoffs.sup_abs_w` takes a slice at a time."""
+    s = np.linspace(-2.0, 2.0, 40001)
+    return float(np.max(np.abs(chi(s) * s)))
 
 
 def window_eigenvalues(T, discs):

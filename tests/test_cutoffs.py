@@ -153,6 +153,10 @@ class TestW:
         # the sup is attained inside the transition zone, above the plateau max
         assert val > 1.0
 
+    def test_sliced_sup_abs_w_is_the_one_array_scan_bit_for_bit(self):
+        from oracles import one_array_sup_abs_w
+        assert sup_abs_w().hex() == one_array_sup_abs_w().hex() == "0x1.2ccfc68952007p+0"
+
 
 class TestClosedForm:
     """chi is built from its closed form (the bump quotient only on the band);

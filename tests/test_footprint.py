@@ -1,5 +1,5 @@
 """What a fresh process pays for nldlab: the modules it loads, the pages its
-march faults and the memory verify holds. Each check runs in its own
+march faults, the memory verify holds and what the probe's one-off scans allocate. Each check runs in its own
 interpreter, so that nothing the test session imported (scipy among it) hides
 the cost. And what the package holds: no definition that only the tests read."""
 
@@ -66,6 +66,20 @@ print(json.dumps({"bound": bound, "peak_mb": tracemalloc.get_traced_memory()[1] 
 """)
     assert result["bound"] > 0.0
     assert result["peak_mb"] <= 1.0
+
+
+def test_sup_abs_w_scan_allocates_under_half_an_mb():
+    # the 40 001 points at once peaked at 1.52 MB; sliced, most of the peak is the
+    # 0.32 MB linspace itself
+    result = run_fresh("""
+import json, tracemalloc
+from nldlab.cutoffs import sup_abs_w
+tracemalloc.start()
+value = sup_abs_w()
+print(json.dumps({"value": value, "peak_mb": tracemalloc.get_traced_memory()[1] / 1e6}))
+""")
+    assert result["value"] > 1.0
+    assert result["peak_mb"] <= 0.5
 
 
 def test_block_march_faults_no_pages_per_step():

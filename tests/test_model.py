@@ -244,6 +244,55 @@ class TestFarFieldOverflow:
         np.testing.assert_array_equal(f(x, s, p, params32), unclipped)
 
 
+class TestBroadcastArguments:
+    """f reads chi(s) at the shape of s and w(p) at the shape of p and broadcasts
+    only in the products, so lower-dimensional s and p give, bit for bit, what their
+    broadcast copies give, with f's work and masks passed or not."""
+
+    BAND = np.array([1.0 + 1e-9, -1.25, 1.5, -1.75, 1.999])
+    FAR = np.array([2.0, -2.0, 2.5, -7.0, 1e300])
+    ODD = np.array([np.nan, np.inf, -np.inf])
+    PLATEAU = np.array([-1.0, -0.5, 0.0, 0.25, 1.0])
+    X = np.array([-np.pi, 0.5, 2.0])[:, None, None]
+
+    @staticmethod
+    def _f(x, s, p, params, buffers):
+        if not buffers:
+            return f(x, s, p, params)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(p))
+        return f(x, s, p, params, np.empty((6,) + shape), np.sin(x),
+                 np.empty((2,) + shape, dtype=bool)).copy()
+
+    @pytest.mark.parametrize("buffers", [False, True])
+    @pytest.mark.parametrize("values", ["band", "far", "odd", "plateau", "all"])
+    @pytest.mark.parametrize("layout", ["s rows, p columns", "s full, p columns",
+                                        "s rows, p full", "s scalar, p vector"])
+    def test_lower_dimensional_arguments_are_their_broadcast_copies(self, params32, values,
+                                                                    layout, buffers):
+        v = {"band": self.BAND, "far": self.FAR, "odd": self.ODD, "plateau": self.PLATEAU,
+             "all": np.concatenate([self.BAND, self.FAR, self.ODD, self.PLATEAU])}[values]
+        rows, columns = v[None, :, None], v[None, None, :]
+        full = (len(self.X), len(v), len(v))
+        s, p = {"s rows, p columns": (rows, columns),
+                "s full, p columns": (np.broadcast_to(columns, full).copy(), columns),
+                "s rows, p full": (rows, np.broadcast_to(rows, full).copy()),
+                "s scalar, p vector": (v[len(v) // 2], v)}[layout]
+        x = self.X if layout != "s scalar, p vector" else self.X[:, 0]
+        shape = np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(p))
+        copies = (np.broadcast_to(s, shape).copy(), np.broadcast_to(p, shape).copy())
+        got = self._f(x, s, p, params32, buffers)
+        expected = self._f(x, *copies, params32, buffers)
+        assert got.shape == expected.shape == shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_scalar_arguments_give_a_scalar(self, params32):
+        for s, p in ((0.5, 0.25), (1.5, -1.25), (3.0, np.nan)):
+            value = f(0.3, s, p, params32)
+            assert np.ndim(value) == 0
+            one = f(np.array([0.3]), np.array([s]), np.array([p]), params32)
+            assert np.float64(value).tobytes() == one.tobytes()
+
+
 class TestPlateauAndInfinity:
     """f at the plateau's edges, in the band, on its far side and at non-finite
     arguments, against the chi-based oracle: w vanishes for |p| >= 2, so an

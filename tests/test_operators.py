@@ -406,6 +406,21 @@ class TestSliceApplication:
         oracle = block @ assemble(layout16, name, eps=EPS, kappa=1.25).T
         assert np.max(np.abs(image - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
+    @pytest.mark.parametrize("height", [None, 4])
+    @pytest.mark.parametrize("name", ["K", "Qkappa"])
+    def test_into_accumulates_entry_by_entry_in_table_order(self, name, height, layout16, rng):
+        # K has no recurring row; Qkappa adds its D run onto rows its Q run wrote
+        op = mode_map(layout16, name, eps=EPS, kappa=1.25)
+        assert (len(set(op.rows.tolist())) < len(op.rows)) == (name == "Qkappa")
+        shape = (layout16.dim,) if height is None else (height, layout16.dim)
+        c, start = rng.standard_normal(shape), rng.standard_normal(shape)
+        expected = start.copy()
+        for row, col, value in zip(op.rows, op.cols, op.values):
+            expected[..., row] += value * c[..., col]
+        into = start.copy()
+        assert op(c, into=into) is into
+        assert into.tobytes() == expected.tobytes()
+
     def test_pair_maps_are_two_runs(self, layout16):
         for name in ("J", "G", "D", "K"):
             assert len(mode_map(layout16, name, eps=EPS).runs) == 2
