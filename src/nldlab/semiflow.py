@@ -188,24 +188,23 @@ def absorbing_radius(C: float, M: float, delta: float, theta: float) -> float:
 def nonlinearity_l2_bound(params: ModelParams) -> float:
     """Scanned L2(Gamma) bound M for u + f(x, u, u_x): sup|s+f| * sqrt(2*pi).
 
-    The scan's grid is s, p in 161 points of [-4, 4] at about 64 grid points x
-    (every (M // 64)-th). x enters f only through sin x, and at fixed (s, p) s + f
-    is affine in sin x, so over those points |s + f| is largest at an extreme of
-    sin x: scanning only the two points with the smallest and the largest sin x
-    gives the same sup up to round-off. Of the 161 x 161 cells only the 80 x 80
-    with -2 < s, p <= 2 are evaluated: chi(s) = 0 exactly for |s| >= 2, so s + f = 0
-    there, and w(p) = 0 exactly for |p| >= 2, so such a cell equals its p = 0 cell.
-    The sup is the whole grid's bit for bit. f is elementwise and reads its cutoffs
-    at the shapes of s and p, so all 2 x 80 x 80 cells are scanned in one pass that
-    evaluates chi on 80 values per axis and holds three arrays of the cells.
+    The scan's grid is s, p in 161 points of [-4, 4] at x = -pi/2 and pi/2. x enters
+    f only through sin x, and at fixed (s, p) s + f is affine in sin x, so over the
+    circle |s + f| is largest where sin x = -1 or +1: f reads those two values of
+    sin x directly, and the bound does not depend on the collocation grid. Of the
+    161 x 161 cells only the 80 x 80 with -2 < s, p <= 2 are evaluated: chi(s) = 0
+    exactly for |s| >= 2, so s + f = 0 there, and w(p) = 0 exactly for |p| >= 2, so
+    such a cell equals its p = 0 cell. The sup is the whole grid's bit for bit. f
+    is elementwise and reads its cutoffs at the shapes of s and p, so all 2 x 80 x 80
+    cells are scanned in one pass that evaluates chi on 80 values per axis and holds
+    three arrays of the cells.
     """
-    x = params.layout.grid[:: max(1, params.layout.M // 64)]
-    sin_x = np.sin(x)
-    X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]
+    X = np.array([-0.5 * np.pi, 0.5 * np.pi])[:, None, None]
+    sin_x = np.array([-1.0, 1.0])[:, None, None]
     axis = np.linspace(-4.0, 4.0, 161)
     inner = axis[(axis > -2.0) & (axis <= 2.0)]   # the 79 values |v| < 2, and 2
     S = inner[None, :, None]
-    value = f(X, S, inner[None, None, :], params)   # a view of f's own work array
+    value = f(X, S, inner[None, None, :], params, sin_x=sin_x)   # a view of f's work
     return float(np.max(np.abs(np.add(value, S, out=value), out=value))) * float(np.sqrt(2.0 * np.pi))
 
 

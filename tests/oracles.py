@@ -306,12 +306,11 @@ def numpy_random_state(layout, seed, alpha, norm):
 
 
 def single_grid_l2_bound(params):
-    """sup |s + f| * sqrt(2 pi) over the two extremes of sin x and the whole
-    161 x 161 grid of (s, p) in [-4, 4]^2, evaluated at once: the full-grid scan
-    that `nonlinearity_l2_bound` prunes to the cells with |s|, |p| < 2."""
-    x = params.layout.grid[:: max(1, params.layout.M // 64)]
-    sin_x = np.sin(x)
-    X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]
+    """sup |s + f| * sqrt(2 pi) at x = -pi/2 and pi/2, where sin x is -1 and +1, over
+    the whole 161 x 161 grid of (s, p) in [-4, 4]^2, evaluated at once with sin x
+    taken by f: the full-grid scan that `nonlinearity_l2_bound` prunes to the cells
+    with |s|, |p| < 2."""
+    X = np.array([-0.5 * np.pi, 0.5 * np.pi])[:, None, None]
     S = np.linspace(-4.0, 4.0, 161)[None, :, None]
     p = np.linspace(-4.0, 4.0, 161)[None, None, :]
     sup = float(np.max(np.abs(S + f(X, S, p, params))))

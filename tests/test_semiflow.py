@@ -322,13 +322,25 @@ class TestDissipativity:
 
 
 def full_scan_bound(params, n_scan=161):
-    """The L2 bound scanned over every sampled x, not only the extremes of sin x."""
+    """The L2 bound scanned over 65 points x of the circle, -pi/2 and pi/2 among
+    them, not only where sin x is -1 and +1."""
     from nldlab import f
-    x = params.layout.grid
-    X = x[:: max(1, len(x) // 64), None, None]
+    X = np.linspace(-np.pi, np.pi, 65)[:, None, None]
     S = np.linspace(-4.0, 4.0, n_scan)[None, :, None]
     P = np.linspace(-4.0, 4.0, n_scan)[None, None, :]
     return float(np.max(np.abs(S + f(X, S, P, params)))) * np.sqrt(2.0 * np.pi)
+
+
+def grid_extremes_l2_bound(params):
+    """The L2 bound over the two points of every (M // 64)-th grid point with the
+    smallest and the largest sin x: the scan before it read sin x = -1 and +1."""
+    from nldlab import f
+    x = params.layout.grid[:: max(1, params.layout.M // 64)]
+    sin_x = np.sin(x)
+    X = x[[np.argmin(sin_x), np.argmax(sin_x)], None, None]
+    S = np.linspace(-4.0, 4.0, 161)[None, :, None]
+    P = np.linspace(-4.0, 4.0, 161)[None, None, :]
+    return float(np.max(np.abs(S + f(X, S, P, params)))) * float(np.sqrt(2.0 * np.pi))
 
 
 def shape_sum_tails(seeds, params, T, record_every=100):
@@ -361,6 +373,20 @@ class TestRegroupedKernel:
         params = ModelParams(BasisLayout(N), kappa=kappa, eps=EpsilonSequence(eps0))
         full = full_scan_bound(params)
         assert abs(nonlinearity_l2_bound(params) - full) <= 4 * np.finfo(float).eps * full
+
+    @pytest.mark.parametrize("eps0", [0.05, 0.9])
+    @pytest.mark.parametrize("N", [8, 32, 128, 1024])
+    def test_bound_at_the_extremes_of_sin_is_no_smaller_than_on_the_grid(self, N, eps0):
+        # s + f is affine in sin x, so sin x = -1 and +1 bound every grid point
+        params = ModelParams(BasisLayout(N), eps=EpsilonSequence(eps0))
+        u = np.finfo(float).eps / 2
+        assert nonlinearity_l2_bound(params) >= grid_extremes_l2_bound(params) * (1.0 - 4 * u)
+
+    @pytest.mark.parametrize("N", [8, 128, 1024])
+    def test_bound_does_not_depend_on_the_grid(self, N):
+        bounds = {nonlinearity_l2_bound(ModelParams(BasisLayout(N, M=M))).hex()
+                  for M in (4 * (N + 2), BasisLayout(N).M, 6 * (N + 2), 8 * (N + 2) + 2)}
+        assert bounds == {"0x1.075f8697fcc4ap+3"}
 
     @pytest.mark.parametrize("kappa", [1.01, 1.25, 4.0])
     @pytest.mark.parametrize("N", [16, 128, 1024])
@@ -439,12 +465,13 @@ class TestSeedMajorMarch:
 
     # float.hex of the probe outputs before the march moved to rows, from the
     # seeds numpy's generator drew before random_state moved to the stdlib, on the
-    # grid M = 4(N+2) of that time: they pin the march's arithmetic
+    # grid M = 4(N+2) of that time: they pin the march's arithmetic. M_scan, read
+    # at sin x = -1 and +1, is the same on every grid
     GOLDEN = {
         32: (4, 2.0, "0x1.075f8697fcc4ap+3", "0x1.7c079dc05eb8ep-6",
              ["0x1.e5ac6512602d7p-8", "0x1.7c079dc05eb8ep-6", "0x1.02799dec01208p-7",
               "0x1.22cb44f830f7dp-6"]),
-        128: (10, 0.5, "0x1.075e1a3101888p+3", "0x1.64c9fb0c963b5p-10",
+        128: (10, 0.5, "0x1.075f8697fcc4ap+3", "0x1.64c9fb0c963b5p-10",
               ["0x1.9c124ad146444p-11", "0x1.f70c71ee84ec0p-12", "0x1.c5dcea68c495ap-12",
                "0x1.64c9fb0c963b5p-10", "0x1.31d8c819cc565p-11", "0x1.7b54d585794f5p-11",
                "0x1.9e5564be5ca83p-11", "0x1.56997292f5ae6p-11", "0x1.24e4b087156dbp-10",
@@ -452,12 +479,12 @@ class TestSeedMajorMarch:
     }
 
     # the same probes on the default grid, the smallest 5-smooth M >= 4(N+2): 144
-    # and 540; at N = 32 the first tail and at N = 128 M_scan move in the last bits
+    # and 540; at N = 32 the first tail moves in the last bits
     GOLDEN_DEFAULT_GRID = {
         32: (4, 2.0, "0x1.075f8697fcc4ap+3", "0x1.7c079dc05eb8ep-6",
              ["0x1.e5ac65120bcc6p-8", "0x1.7c079dc05eb8ep-6", "0x1.02799dec01208p-7",
               "0x1.22cb44f830f7dp-6"]),
-        128: (10, 0.5, "0x1.075c8e567a3acp+3", "0x1.64c9fb0c963b5p-10",
+        128: (10, 0.5, "0x1.075f8697fcc4ap+3", "0x1.64c9fb0c963b5p-10",
               GOLDEN[128][4]),
     }
 
