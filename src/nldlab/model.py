@@ -96,8 +96,9 @@ def f(x, s, p, params: ModelParams, work=None, sin_x=None, masks=None):
     (6,) + the broadcast shape) holds the value (work[0], returned), the core's
     scratch and, when s and p have the broadcast shape, chi(s), w(p) and the clipped
     arguments, masks (bool, (2,) + that shape) their cutoff bands; a lower-dimensional
-    s or p gets arrays of its own shape. sin_x is np.sin(x). A march passing the same
-    work, masks and sin_x each step allocates nothing of the samples' size."""
+    s or p gets arrays of its own shape, and a missing work three arrays of the
+    broadcast shape. sin_x is np.sin(x). A march passing the same work, masks and
+    sin_x each step allocates nothing of the samples' size."""
     on_plateau = _on_plateau(s) and _on_plateau(p)
     if work is None:
         work = np.empty((3,) + np.broadcast_shapes(np.shape(x), np.shape(s), np.shape(p)))
@@ -107,12 +108,11 @@ def f(x, s, p, params: ModelParams, work=None, sin_x=None, masks=None):
     s, p = np.asarray(s, dtype=float), np.asarray(p, dtype=float)
     if s.shape == p.shape == value.shape and len(work) == 6:
         chi, w_p, clipped = work[3, ...], work[4, ...], work[5, ...]
-        clipped_p = clipped
-    else:
-        chi, w_p, clipped, clipped_p, masks = np.empty(s.shape), np.empty(p.shape), None, None, None
+    else:   # each clip allocates at its argument's shape
+        chi, w_p, clipped, masks = np.empty(s.shape), np.empty(p.shape), None, None
     ct.chi(s, out=chi, masks=masks)
     ct.chi(p, out=w_p, masks=masks)
-    w_p *= np.clip(p, -2.0, 2.0, out=clipped_p)   # w(p) = chi(p) p
+    w_p *= np.clip(p, -2.0, 2.0, out=clipped)   # w(p) = chi(p) p
     _core(x, np.clip(s, -2.0, 2.0, out=clipped), w_p, params, (value, bracket, cubic), sin_x)
     value *= chi
     chi = np.subtract(1.0, chi, out=chi)
